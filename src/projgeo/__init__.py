@@ -36,7 +36,6 @@ from .connection import (
     SingularMetric,
     curvature,
     curvature_derivative,
-    levi_civita,
     load_chart,
     ricci,
     second_bianchi_residual,

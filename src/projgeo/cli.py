@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -381,9 +382,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_POINT_FLAGS = ("--point", "--base")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_points(argv: "list[str]") -> "list[str]":
+    """Write `--point -0.1,0.2` as `--point=-0.1,0.2`.
+
+    argparse reads a separate value that starts with '-' as an option unless
+    it is a single plain number, so a point with a negative leading
+    coordinate would be refused as a missing argument.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _POINT_FLAGS and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_points(argv))
     try:
         cfg = RunConfig(
             command=args.command,

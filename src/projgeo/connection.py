@@ -31,7 +31,7 @@ from . import expr as ex
 from .tensor import TensorValue
 
 __all__ = [
-    "ConnectionSpec", "ConnectionValue", "load_chart", "levi_civita",
+    "ConnectionSpec", "ConnectionValue", "load_chart", "POINT_BLOCK", "point_blocks",
     "torsion", "curvature", "ricci", "trace2form", "curvature_derivative",
     "second_bianchi_residual", "SingularMetric", "MissingJet", "ChartError",
 ]
@@ -49,9 +49,26 @@ class ChartError(ValueError):
     """Malformed chart or field file; message carries the line number."""
 
 
+# Consumers that evaluate many points walk them in blocks of this many rows:
+# big enough to spread the per-instruction cost of a tape run, small enough
+# that the order-3 partials of a block stay a few hundred kilobytes.
+POINT_BLOCK = 8
+
+
+def point_blocks(points) -> "list[np.ndarray]":
+    """Consecutive blocks of at most POINT_BLOCK rows of a (P, n) point array."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return [points[start:start + POINT_BLOCK]
+            for start in range(0, points.shape[0], POINT_BLOCK)]
+
+
 @dataclass
 class ConnectionValue:
-    """Pointwise connection data: Gamma and optionally its first two derivative levels."""
+    """Pointwise connection data: Gamma and optionally its first two derivative levels.
+
+    `ConnectionSpec.evaluate_many` returns the same fields stacked along a
+    leading point axis; `rows()` splits such a value into per-point ones.
+    """
 
     n: int
     point: np.ndarray
@@ -65,6 +82,13 @@ class ConnectionValue:
         if level >= 2 and self.ddgamma is None:
             raise MissingJet("ddgamma (second derivatives of Gamma) not evaluated")
 
+    def rows(self) -> "list[ConnectionValue]":
+        """The per-point values of a stacked result of ConnectionSpec.evaluate_many."""
+        return [ConnectionValue(self.n, self.point[r], self.gamma[r],
+                                None if self.dgamma is None else self.dgamma[r],
+                                None if self.ddgamma is None else self.ddgamma[r])
+                for r in range(self.point.shape[0])]
+
 
 @dataclass
 class ConnectionSpec:
@@ -74,6 +98,7 @@ class ConnectionSpec:
     (0-based (i, j), i <= j -> Expr) is set; absent entries are zero. `alpha`
     optionally holds n expressions adding the projective perturbation
     alpha_i delta^k_j + alpha_j delta^k_i on top of the base connection.
+    The entries and alpha are compiled into one tape on first evaluation.
     """
 
     n: int
@@ -81,6 +106,8 @@ class ConnectionSpec:
     metric: dict[tuple[int, int], ex.Expr] | None = None
     alpha: tuple[ex.Expr, ...] | None = None
     name: str = ""
+    _compiled: "_Compiled | None" = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if (self.christoffel is None) == (self.metric is None):
@@ -104,28 +131,104 @@ class ConnectionSpec:
                 raise ValueError(f"metric entries use i <= j, got ({i}, {j})")
         return cls(n, metric=parsed, name=name)
 
+    @property
+    def tape(self) -> ex.Tape:
+        """The entries followed by alpha, compiled into one tape."""
+        return self._plan().tape
+
+    def _plan(self) -> "_Compiled":
+        if self._compiled is None:
+            self._compiled = _Compiled.build(self)
+        return self._compiled
+
     def evaluate(self, p, derivs: int = 1) -> ConnectionValue:
         """Connection data at point p with `derivs` derivative levels of Gamma (0..2)."""
-        if derivs not in (0, 1, 2):
-            raise ValueError("derivs must be 0, 1 or 2")
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n,):
             raise ValueError(f"point has shape {p.shape}, chart dimension is {self.n}")
+        return self.evaluate_many(p[None], derivs).rows()[0]
+
+    def evaluate_many(self, points, derivs: int = 1) -> ConnectionValue:
+        """Connection data at each row of `points` (P, n), stacked along a leading axis.
+
+        gamma is (P, n, n, n), dgamma (P, n, n, n, n) and ddgamma
+        (P, n, n, n, n, n), in the index order of the single-point fields.
+        """
+        if derivs not in (0, 1, 2):
+            raise ValueError("derivs must be 0, 1 or 2")
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.n:
+            raise ValueError(f"points have shape {points.shape}, chart dimension is {self.n}")
+        plan = self._plan()
         if self.metric is not None:
-            value = _levi_civita_value(self.n, self.metric, p, derivs)
+            jets = plan.tape.run(points, derivs + 1)
+            gamma, dgamma, ddgamma = _levi_civita(plan.entry_arrays(jets, 4), points, derivs)
         else:
-            value = _christoffel_value(self.n, self.christoffel, p, derivs)
+            jets = plan.tape.run(points, derivs)
+            gamma, dgamma, ddgamma = plan.entry_arrays(jets, 3)
         if self.alpha is not None:
-            _add_projective_term(value, self.alpha, p, derivs)
-        return value
+            # alpha_i, d_l alpha_i as [l, i], d_m d_l alpha_i as [m, l, i]
+            alpha = [jet[..., plan.m:] for jet in jets]
+            _add_projective_term(gamma, dgamma, ddgamma, alpha)
+        return ConnectionValue(self.n, points, gamma, dgamma, ddgamma)
 
     def metric_at(self, p) -> np.ndarray:
         """Metric matrix g_ij at p (metric-sourced specs only)."""
         if self.metric is None:
             raise ValueError("not a metric-sourced connection")
         p = np.asarray(p, dtype=float)
-        g, *_ = _metric_jets(self.n, self.metric, p, order=1)
-        return g
+        plan = self._plan()
+        return plan.entry_arrays(plan.tape.run(p[None], 0), 1)[0][0]
+
+
+@dataclass(frozen=True, eq=False)
+class _Compiled:
+    """A spec's tape plus where each output column lands in the stacked arrays.
+
+    Columns [0, m) are the base entries, in dict order; [m, m + n) are alpha.
+    `flat` holds the raveled index of each entry's slot(s) in an array of
+    `rank` (3 for Gamma, 2 for g) and `cols` the output column feeding it
+    (a metric entry fills g_ij and g_ji).
+    """
+
+    n: int
+    rank: int
+    tape: ex.Tape
+    m: int
+    flat: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def build(cls, spec: "ConnectionSpec") -> "_Compiled":
+        n = spec.n
+        entries = spec.metric if spec.metric is not None else spec.christoffel
+        flat, cols = [], []
+        for col, key in enumerate(entries):
+            if spec.metric is not None:
+                i, j = key
+                places = [i * n + j] if i == j else [i * n + j, j * n + i]
+            else:
+                k, i, j = key
+                places = [(k * n + i) * n + j]
+            flat += places
+            cols += [col] * len(places)
+        exprs = list(entries.values()) + list(spec.alpha or ())
+        return cls(n, 2 if spec.metric is not None else 3, ex.compile_tape(exprs, n),
+                   len(entries), np.array(flat, dtype=np.intp), np.array(cols, dtype=np.intp))
+
+    def entry_arrays(self, jets, levels: int) -> list:
+        """Dense base-entry arrays, one per tape output level, None-padded to `levels`.
+
+        For Gamma: gamma, dgamma[l, k, i, j], ddgamma[m, l, k, i, j]; for g:
+        g, dg[a, i, j], ddg[a, b, i, j], dddg[a, b, c, i, j].
+        """
+        out = []
+        for jet in jets:
+            lead = jet.shape[:-1]
+            dense = np.zeros(lead + (self.n ** self.rank,))
+            dense[..., self.flat] = jet[..., self.cols]
+            out.append(dense.reshape(lead + (self.n,) * self.rank))
+        return out + [None] * (levels - len(out))
 
 
 def _parse_entries(entries, n):
@@ -143,122 +246,70 @@ def _parse_entries(entries, n):
     return parsed
 
 
-def _eval_cached(entries, p, order, cache):
-    out = {}
-    for key, e in entries.items():
-        jet = cache.get(id(e))
-        if jet is None:
-            jet = ex.eval_jet(e, p, order)
-            cache[id(e)] = jet
-        out[key] = jet
-    return out
+def _inverse_jets(g0, g1, g2, points):
+    """Derivative arrays of g^{-1} from those of g, via the product-rule recursion.
 
-
-def _christoffel_value(n, entries, p, derivs):
-    order = max(1, derivs)
-    jets = _eval_cached(entries, p, order, {})
-    gamma = np.zeros((n, n, n))
-    dgamma = np.zeros((n, n, n, n)) if derivs >= 1 else None
-    ddgamma = np.zeros((n, n, n, n, n)) if derivs >= 2 else None
-    for (k, i, j), jet in jets.items():
-        gamma[k, i, j] = jet.value
-        if derivs >= 1:
-            dgamma[:, k, i, j] = jet.d1
-        if derivs >= 2:
-            ddgamma[:, :, k, i, j] = jet.d2
-    return ConnectionValue(n, p, gamma, dgamma, ddgamma)
-
-
-def _metric_jets(n, entries, p, order):
-    """Stacked derivative arrays of the metric: g, dg[a,i,j], ddg, dddg."""
-    jets = _eval_cached(entries, p, order, {})
-    g0 = np.zeros((n, n))
-    g1 = np.zeros((n, n, n))
-    g2 = np.zeros((n, n, n, n)) if order >= 2 else None
-    g3 = np.zeros((n, n, n, n, n)) if order >= 3 else None
-    for (i, j), jet in jets.items():
-        for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
-            g0[a, b] = jet.value
-            g1[:, a, b] = jet.d1
-            if order >= 2:
-                g2[:, :, a, b] = jet.d2
-            if order >= 3:
-                g3[:, :, :, a, b] = jet.d3
-    return g0, g1, g2, g3
-
-
-def _inverse_jets(g0, g1, g2, g3):
-    """Derivative arrays of g^{-1} from those of g, via the product-rule recursion."""
-    if np.linalg.cond(g0) > 1e12:
-        raise SingularMetric(f"metric condition estimate {np.linalg.cond(g0):.3e} exceeds 1e12")
+    Every array carries a leading point axis; i2 is formed only when g2 is
+    given. A row whose metric is not invertible to working precision raises
+    SingularMetric naming its point.
+    """
+    cond = np.linalg.cond(g0)
+    bad = cond > 1e12
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise SingularMetric(f"metric condition estimate {cond[r]:.3e} exceeds 1e12 "
+                             f"{ex.at_point(points[r])}")
     i0 = np.linalg.inv(g0)
-    i1 = -np.einsum("km,amn,np->akp", i0, g1, i0)
-    i2 = i3 = None
+    # i1[a] = -i0 g1[a] i0
+    i1 = -(i0[:, None] @ g1 @ i0[:, None])
+    i2 = None
     if g2 is not None:
-        inner = (np.einsum("abmn,np->abmp", g2, i0)
-                 + np.einsum("amn,bnp->abmp", g1, i1)
-                 + np.einsum("bmn,anp->abmp", g1, i1))
-        i2 = -np.einsum("km,abmp->abkp", i0, inner)
-    if g3 is not None:
-        inner = (np.einsum("abcmn,np->abcmp", g3, i0)
-                 + np.einsum("abmn,cnp->abcmp", g2, i1)
-                 + np.einsum("acmn,bnp->abcmp", g2, i1)
-                 + np.einsum("bcmn,anp->abcmp", g2, i1)
-                 + np.einsum("amn,bcnp->abcmp", g1, i2)
-                 + np.einsum("bmn,acnp->abcmp", g1, i2)
-                 + np.einsum("cmn,abnp->abcmp", g1, i2))
-        i3 = -np.einsum("km,abcmp->abckp", i0, inner)
-    return i0, i1, i2, i3
+        # i2[a, b] = -i0 (g2[a, b] i0 + g1[a] i1[b] + g1[b] i1[a])
+        inner = (g2 @ i0[:, None, None] + g1[:, :, None] @ i1[:, None]
+                 + g1[:, None] @ i1[:, :, None])
+        i2 = -(i0[:, None, None] @ inner)
+    return i0, i1, i2
 
 
-def _levi_civita_value(n, entries, p, derivs):
-    order = derivs + 1
-    g0, g1, g2, g3 = _metric_jets(n, entries, p, order)
-    i0, i1, i2, _ = _inverse_jets(g0, g1, g2, g3)
+def _levi_civita(metric_arrays, points, derivs):
+    """Stacked gamma, dgamma, ddgamma of the Levi-Civita connection, one row per point."""
+    g0, g1, g2, g3 = metric_arrays
+    i0, i1, i2 = _inverse_jets(g0, g1, g2 if derivs >= 2 else None, points)
 
     # c[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, with derivative levels
     # read off one order higher in the metric jets
-    c0 = 0.5 * (np.einsum("ijl->lij", g1) + np.einsum("jil->lij", g1) - g1)
-    gamma = np.einsum("kl,lij->kij", i0, c0)
+    c0 = 0.5 * (np.einsum("...ijl->...lij", g1) + np.einsum("...jil->...lij", g1) - g1)
+    gamma = np.einsum("...kl,...lij->...kij", i0, c0)
     dgamma = ddgamma = None
     if derivs >= 1:
-        c1 = 0.5 * (np.einsum("aijl->alij", g2) + np.einsum("ajil->alij", g2)
-                    - np.einsum("alij->alij", g2))
-        dgamma = (np.einsum("akl,lij->akij", i1, c0)
-                  + np.einsum("kl,alij->akij", i0, c1))
+        c1 = 0.5 * (np.einsum("...aijl->...alij", g2) + np.einsum("...ajil->...alij", g2)
+                    - g2)
+        dgamma = (np.einsum("...akl,...lij->...akij", i1, c0)
+                  + np.einsum("...kl,...alij->...akij", i0, c1))
     if derivs >= 2:
-        c2 = 0.5 * (np.einsum("abijl->ablij", g3) + np.einsum("abjil->ablij", g3)
-                    - np.einsum("ablij->ablij", g3))
-        ddgamma = (np.einsum("abkl,lij->abkij", i2, c0)
-                   + np.einsum("akl,blij->abkij", i1, c1)
-                   + np.einsum("bkl,alij->abkij", i1, c1)
-                   + np.einsum("kl,ablij->abkij", i0, c2))
-    return ConnectionValue(n, p, gamma, dgamma, ddgamma)
+        c2 = 0.5 * (np.einsum("...abijl->...ablij", g3) + np.einsum("...abjil->...ablij", g3)
+                    - g3)
+        ddgamma = (np.einsum("...abkl,...lij->...abkij", i2, c0)
+                   + np.einsum("...akl,...blij->...abkij", i1, c1)
+                   + np.einsum("...bkl,...alij->...abkij", i1, c1)
+                   + np.einsum("...kl,...ablij->...abkij", i0, c2))
+    return gamma, dgamma, ddgamma
 
 
-def _add_projective_term(value: ConnectionValue, alpha, p, derivs):
-    n = value.n
-    order = max(1, derivs)
-    jets = [ex.eval_jet(e, p, order) for e in alpha]
-    a0 = np.array([j.value for j in jets])
-    eye = np.eye(n)
-    value.gamma += (np.einsum("i,kj->kij", a0, eye)
-                    + np.einsum("j,ki->kij", a0, eye))
-    if derivs >= 1:
-        a1 = np.stack([j.d1 for j in jets], axis=-1)  # a1[l, i] = d_l alpha_i
-        value.dgamma += (np.einsum("li,kj->lkij", a1, eye)
-                         + np.einsum("lj,ki->lkij", a1, eye))
-    if derivs >= 2:
-        a2 = np.stack([j.d2 for j in jets], axis=-1)  # a2[m, l, i]
-        value.ddgamma += (np.einsum("mli,kj->mlkij", a2, eye)
-                          + np.einsum("mlj,ki->mlkij", a2, eye))
-
-
-def levi_civita(spec: ConnectionSpec, p, derivs: int = 1) -> ConnectionValue:
-    """Levi-Civita connection data of a metric-sourced spec at p."""
-    if spec.source != "metric":
-        raise ValueError("levi_civita needs a metric-sourced ConnectionSpec")
-    return spec.evaluate(p, derivs)
+def _add_projective_term(gamma, dgamma, ddgamma, alpha):
+    """Add alpha_i delta^k_j + alpha_j delta^k_i, and its derivatives, in place."""
+    eye = np.eye(gamma.shape[-1])
+    a0 = alpha[0]
+    gamma += (np.einsum("...i,kj->...kij", a0, eye)
+              + np.einsum("...j,ki->...kij", a0, eye))
+    if dgamma is not None:
+        a1 = alpha[1]  # a1[l, i] = d_l alpha_i
+        dgamma += (np.einsum("...li,kj->...lkij", a1, eye)
+                   + np.einsum("...lj,ki->...lkij", a1, eye))
+    if ddgamma is not None:
+        a2 = alpha[2]  # a2[m, l, i]
+        ddgamma += (np.einsum("...mli,kj->...mlkij", a2, eye)
+                    + np.einsum("...mlj,ki->...mlkij", a2, eye))
 
 
 def torsion(cv: ConnectionValue) -> TensorValue:

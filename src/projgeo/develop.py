@@ -16,7 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import weyl
-from .connection import ConnectionSpec, curvature
+from .connection import ConnectionSpec, ConnectionValue, curvature
+from .expr import at_point
 
 __all__ = [
     "NotFlat", "StepFailure", "PathOutsideDomain", "LeftDomain",
@@ -73,10 +74,9 @@ class CartanFrame:
     error_estimate: float
 
 
-def _hat_matrix(spec: ConnectionSpec, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Connection matrix of the induced bundle contracted with direction u."""
-    n = spec.n
-    cv = spec.evaluate(x, derivs=1)
+def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
+    """Connection matrix of the induced bundle at cv.point, contracted with direction u."""
+    n = cv.n
     _, q, _ = weyl(curvature(cv))
     a = -np.einsum("kki->i", cv.gamma) / (n + 1)
     out = np.empty((n + 1, n + 1))
@@ -93,7 +93,8 @@ def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
 
     `path` is a list of vertices; each segment is traversed with classical
     RK4 under step doubling, error target `tol` per unit length. The returned
-    error estimate is the accumulated Richardson estimate.
+    error estimate is the accumulated Richardson estimate. The connection is
+    evaluated once per attempted step, at all of its nodes not yet seen.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
     n = spec.n
@@ -111,21 +112,29 @@ def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
             continue
         a_cache: dict[float, np.ndarray] = {}
 
-        def a_at(s: float) -> np.ndarray:
-            if s not in a_cache:
-                a_cache[s] = _hat_matrix(spec, p0 + s * u, u)
-            return a_cache[s]
+        def rk4_nodes(t: float, h: float) -> tuple[float, float, float]:
+            return t, t + 0.5 * h, t + h
 
         def rk4(phi_in: np.ndarray, t: float, h: float) -> np.ndarray:
-            k1 = phi_in @ a_at(t)
-            k2 = (phi_in + 0.5 * h * k1) @ a_at(t + 0.5 * h)
-            k3 = (phi_in + 0.5 * h * k2) @ a_at(t + 0.5 * h)
-            k4 = (phi_in + h * k3) @ a_at(t + h)
+            a0, a_mid, a1 = (a_cache[s] for s in rk4_nodes(t, h))
+            k1 = phi_in @ a0
+            k2 = (phi_in + 0.5 * h * k1) @ a_mid
+            k3 = (phi_in + 0.5 * h * k2) @ a_mid
+            k4 = (phi_in + h * k3) @ a1
             return phi_in + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         t, h = 0.0, 1.0
         while t < 1.0 - 1e-14:
             h = min(h, 1.0 - t)
+            # the nodes of the full step and of its two halves, built with the
+            # same float expressions as the rk4 calls below so the cache hits
+            nodes = (rk4_nodes(t, h) + rk4_nodes(t, 0.5 * h)
+                     + rk4_nodes(t + 0.5 * h, 0.5 * h))
+            fresh = [s for s in dict.fromkeys(nodes) if s not in a_cache]
+            if fresh:
+                xs = p0 + np.array(fresh)[:, None] * u
+                for s, cv in zip(fresh, spec.evaluate_many(xs, derivs=1).rows()):
+                    a_cache[s] = _hat_matrix(cv, u)
             full = rk4(phi, t, h)
             half = rk4(rk4(phi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
             err = float(np.max(np.abs(full - half)))
@@ -134,7 +143,8 @@ def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
                 h *= 0.5
                 if h < 1e-6:
                     raise StepFailure(
-                        f"step collapsed below 1e-6 with error {err:.2e}")
+                        f"step collapsed below 1e-6 with error {err:.2e} "
+                        f"{at_point(p0 + t * u)}")
                 continue
             phi = half
             t += h

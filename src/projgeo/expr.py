@@ -14,12 +14,13 @@ by repeated multiplication, non-integer exponents require a positive base.
 Unary minus binds looser than '^', so "-x1^2" is -(x1^2).
 
 Evaluation produces jets: value and partial derivatives up to order 3, exact to
-rounding (no finite differences).
+rounding (no finite differences). `compile_tape` lowers a list of expressions
+to one straight-line tape with common subexpressions merged, and `Tape.run`
+evaluates it over a block of points at once; `eval_jet` is its one-point case.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -28,8 +29,8 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "Jet3", "parse", "to_text", "eval_jet", "jet_partial",
-    "ParseError", "UnknownVariable", "UnknownFunction", "DomainError",
+    "Jet3", "Tape", "parse", "to_text", "compile_tape", "eval_jet", "jet_partial",
+    "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -253,6 +254,7 @@ def to_text(e: Expr) -> str:
 
 
 @dataclass
+@dataclass
 class Jet3:
     """Taylor data at a point: value and symmetric partials up to `order` (1..3).
 
@@ -276,143 +278,310 @@ class Jet3:
     def n(self) -> int:
         return self.d1.shape[0]
 
-    @classmethod
-    def constant(cls, value: float, n: int, order: int = 3) -> "Jet3":
-        return cls(order, float(value), np.zeros(n))
 
-    @classmethod
-    def variable(cls, index: int, p, order: int = 3) -> "Jet3":
-        """Jet of the coordinate function x_index (1-based) at point p."""
-        p = np.asarray(p, dtype=float)
-        d1 = np.zeros(p.shape[0])
-        d1[index - 1] = 1.0
-        return cls(order, float(p[index - 1]), d1)
+def at_point(p) -> str:
+    """The suffix 'at x = (a, b, ...)' with which numeric refusals name a chart point."""
+    return "at x = (" + ", ".join(format(float(c), ".12g") for c in p) + ")"
 
-    def __neg__(self) -> "Jet3":
-        return Jet3(self.order, -self.value, -self.d1, -self.d2, -self.d3)
 
-    def __add__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.order, self.value + other.value, self.d1 + other.d1,
-                    self.d2 + other.d2, self.d3 + other.d3)
+class Tape:
+    """Straight-line program for a list of expressions over x1..xn (see compile_tape).
 
-    def __sub__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.order, self.value - other.value, self.d1 - other.d1,
-                    self.d2 - other.d2, self.d3 - other.d3)
+    Instruction i is (op, a, b, lit) and writes slot i: `a` and `b` are the
+    slots of its arguments (-1 when unused), `lit` its literal (the value of
+    "num", the 1-based index of "var", the exponent of "pow"). `run` executes
+    it in Taylor mode over a leading point axis (Griewank & Walther,
+    Evaluating Derivatives, 2nd ed., ch. 13).
+    """
 
-    def __mul__(self, other: "Jet3") -> "Jet3":
-        order = self.order
-        v = self.value * other.value
-        d1 = self.d1 * other.value + self.value * other.d1
-        out = Jet3(order, v, d1)
-        if order >= 2:
-            cross = np.outer(self.d1, other.d1)
-            out.d2 = (self.d2 * other.value + cross + cross.T
-                      + self.value * other.d2)
-        if order >= 3:
-            out.d3 = (self.d3 * other.value + self.value * other.d3
-                      + _sym_21(self.d2, other.d1) + _sym_21(other.d2, self.d1))
+    def __init__(self, n: int, code, outputs):
+        self.n = n
+        self.code = tuple(code)
+        self.outputs = tuple(outputs)
+        last_read = list(range(len(self.code)))
+        for i, (_, a, b, _) in enumerate(self.code):
+            for s in (a, b):
+                if s >= 0:
+                    last_read[s] = i
+        # after instruction i, drop argument a (bit 1), argument b (bit 2)
+        # or its own result (bit 4) when i is that slot's last reader
+        self._drops = bytes((a >= 0 and last_read[a] == i)
+                            | (b >= 0 and last_read[b] == i) << 1
+                            | (last_read[i] == i) << 2
+                            for i, (_, a, b, _) in enumerate(self.code))
+        self._columns: dict[int, list[int]] = {}
+        for col, s in enumerate(self.outputs):
+            self._columns.setdefault(s, []).append(col)
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def run(self, points, order: int) -> "list[np.ndarray]":
+        """Every output at each row of `points` (P, n), with partials up to `order` (0..3).
+
+        Returns [value (P, m), d1 (P, n, m), d2 (P, n, n, m), d3 (P, n, n, n, m)]
+        cut after `order`, for m outputs: the output axis comes last, after the
+        derivative slots. Each slot carries value (P,) and partials (P, n),
+        (P, n, n), (P, n, n, n) up to `order`; a partial that vanishes
+        identically is not stored, so constants carry none, and a slot is
+        released after its last reader. Raises DomainError naming the first
+        point at which an operation leaves its domain.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.n:
+            raise ValueError(f"points have shape {points.shape}, expected (P, {self.n})")
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"jet order must be 0, 1, 2 or 3, got {order}")
+        count, n, m = points.shape[0], self.n, len(self.outputs)
+        out = [np.zeros((count,) + (n,) * k + (m,)) for k in range(order + 1)]
+        if count == 0:
+            return out
+        slots: list = [None] * len(self.code)
+        drops = self._drops
+        for i, (op, a, b, lit) in enumerate(self.code):
+            if op == "num":
+                jet = [np.array([lit])] + [None] * order
+            elif op == "var":
+                jet = [points[:, lit - 1]] + [None] * order
+                if order:
+                    jet[1] = np.zeros((1, n))
+                    jet[1][0, lit - 1] = 1.0
+            elif op == "neg":
+                jet = [None if d is None else -d for d in slots[a]]
+            elif op == "add":
+                jet = [_sum(x, y) for x, y in zip(slots[a], slots[b])]
+            elif op == "sub":
+                jet = [_diff(x, y) for x, y in zip(slots[a], slots[b])]
+            elif op == "mul":
+                jet = _mul(slots[a], slots[b])
+            else:
+                f = slots[a]
+                jet = _compose(f, _outer_derivs(op, f[0], lit, order, points))
+            for col in self._columns.get(i, ()):
+                for k, d in enumerate(jet):
+                    if d is not None:
+                        out[k][..., col] = d
+            slots[i] = jet
+            drop = drops[i]
+            if drop & 1:
+                slots[a] = None
+            if drop & 2:
+                slots[b] = None
+            if drop & 4:
+                slots[i] = None
         return out
 
-    def __truediv__(self, other: "Jet3") -> "Jet3":
-        if other.value == 0.0:
-            raise DomainError("division by zero")
-        v = other.value
-        return self * _compose(other, (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
+
+def _sum(*terms):
+    """Left-to-right sum of the terms that are not None (None stands for zero)."""
+    total = None
+    for t in terms:
+        if t is not None:
+            total = t if total is None else total + t
+    return total
 
 
-def _sym_21(a2: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """Symmetrized product of a symmetric 2-slot array with a 1-slot array."""
-    t = a2[:, :, None] * b1[None, None, :]
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+def _diff(x, y):
+    """x - y with None standing for zero."""
+    if y is None:
+        return x
+    return -y if x is None else x - y
 
 
-def _compose(f: Jet3, h: tuple[float, float, float, float]) -> Jet3:
-    """Chain rule: jet of h(f) from h's derivatives (h0..h3) at f.value."""
-    h0, h1, h2, h3 = h
-    out = Jet3(f.order, h0, h1 * f.d1)
-    if f.order >= 2:
-        out.d2 = h2 * np.outer(f.d1, f.d1) + h1 * f.d2
-    if f.order >= 3:
-        out.d3 = (h3 * f.d1[:, None, None] * f.d1[None, :, None] * f.d1[None, None, :]
-                  + h2 * _sym_21(f.d2, f.d1) + h1 * f.d3)
-    return out
+def _scale(x, v):
+    """Partial array x (P, n, ...) times per-point factors v (P,); None stays None."""
+    if x is None:
+        return None
+    return x * v.reshape(v.shape + (1,) * (x.ndim - 1))
 
 
-def _int_pow(f: Jet3, k: int) -> Jet3:
-    # repeated multiplication keeps integer powers exact at zeros of the base
-    if k == 0:
-        return Jet3.constant(1.0, f.n, f.order)
-    if k < 0:
-        return Jet3.constant(1.0, f.n, f.order) / _int_pow(f, -k)
-    out = f
-    for _ in range(k - 1):
-        out = out * f
-    return out
+def _sym21(a2, b1):
+    """Symmetrized product of a symmetric 2-slot array with a 1-slot array, per point."""
+    if a2 is None or b1 is None:
+        return None
+    t = a2[:, :, :, None] * b1[:, None, None, :]
+    return t + t.transpose(0, 1, 3, 2) + t.transpose(0, 3, 1, 2)
 
 
-def _call_jet(func: str, f: Jet3) -> Jet3:
-    v = f.value
-    if func == "sin":
-        s, c = math.sin(v), math.cos(v)
-        return _compose(f, (s, c, -s, -c))
-    if func == "cos":
-        s, c = math.sin(v), math.cos(v)
-        return _compose(f, (c, -s, -c, s))
-    if func == "exp":
-        e = math.exp(v)
-        return _compose(f, (e, e, e, e))
-    if func == "ln":
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v}")
-        return _compose(f, (math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3))
-    if func == "sqrt":
-        if v <= 0.0:
-            raise DomainError(f"sqrt of non-positive value {v}")
-        s = math.sqrt(v)
-        return _compose(f, (s, 0.5 / s, -0.25 / s**3, 0.375 / s**5))
-    raise ValueError(f"no such function {func!r}")
+def _mul(a, b):
+    """Product rule, up to the order the factor jets carry."""
+    va, vb = a[0], b[0]
+    jet = [va * vb]
+    order = len(a) - 1
+    if order >= 1:
+        jet.append(_sum(_scale(a[1], vb), _scale(b[1], va)))
+    if order >= 2:
+        cross = (None if a[1] is None or b[1] is None
+                 else a[1][:, :, None] * b[1][:, None, :])
+        jet.append(_sum(_scale(a[2], vb), cross,
+                        None if cross is None else cross.transpose(0, 2, 1),
+                        _scale(b[2], va)))
+    if order >= 3:
+        jet.append(_sum(_scale(a[3], vb), _scale(b[3], va),
+                        _sym21(a[2], b[1]), _sym21(b[2], a[1])))
+    return jet
+
+
+def _compose(f, h):
+    """Chain rule: the jet of h(f) from h's derivatives h0..h3 at f's value."""
+    order = len(f) - 1
+    jet = [h[0]] + [None] * order
+    f1 = f[1] if order else None
+    if f1 is None:  # a constant argument
+        return jet
+    jet[1] = _scale(f1, h[1])
+    if order >= 2:
+        jet[2] = _sum(_scale(f1[:, :, None] * f1[:, None, :], h[2]), _scale(f[2], h[1]))
+    if order >= 3:
+        cube = f1[:, :, None, None] * f1[:, None, :, None] * f1[:, None, None, :]
+        jet[3] = _sum(_scale(cube, h[3]), _scale(_sym21(f[2], f1), h[2]),
+                      _scale(f[3], h[1]))
+    return jet
+
+
+def _refuse_where(bad, message: str, v, points) -> None:
+    """Raise DomainError at the first point where `bad` holds (v: its argument value)."""
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        if v is not None:
+            message = f"{message} {float(v[r])}"
+        raise DomainError(f"{message} {at_point(points[r])}")
+
+
+def _outer_derivs(op: str, v, lit, order: int, points) -> list:
+    """Derivatives h0, h1, ... of the outer function of `op` at the argument values v.
+
+    Only h0 is formed at order 0; otherwise all four, of which the chain rule
+    reads those up to `order`.
+    """
+    if op == "inv":
+        _refuse_where(v == 0.0, "division by zero", None, points)
+        h = [1.0 / v]
+        if order:
+            h += [-1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
+    elif op == "pow":
+        _refuse_where(v <= 0.0, "non-integer power of non-positive base", v, points)
+        a = lit
+        h = [v**a]
+        if order:
+            h += [a * v**(a - 1), a * (a - 1) * v**(a - 2), a * (a - 1) * (a - 2) * v**(a - 3)]
+    elif op == "sin":
+        s = np.sin(v)
+        h = [s]
+        if order:
+            c = np.cos(v)
+            h += [c, -s, -c]
+    elif op == "cos":
+        c = np.cos(v)
+        h = [c]
+        if order:
+            s = np.sin(v)
+            h += [-s, -c, s]
+    elif op == "exp":
+        h = [np.exp(v)] * 4
+    elif op == "ln":
+        _refuse_where(v <= 0.0, "ln of non-positive value", v, points)
+        h = [np.log(v)]
+        if order:
+            h += [1.0 / v, -1.0 / v**2, 2.0 / v**3]
+    elif op == "sqrt":
+        _refuse_where(v <= 0.0, "sqrt of non-positive value", v, points)
+        s = np.sqrt(v)
+        h = [s]
+        if order:
+            h += [0.5 / s, -0.25 / s**3, 0.375 / s**5]
+    else:
+        raise ValueError(f"no such operation {op!r}")
+    return h
+
+
+_BINARY = {"+": "add", "-": "sub", "*": "mul"}
+
+
+class _TapeBuilder:
+    """Hash-consing lowering of Expr trees into tape instructions."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.code: list = []
+        self.index: dict = {}           # instruction -> slot
+        self.seen: dict[int, int] = {}  # id(node) -> slot; the caller keeps nodes alive
+
+    def emit(self, op: str, a: int = -1, b: int = -1, lit=None) -> int:
+        key = (op, a, b, lit)
+        slot = self.index.get(key)
+        if slot is None:
+            slot = self.index[key] = len(self.code)
+            self.code.append(key)
+        return slot
+
+    def visit(self, e) -> int:
+        slot = self.seen.get(id(e))
+        if slot is not None:
+            return slot
+        emit, visit = self.emit, self.visit
+        if isinstance(e, Num):
+            slot = emit("num", lit=float(e.value))
+        elif isinstance(e, Var):
+            if not 1 <= e.index <= self.n:
+                raise ValueError(f"variable x{e.index} outside chart of dimension {self.n}")
+            slot = emit("var", lit=e.index)
+        elif isinstance(e, Neg):
+            slot = emit("neg", visit(e.arg))
+        elif isinstance(e, BinOp):
+            left, right = visit(e.left), visit(e.right)
+            if e.op == "/":
+                slot = emit("mul", left, emit("inv", right))
+            else:
+                slot = emit(_BINARY[e.op], left, right)
+        elif isinstance(e, Pow):
+            base = visit(e.base)
+            if not float(e.exponent).is_integer():
+                slot = emit("pow", base, lit=float(e.exponent))
+            elif e.exponent == 0:
+                slot = emit("num", lit=1.0)
+            else:
+                # repeated multiplication keeps integer powers exact at zeros of the base
+                slot = base
+                for _ in range(int(abs(e.exponent)) - 1):
+                    slot = emit("mul", slot, base)
+                if e.exponent < 0:
+                    slot = emit("inv", slot)
+        elif isinstance(e, Call):
+            if e.func not in FUNCTIONS:
+                raise ValueError(f"no such function {e.func!r}")
+            slot = emit(e.func, visit(e.arg))
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        self.seen[id(e)] = slot
+        return slot
+
+
+def compile_tape(exprs, n: int) -> Tape:
+    """Lower expressions over x1..xn to one tape, merging common subexpressions.
+
+    Each node is keyed on (operation, argument slots, literal), so equal
+    subtrees share one slot whether or not they are the same object, and no
+    deep node is ever hashed. A division becomes a product with a reciprocal
+    and an integer power repeated multiplication, the jet rules the tape runs.
+    Output slots follow the order of `exprs`.
+    """
+    builder = _TapeBuilder(n)
+    outputs = [builder.visit(e) for e in exprs]
+    return Tape(n, builder.code, outputs)
 
 
 def eval_jet(e: Expr, p, order: int = 3) -> Jet3:
-    """Evaluate `e` at point `p`, carrying exact partials up to `order` (1..3)."""
+    """Evaluate `e` at point `p`, carrying exact partials up to `order` (1..3).
+
+    This is the one-point case of the tape: `e` is compiled and run on p[None].
+    """
     if order not in (1, 2, 3):
         raise ValueError(f"jet order must be 1, 2 or 3, got {order}")
     p = np.asarray(p, dtype=float)
-    return _eval(e, p, order)
-
-
-def _eval(e: Expr, p: np.ndarray, order: int) -> Jet3:
-    if isinstance(e, Num):
-        return Jet3.constant(e.value, p.shape[0], order)
-    if isinstance(e, Var):
-        if e.index > p.shape[0]:
-            raise ValueError(f"variable x{e.index} outside chart of dimension {p.shape[0]}")
-        return Jet3.variable(e.index, p, order)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, p, order)
-    if isinstance(e, BinOp):
-        left = _eval(e.left, p, order)
-        right = _eval(e.right, p, order)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    if isinstance(e, Pow):
-        base = _eval(e.base, p, order)
-        if float(e.exponent).is_integer():
-            return _int_pow(base, int(e.exponent))
-        if base.value <= 0.0:
-            raise DomainError(
-                f"non-integer power of non-positive base {base.value}")
-        a, v = e.exponent, base.value
-        return _compose(base, (v**a, a * v**(a - 1), a * (a - 1) * v**(a - 2),
-                               a * (a - 1) * (a - 2) * v**(a - 3)))
-    if isinstance(e, Call):
-        return _call_jet(e.func, _eval(e.arg, p, order))
-    raise TypeError(f"not an Expr node: {e!r}")
+    out = compile_tape([e], p.shape[0]).run(p[None], order)
+    partials = [out[k][0, ..., 0].copy() for k in range(1, order + 1)]
+    return Jet3(order, float(out[0][0, 0]), *partials)
 
 
 def jet_partial(j: Jet3, i: int) -> Jet3:

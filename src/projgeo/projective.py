@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import cotton, torsion_split, weyl
-from .connection import ChartError, ConnectionSpec, curvature, torsion
+from .connection import ChartError, ConnectionSpec, curvature, point_blocks, torsion
 from .tensor import OddDimension, norm
 
 __all__ = [
@@ -44,19 +44,25 @@ class OneFormField:
     def zero(cls, n: int) -> "OneFormField":
         return cls(n, tuple(ex.Num(0.0) for _ in range(n)))
 
-    def values_at(self, p) -> np.ndarray:
-        return np.array([ex.eval_jet(e, p, 1).value for e in self.entries])
+    def values_at(self, points) -> np.ndarray:
+        """alpha at a point (n,), or at each row of points (P, n) as (P, n)."""
+        tape = ex.compile_tape(self.entries, self.n)
+        points = np.asarray(points, dtype=float)
+        values = np.concatenate([tape.run(block, 0)[0] for block in point_blocks(points)])
+        return values[0] if points.ndim == 1 else values
 
 
 def load_alpha(path_or_text: "str | Path", n: int | None = None) -> OneFormField:
     """Read an alpha-field file: optional `dim = n` plus lines `a <i> = <expr>`.
 
-    Indices are 1-based; missing entries are zero.
+    Indices are 1-based; missing entries are zero. Every malformed line raises
+    ChartError("line N: ...").
     """
     text = Path(path_or_text).read_text() if "\n" not in str(path_or_text) \
         else str(path_or_text)
-    entries: dict[int, str] = {}
+    entries: dict[int, tuple[int, str]] = {}
     dim = n
+    dim_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,23 +72,38 @@ def load_alpha(path_or_text: "str | Path", n: int | None = None) -> OneFormField
         key, _, rhs = line.partition("=")
         parts = key.split()
         if parts == ["dim"]:
-            header = int(rhs.strip())
+            if dim_line is not None:
+                raise ChartError(f"line {lineno}: duplicate dim")
+            try:
+                header = int(rhs.strip())
+            except ValueError:
+                raise ChartError(f"line {lineno}: dim must be an integer") from None
+            if not 1 <= header <= 8:
+                raise ChartError(f"line {lineno}: dim must be in 1..8")
             if n is not None and header != n:
                 raise ChartError(
                     f"line {lineno}: alpha file has dim = {header}, expected {n}")
-            dim = header
+            dim, dim_line = header, lineno
             continue
         if len(parts) != 2 or parts[0] != "a":
             raise ChartError(f"line {lineno}: expected 'a i = expression'")
-        i = int(parts[1])
+        try:
+            i = int(parts[1])
+        except ValueError:
+            raise ChartError(f"line {lineno}: bad index in {key.strip()!r}") from None
         if i in entries:
             raise ChartError(f"line {lineno}: duplicate entry a {i}")
-        entries[i] = rhs.strip()
+        entries[i] = (lineno, rhs.strip())
     if dim is None:
         raise ChartError("alpha field needs a dim header or an explicit dimension")
-    if any(not 1 <= i <= dim for i in entries):
-        raise ChartError(f"alpha index out of range 1..{dim}")
-    exprs = [ex.parse(entries.get(i, "0"), dim) for i in range(1, dim + 1)]
+    exprs = [ex.Num(0.0)] * dim
+    for i, (lineno, rhs) in entries.items():
+        if not 1 <= i <= dim:
+            raise ChartError(f"line {lineno}: alpha index out of range 1..{dim}")
+        try:
+            exprs[i - 1] = ex.parse(rhs, dim)
+        except ex.ParseError as err:
+            raise ChartError(f"line {lineno}: {err}") from err
     return OneFormField(dim, tuple(exprs))
 
 
@@ -146,15 +167,16 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
     derivs = 2 if n == 2 else 1
     worst_w = 0.0
     worst_c: float | None = 0.0 if n == 2 else None
-    for p in np.atleast_2d(points):
-        cv_a = spec.evaluate(p, derivs=derivs)
-        cv_b = changed.evaluate(p, derivs=derivs)
-        w_a, _, _ = weyl(curvature(cv_a), tol=tol)
-        w_b, _, _ = weyl(curvature(cv_b), tol=tol)
-        worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
-        if n == 2:
-            c_a, c_b = cotton(cv_a, tol=tol), cotton(cv_b, tol=tol)
-            worst_c = max(worst_c, float(np.max(np.abs(c_a.data - c_b.data))))
+    for block in point_blocks(points):
+        rows_a = spec.evaluate_many(block, derivs=derivs).rows()
+        rows_b = changed.evaluate_many(block, derivs=derivs).rows()
+        for cv_a, cv_b in zip(rows_a, rows_b):
+            w_a, _, _ = weyl(curvature(cv_a), tol=tol)
+            w_b, _, _ = weyl(curvature(cv_b), tol=tol)
+            worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
+            if n == 2:
+                c_a, c_b = cotton(cv_a, tol=tol), cotton(cv_b, tol=tol)
+                worst_c = max(worst_c, float(np.max(np.abs(c_a.data - c_b.data))))
     return WeylInvariance(n, worst_w, worst_c)
 
 
@@ -179,18 +201,19 @@ def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     n = spec_a.n
     if points is None:
         points = sample_points(n, 10, seed=11)
-    points = np.atleast_2d(points)
     eye = np.eye(n)
     worst = 0.0
-    alphas = np.zeros((points.shape[0], n))
-    for row, p in enumerate(points):
-        d = (spec_b.evaluate(p, derivs=0).gamma
-             - spec_a.evaluate(p, derivs=0).gamma)
-        alpha = np.einsum("kik->i", d) / (n + 1)
-        alphas[row] = alpha
-        recon = np.einsum("i,kj->kij", alpha, eye) + np.einsum("j,ki->kij", alpha, eye)
+    alphas = []
+    for block in point_blocks(points):
+        d = (spec_b.evaluate_many(block, derivs=0).gamma
+             - spec_a.evaluate_many(block, derivs=0).gamma)
+        alpha = np.einsum("...kik->...i", d) / (n + 1)
+        alphas.append(alpha)
+        recon = (np.einsum("...i,kj->...kij", alpha, eye)
+                 + np.einsum("...j,ki->...kij", alpha, eye))
         worst = max(worst, float(np.max(np.abs(d - recon))))
-    return Equivalence(worst <= tol, worst, alphas)
+    return Equivalence(worst <= tol, worst,
+                       np.concatenate(alphas) if alphas else np.zeros((0, n)))
 
 
 @dataclass
@@ -214,7 +237,6 @@ def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> Tors
     n = spec.n
     if points is None:
         points = sample_points(n, 5, seed=3)
-    points = np.atleast_2d(points)
 
     if spec.source == "metric":
         # Levi-Civita (plus a projective term) is already symmetric
@@ -252,9 +274,10 @@ def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> Tors
     fixed = ConnectionSpec(n, christoffel=entries, name=spec.name)
 
     worst_t1 = 0.0
-    for p in points:
-        t1, _ = torsion_split(torsion(spec.evaluate(p, derivs=0)))
-        worst_t1 = max(worst_t1, norm(t1))
+    for block in point_blocks(points):
+        for cv in spec.evaluate_many(block, derivs=0).rows():
+            t1, _ = torsion_split(torsion(cv))
+            worst_t1 = max(worst_t1, norm(t1))
     if worst_t1 > tol:
         return TorsionRemoval(False, worst_t1, None, None)
     return TorsionRemoval(True, worst_t1,
@@ -294,18 +317,17 @@ def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
         raise OddDimension("the twistor criterion needs even dimension")
     if points is None:
         points = sample_points(n, 3, seed=seed + 1)
-    points = np.atleast_2d(points)
     rng = np.random.default_rng(seed)
     js = [random_complex_structure(n, rng) for _ in range(j_samples)]
     worst = 0.0
-    for p in points:
-        cv_a = spec_a.evaluate(p, derivs=0)
-        cv_b = spec_b.evaluate(p, derivs=0)
-        a = cv_b.gamma - cv_a.gamma  # a[k, x, y] = A(d_x) d_y coefficient
-        for j in js:
-            jp = j + 1j * np.eye(n)
-            jm = j - 1j * np.eye(n)
-            proj = np.einsum("lk,kbc,bx,cy->lxy", jp, a.astype(complex), jm, jm)
-            scale = (1.0 + float(np.max(np.abs(j)))) ** 3
-            worst = max(worst, float(np.max(np.abs(proj))) / scale)
+    for block in point_blocks(points):
+        diffs = (spec_b.evaluate_many(block, derivs=0).gamma
+                 - spec_a.evaluate_many(block, derivs=0).gamma)
+        for a in diffs:  # a[k, x, y] = A(d_x) d_y coefficient
+            for j in js:
+                jp = j + 1j * np.eye(n)
+                jm = j - 1j * np.eye(n)
+                proj = np.einsum("lk,kbc,bx,cy->lxy", jp, a.astype(complex), jm, jm)
+                scale = (1.0 + float(np.max(np.abs(j)))) ** 3
+                worst = max(worst, float(np.max(np.abs(proj))) / scale)
     return TwistorComparison(worst <= tol, worst)

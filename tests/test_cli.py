@@ -194,3 +194,46 @@ def test_nonpositive_tolerance_rejected(capsys):
                        "--point", "0,0,0", "--tol", "-1")
     assert code == 2
     assert "tol" in err
+
+
+def test_domain_refusal_names_the_chart_point(tmp_path, capsys):
+    chart = tmp_path / "log.chart"
+    chart.write_text("dim = 3\n[christoffel]\nG 1 1 1 = ln(x1)\n")
+    code, _, err = run(capsys, "invariance", str(chart),
+                       "--alpha", str(chart_path("alpha3.alpha")))
+    assert code == 2
+    assert "ln of non-positive value" in err
+    assert "at x = (" in err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("a x = 1\n", "line 1: bad index"),
+    ("dim = x\na 1 = x1\n", "line 1: dim must be an integer"),
+    ("dim = 3\na 1 = x1 +\n", "line 2:"),
+    ("dim = 3\n\na 2 = sinh(x1)\n", "line 3:"),
+    ("dim = 3\na 4 = x1\n", "line 2: alpha index out of range"),
+    ("dim = 3\na 1 = x1\na 1 = x2\n", "line 3: duplicate"),
+    ("dim = 2\na 1 = x1\n", "line 1: alpha file has dim = 2"),
+    ("dim = 3\ndim = 3\n", "line 2: duplicate dim"),
+    ("a 1 x1\n", "line 1: expected"),
+])
+def test_bad_alpha_files_are_input_errors(tmp_path, capsys, text, fragment):
+    alpha = tmp_path / "bad.alpha"
+    alpha.write_text(text)
+    code, _, err = run(capsys, "invariance", str(chart_path("flat3.chart")),
+                       "--alpha", str(alpha))
+    assert code == 2
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+def test_negative_leading_coordinates(capsys):
+    code, out, _ = run(capsys, "analyze", str(chart_path("sphere2.chart")),
+                       "--point", "-0.1,0.2", "--json")
+    assert code == 0
+    assert json.loads(out)["point"] == [-0.1, 0.2]
+    code, out, _ = run(capsys, "develop", str(chart_path("flat3.chart")),
+                       "--base", "-0.1,0,0", "--targets",
+                       str(chart_path("targets3.txt")), "--json")
+    assert code == 0
+    assert json.loads(out)["base"] == [-0.1, 0.0, 0.0]

@@ -1,4 +1,4 @@
-"""Parser and jet arithmetic for closed-form chart expressions."""
+"""Parser, jet arithmetic and the compiled tape for closed-form chart expressions."""
 
 import math
 
@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo.expr import (DomainError, ParseError, UnknownFunction,
-                          UnknownVariable, eval_jet, jet_partial, parse,
-                          to_text)
+from conftest import CHARTS
+from projgeo.connection import ConnectionSpec, load_chart
+from projgeo.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Pow,
+                          UnknownFunction, UnknownVariable, Var, compile_tape,
+                          eval_jet, jet_partial, parse, to_text)
+from projgeo.projective import OneFormField, projective_change, sample_points
 
 
 def _value(text, n, p):
@@ -171,3 +174,154 @@ def test_function_jets_match_closed_forms(x):
     assert jet.d3[0, 0, 0] == pytest.approx(2 / x**3, rel=1e-12)
     jet = eval_jet(parse("sin(x1)", 1), np.array([x]), order=3)
     assert jet.d3[0, 0, 0] == pytest.approx(-math.cos(x), rel=1e-12)
+
+
+def test_domain_errors_name_the_first_offending_point():
+    tape = compile_tape([parse("ln(x1)", 2)], 2)
+    points = np.array([[0.5, 0.1], [-0.21, 0.13], [-0.5, 0.0]])
+    with pytest.raises(DomainError, match=r"-0\.21 at x = \(-0\.21, 0\.13\)"):
+        tape.run(points, 1)
+
+
+def test_order_zero_runs_carry_values_only():
+    out = compile_tape([parse("x1*x2", 2), parse("3", 2)], 2).run(
+        np.array([[2.0, 5.0], [1.0, -1.0]]), 0)
+    assert len(out) == 1
+    assert np.array_equal(out[0], [[10.0, 3.0], [-1.0, 3.0]])
+
+
+# (a) one batched run equals the one-point runs bit for bit
+
+_BUILD = {
+    "+": lambda a, b: BinOp("+", a, b),
+    "-": lambda a, b: BinOp("-", a, b),
+    "*": lambda a, b: BinOp("*", a, b),
+    "/": lambda a, b: BinOp("/", a, b),
+    "neg": lambda a, b: Neg(a),
+    "square": lambda a, b: Pow(a, 2.0),
+    "cube": lambda a, b: Pow(a, 3.0),
+    "inverse": lambda a, b: Pow(a, -1.0),
+    "root": lambda a, b: Pow(BinOp("+", Num(1.0), Pow(a, 2.0)), 0.5),
+    "sin": lambda a, b: Call("sin", a),
+    "cos": lambda a, b: Call("cos", a),
+    "exp": lambda a, b: Call("exp", Call("sin", a)),
+    "ln": lambda a, b: Call("ln", BinOp("+", Num(2.0), Call("cos", a))),
+    "sqrt": lambda a, b: Call("sqrt", BinOp("+", Num(1.5), Call("sin", a))),
+}
+
+
+@st.composite
+def _shared_dags(draw):
+    """A few expressions over x1, x2 built from a pool that reuses its own nodes."""
+    pool = [Var(1), Var(2), Num(draw(st.floats(-2.0, 2.0)))]
+    for _ in range(draw(st.integers(1, 14))):
+        op = draw(st.sampled_from(sorted(_BUILD)))
+        a = pool[draw(st.integers(0, len(pool) - 1))]
+        b = pool[draw(st.integers(0, len(pool) - 1))]
+        pool.append(_BUILD[op](a, b))
+    return pool[-draw(st.integers(1, 4)):]
+
+
+@given(_shared_dags(),
+       st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                min_size=1, max_size=10),
+       st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_batched_rows_equal_single_point_runs(exprs, rows, order):
+    tape = compile_tape(exprs, 2)
+    points = np.array(rows)
+    with np.errstate(all="ignore"):
+        try:
+            batched = tape.run(points, order)
+        except DomainError:
+            # a division by an exact zero somewhere: some single point refuses too
+            with pytest.raises(DomainError):
+                for r in range(len(points)):
+                    tape.run(points[r:r + 1], order)
+            return
+        for r in range(len(points)):
+            single = tape.run(points[r:r + 1], order)
+            for level_batched, level_single in zip(batched, single):
+                np.testing.assert_array_equal(level_batched[r], level_single[0])
+            if order:
+                jet = eval_jet(exprs[0], points[r], order)
+                np.testing.assert_array_equal(jet.value, batched[0][r, 0])
+                np.testing.assert_array_equal(jet.d1, batched[1][r, :, 0])
+
+
+# (b) jets against symbolic derivatives
+
+ORACLE_EXPRS = SAMPLE_EXPRS + [
+    "x1^0.7 * cos(x2)",
+    "4 / (1 + x1^2 + x2^2)^2",
+    "exp(-x1*x2) / sqrt(x1 + x2) - (x1 - 0.5)^-3",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_EXPRS)
+def test_jets_match_symbolic_derivatives(text):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1 x2")
+    e = parse(text, 2)
+    sym = sympy.sympify(to_text(e).replace("^", "**").replace("ln(", "log("),
+                        locals={"x1": xs[0], "x2": xs[1]})
+    rng = np.random.default_rng(5)
+    for p in rng.uniform(0.55, 0.9, size=(3, 2)):
+        subs = {xs[0]: sympy.Float(p[0], 30), xs[1]: sympy.Float(p[1], 30)}
+        jet = eval_jet(e, p, order=3)
+        for order, got in ((0, jet.value), (1, jet.d1), (2, jet.d2), (3, jet.d3)):
+            want = np.empty((2,) * order)
+            for idx in np.ndindex(*want.shape):
+                d = sympy.diff(sym, *(xs[i] for i in idx)) if idx else sym
+                want[idx] = float(d.evalf(30, subs=subs))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# (c) evaluate_many rows against evaluate
+
+@pytest.mark.parametrize("path", sorted(CHARTS.glob("*.chart")), ids=lambda p: p.name)
+def test_evaluate_many_rows_match_evaluate(path):
+    spec = load_chart(path)
+    points = sample_points(spec.n, 12, seed=4)
+    for derivs in (0, 1, 2):
+        many = spec.evaluate_many(points, derivs=derivs)
+        for r, p in enumerate(points):
+            one = spec.evaluate(p, derivs=derivs)
+            for a, b in ((many.gamma[r], one.gamma), (many.dgamma, one.dgamma),
+                         (many.ddgamma, one.ddgamma)):
+                if b is None:
+                    assert a is None
+                    continue
+                if a.ndim > b.ndim:
+                    a = a[r]
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+
+
+# (d) hash-consing merges the shared subtrees of a chart
+
+def _tree_size(e):
+    if isinstance(e, (Num, Var)):
+        return 1
+    if isinstance(e, BinOp):
+        return 1 + _tree_size(e.left) + _tree_size(e.right)
+    if isinstance(e, Pow):
+        return 1 + _tree_size(e.base)
+    return 1 + _tree_size(e.arg)
+
+
+def test_tape_merges_shared_subexpressions():
+    n = 6
+    den = "(4 + (" + " + ".join(f"(x{i} - 0.1)^2" for i in range(1, n + 1)) + "))"
+    dphi = [f"(-2*(x{i} - 0.1) / {den})" for i in range(1, n + 1)]
+    entries = {}
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                terms = ([dphi[i]] if k == j else []) + ([dphi[j]] if k == i else [])
+                terms += [f"-{dphi[k]}"] if i == j else []
+                if terms:
+                    entries[(k, i, j)] = " + ".join(terms)
+    alpha = OneFormField.from_strings([f"0.1*x{i % n + 1} - 0.2" for i in range(n)])
+    spec = projective_change(ConnectionSpec.from_christoffel(n, entries), alpha)
+    tree_total = sum(_tree_size(e) for e in spec.christoffel.values())
+    assert len(spec.tape) < tree_total / 10
