@@ -37,6 +37,7 @@ from .connection import (
     curvature,
     curvature_derivative,
     load_chart,
+    parse_chart,
     ricci,
     second_bianchi_residual,
     torsion,
@@ -68,6 +69,7 @@ from .projective import (
     WeylInvariance,
     check_weyl_invariance,
     load_alpha,
+    parse_alpha,
     projective_change,
     projectively_equivalent,
     remove_torsion,

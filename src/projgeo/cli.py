@@ -6,8 +6,10 @@ the source of truth: the text renderer walks the same payload, so every
 number shown in text mode is present in the JSON, and identical invocations
 produce byte-identical output (all sampling is seeded).
 
-Exit codes: 0 success (and all asserted verdicts pass), 1 verdict failure,
-2 usage or input errors.
+Exit codes: 0 success (and all asserted verdicts pass), 1 only for a failed
+verdict, 2 for any bad input: a malformed flag, file or chart, or a numerical
+refusal at a chart point. Flags are checked once, by argparse types built on
+the shared number reader, so every number that reaches a command is finite.
 """
 
 from __future__ import annotations
@@ -16,66 +18,53 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import HasTorsion, NotBianchi, curvature_report
-from .connection import ChartError, SingularMetric, load_chart
+from .connection import SingularMetric, load_chart
 from .develop import NotFlat, StepFailure, collinearity_defect, develop_map, flatness_defect
 from .expr import DomainError, ParseError
 from .projective import (check_weyl_invariance, load_alpha, projectively_equivalent,
                          sample_points)
+from .readers import ChartError, parse_points, read_numbers, read_text
 from .reps import j0_census
 from .tensor import OddDimension, norm
 from .twistor import (integrability_verdict, coordinate_pairs, nijenhuis,
                       sample_twistor_points)
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, inputs, sampling controls, output routing."""
-
-    command: str
-    inputs: tuple[str, ...]
-    point: np.ndarray | None
-    samples: int
-    seed: int
-    tol: float
-    h: float
-    as_json: bool
-    out: str | None
 
 
 class _UsageError(ValueError):
     pass
 
 
-def _parse_point(text: str, flag: str) -> np.ndarray:
-    try:
-        return np.array([float(part) for part in text.split(",")])
-    except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
+def _numbers(count: int | None = None, kind: type = float, above: float | None = None):
+    """An argparse type: comma-separated finite numbers, each greater than `above`.
 
+    The value is the number itself when count is 1, else an array.
+    """
+    noun = "an integer" if kind is int else "a number"
 
-def _load_targets(path: str) -> np.ndarray:
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    def convert(text: str):
         try:
-            rows.append([float(p) for p in line.split(",")])
-        except ValueError:
-            raise _UsageError(f"targets file line {lineno}: not a point: {line!r}")
-    if not rows:
-        raise _UsageError("targets file contains no points")
-    return np.array(rows)
+            values = read_numbers(text, count, kind)
+        except ChartError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        if above is not None and min(values) <= above:
+            raise argparse.ArgumentTypeError(f"expected {noun} > {above}, got {text!r}")
+        return values[0] if count == 1 else np.array(values)
+    return convert
+
+
+_POINT = _numbers()
+_POSITIVE = _numbers(1, above=0)
+_COUNT = _numbers(1, int, above=0)
+_SEED = _numbers(1, int, above=-1)
 
 
 def _fmt(value) -> str:
@@ -108,13 +97,13 @@ def _render_text(payload, indent: int = 0, skip=("schema",)) -> "list[str]":
     return lines
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.as_json:
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = "\n".join(_render_text(payload)) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -123,34 +112,27 @@ def _tensor_norm(t) -> float | None:
     return None if t is None else norm(t)
 
 
-def _run_analyze(cfg: RunConfig) -> tuple[dict, bool]:
-    spec = load_chart(cfg.inputs[0])
-    if cfg.point is None:
-        raise _UsageError("analyze needs --point")
-    if cfg.point.size != spec.n:
-        raise _UsageError(f"--point has {cfg.point.size} coordinates, chart has {spec.n}")
+def _run_analyze(args: argparse.Namespace) -> tuple[dict, bool]:
+    spec = load_chart(args.chart)
+    if args.point.size != spec.n:
+        raise _UsageError(f"--point has {args.point.size} coordinates, chart has {spec.n}")
     derivs = 2 if spec.n == 2 else 1
-    try:
-        report = curvature_report(spec.evaluate(cfg.point, derivs=derivs), tol=cfg.tol)
-    except SingularMetric as err:
-        raise _UsageError(str(err))
+    report = curvature_report(spec.evaluate(args.point, derivs=derivs), tol=args.tol)
     if report.W is None:
         verdict = "torsion present: projective invariants not computed"
     elif spec.n == 2:
-        flat = norm(report.C) <= cfg.tol if report.C is not None else False
+        flat = norm(report.C) <= args.tol if report.C is not None else False
         verdict = ("projectively flat at point (n=2 criterion: C=0)"
                    if flat else "not projectively flat (C != 0)")
     else:
-        flat = norm(report.W) <= cfg.tol
+        flat = norm(report.W) <= args.tol
         verdict = ("projectively flat at point (W=0)"
                    if flat else "not projectively flat (W != 0)")
     payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "chart": cfg.inputs[0],
+        "chart": args.chart,
         "dim": report.n,
-        "point": list(cfg.point),
-        "tol": cfg.tol,
+        "point": list(args.point),
+        "tol": args.tol,
         "norms": {
             "torsion": norm(report.torsion),
             "curvature": norm(report.R),
@@ -167,45 +149,19 @@ def _run_analyze(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, True
 
 
-def _run_cotton(cfg: RunConfig) -> tuple[dict, bool]:
-    spec = load_chart(cfg.inputs[0])
-    if spec.n != 2:
-        raise _UsageError("cotton is the n=2 convenience command; use analyze instead")
-    if cfg.point is None:
-        raise _UsageError("cotton needs --point")
-    from .algebra import cotton as cotton_tensor
-
-    cv = spec.evaluate(cfg.point, derivs=2)
-    c = cotton_tensor(cv, tol=cfg.tol)
-    flat = norm(c) <= cfg.tol
+def _run_invariance(args: argparse.Namespace) -> tuple[dict, bool]:
+    spec = load_chart(args.chart)
+    alpha = load_alpha(args.alpha, spec.n)
+    points = sample_points(spec.n, args.samples, seed=args.seed)
+    result = check_weyl_invariance(spec, alpha, points, tol=args.tol)
+    ok = result.weyl_residual <= args.tol and (
+        result.cotton_residual is None or result.cotton_residual <= args.tol)
     payload = {
-        "schema": SCHEMA,
-        "command": "cotton",
-        "chart": cfg.inputs[0],
-        "point": list(cfg.point),
-        "tol": cfg.tol,
-        "cotton_norm": norm(c),
-        "verdict": ("projectively flat at point (C=0)"
-                    if flat else "not projectively flat (C != 0)"),
-    }
-    return payload, True
-
-
-def _run_invariance(cfg: RunConfig, alpha_path: str) -> tuple[dict, bool]:
-    spec = load_chart(cfg.inputs[0])
-    alpha = load_alpha(alpha_path, spec.n)
-    points = sample_points(spec.n, cfg.samples, seed=cfg.seed)
-    result = check_weyl_invariance(spec, alpha, points, tol=cfg.tol)
-    ok = result.weyl_residual <= cfg.tol and (
-        result.cotton_residual is None or result.cotton_residual <= cfg.tol)
-    payload = {
-        "schema": SCHEMA,
-        "command": "invariance",
-        "chart": cfg.inputs[0],
-        "alpha": alpha_path,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tol": cfg.tol,
+        "chart": args.chart,
+        "alpha": args.alpha,
+        "samples": args.samples,
+        "seed": args.seed,
+        "tol": args.tol,
         "weyl_residual": result.weyl_residual,
         "cotton_residual": result.cotton_residual,
         "verdict": "invariant" if ok else "invariance violated",
@@ -213,21 +169,19 @@ def _run_invariance(cfg: RunConfig, alpha_path: str) -> tuple[dict, bool]:
     return payload, ok
 
 
-def _run_equivalent(cfg: RunConfig) -> tuple[dict, bool]:
-    spec_a = load_chart(cfg.inputs[0])
-    spec_b = load_chart(cfg.inputs[1])
+def _run_equivalent(args: argparse.Namespace) -> tuple[dict, bool]:
+    spec_a = load_chart(args.chartA)
+    spec_b = load_chart(args.chartB)
     if spec_a.n != spec_b.n:
         raise _UsageError("charts have different dimensions")
-    points = sample_points(spec_a.n, cfg.samples, seed=cfg.seed)
-    result = projectively_equivalent(spec_a, spec_b, points, tol=cfg.tol)
-    marginal = cfg.tol / 10.0 < result.residual <= cfg.tol * 10.0
+    points = sample_points(spec_a.n, args.samples, seed=args.seed)
+    result = projectively_equivalent(spec_a, spec_b, points, tol=args.tol)
+    marginal = args.tol / 10.0 < result.residual <= args.tol * 10.0
     payload = {
-        "schema": SCHEMA,
-        "command": "equivalent",
-        "charts": [cfg.inputs[0], cfg.inputs[1]],
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tol": cfg.tol,
+        "charts": [args.chartA, args.chartB],
+        "samples": args.samples,
+        "seed": args.seed,
+        "tol": args.tol,
         "residual": result.residual,
         "alpha_at_first_point": list(result.alphas[0]),
         "marginal": marginal,
@@ -236,18 +190,18 @@ def _run_equivalent(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, result.equivalent
 
 
-def _run_twistor(cfg: RunConfig) -> tuple[dict, bool]:
-    spec = load_chart(cfg.inputs[0])
+def _run_twistor(args: argparse.Namespace) -> tuple[dict, bool]:
+    spec = load_chart(args.chart)
     if spec.n % 2 != 0:
         raise OddDimension("twistor analysis needs an even-dimensional chart")
-    rng = np.random.default_rng(cfg.seed)
-    tps = sample_twistor_points(spec.n, cfg.samples, rng)
+    rng = np.random.default_rng(args.seed)
+    tps = sample_twistor_points(spec.n, args.samples, rng)
     pairs = coordinate_pairs(spec.n + spec.n * spec.n // 2, 6,
-                             np.random.default_rng(cfg.seed + 1))
+                             np.random.default_rng(args.seed + 1))
     reports = []
     obstructed = False
     for tp in tps:
-        residual = nijenhuis(spec, tp, pairs, h=cfg.h)
+        residual = nijenhuis(spec, tp, pairs, h=args.h)
         verdict = integrability_verdict(residual)
         obstructed = obstructed or verdict == "obstruction detected"
         reports.append({
@@ -257,12 +211,10 @@ def _run_twistor(cfg: RunConfig) -> tuple[dict, bool]:
             "verdict": verdict,
         })
     payload = {
-        "schema": SCHEMA,
-        "command": "twistor",
-        "chart": cfg.inputs[0],
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "h": cfg.h,
+        "chart": args.chart,
+        "samples": args.samples,
+        "seed": args.seed,
+        "h": args.h,
         "reports": reports,
         "verdict": ("obstruction detected" if obstructed
                     else "no obstruction at samples"),
@@ -270,13 +222,11 @@ def _run_twistor(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, not obstructed
 
 
-def _run_reps(cfg: RunConfig, dim: int, space: str) -> tuple[dict, bool]:
-    components = j0_census(space, dim)
+def _run_reps(args: argparse.Namespace) -> tuple[dict, bool]:
+    components = j0_census(args.space, args.dim)
     payload = {
-        "schema": SCHEMA,
-        "command": "reps",
-        "dim": dim,
-        "space": space,
+        "dim": args.dim,
+        "space": args.space,
         "components": [
             {
                 "label": str(c.highest),
@@ -291,42 +241,33 @@ def _run_reps(cfg: RunConfig, dim: int, space: str) -> tuple[dict, bool]:
     return payload, True
 
 
-def _run_develop(cfg: RunConfig, base: np.ndarray, targets_path: str) -> tuple[dict, bool]:
-    spec = load_chart(cfg.inputs[0])
-    targets = _load_targets(targets_path)
-    if targets.shape[1] != spec.n or base.size != spec.n:
-        raise _UsageError("base/targets do not match the chart dimension")
-    defect = flatness_defect(spec, base, seed=cfg.seed)
-    if defect > cfg.tol:
-        payload = {
-            "schema": SCHEMA,
-            "command": "develop",
-            "chart": cfg.inputs[0],
-            "base": list(base),
-            "flatness_defect": defect,
-            "tol": cfg.tol,
-            "verdict": "not flat: developing map refused",
-        }
-        return payload, False
-    images = develop_map(spec, base, targets, flat_tol=cfg.tol, seed=cfg.seed)
+def _run_develop(args: argparse.Namespace) -> tuple[dict, bool]:
+    spec = load_chart(args.chart)
+    base = args.base
+    if base.size != spec.n:
+        raise _UsageError(f"--base has {base.size} coordinates, chart has {spec.n}")
+    targets = parse_points(read_text(args.targets), spec.n)
+    defect = flatness_defect(spec, base, seed=args.seed)
     payload = {
-        "schema": SCHEMA,
-        "command": "develop",
-        "chart": cfg.inputs[0],
+        "chart": args.chart,
         "base": list(base),
         "flatness_defect": defect,
-        "tol": cfg.tol,
-        "images": [
-            {
-                "target": list(d.target),
-                "homogeneous": list(d.point.homogeneous),
-                "path_error": d.path_error,
-            }
-            for d in images
-        ],
-        "collinearity_defect": collinearity_defect([d.point for d in images]),
-        "verdict": "developed",
+        "tol": args.tol,
     }
+    if defect > args.tol:
+        payload["verdict"] = "not flat: developing map refused"
+        return payload, False
+    images = develop_map(spec, base, targets, flat_tol=args.tol, seed=args.seed)
+    payload["images"] = [
+        {
+            "target": list(d.target),
+            "homogeneous": list(d.point.homogeneous),
+            "path_error": d.path_error,
+        }
+        for d in images
+    ]
+    payload["collinearity_defect"] = collinearity_defect([d.point for d in images])
+    payload["verdict"] = "developed"
     return payload, True
 
 
@@ -336,49 +277,47 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Projective curvature analysis of chart connections")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=10, tol_default=1e-8):
+    def output(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", help="write the report to this file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--tol", type=float, default=tol_default)
+
+    def common(p, run, samples_default=10, tol_default=1e-8):
+        output(p, run)
+        p.add_argument("--seed", type=_SEED, default=0)
+        p.add_argument("--samples", type=_COUNT, default=samples_default)
+        p.add_argument("--tol", type=_POSITIVE, default=tol_default)
 
     p = sub.add_parser("analyze", help="curvature report and flatness verdict at a point")
     p.add_argument("chart")
-    p.add_argument("--point", required=True)
-    common(p, tol_default=1e-10)
+    p.add_argument("--point", type=_POINT, required=True)
+    common(p, _run_analyze, tol_default=1e-10)
 
     p = sub.add_parser("invariance", help="projective invariance residual of the Weyl tensor")
     p.add_argument("chart")
     p.add_argument("--alpha", required=True, help="1-form file: lines 'a i = expr'")
-    common(p, tol_default=1e-9)
+    common(p, _run_invariance, tol_default=1e-9)
 
     p = sub.add_parser("equivalent", help="pointwise projective equivalence of two charts")
     p.add_argument("chartA")
     p.add_argument("chartB")
-    common(p)
+    common(p, _run_equivalent)
 
     p = sub.add_parser("twistor", help="Nijenhuis integrability test at twistor samples")
     p.add_argument("chart")
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
-    common(p, samples_default=3)
+    p.add_argument("--h", type=_POSITIVE, default=1e-4, help="finite-difference step")
+    common(p, _run_twistor, samples_default=3)
 
     p = sub.add_parser("reps", help="component table with structure eigenvalues")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_numbers(1, int), choices=(4, 6), required=True)
     p.add_argument("--space", choices=("torsion", "curvature"), required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
+    output(p, _run_reps)
 
     p = sub.add_parser("develop", help="develop targets into projective space")
     p.add_argument("chart")
-    p.add_argument("--base", required=True)
+    p.add_argument("--base", type=_POINT, required=True)
     p.add_argument("--targets", required=True, help="file of comma-separated points")
-    common(p, tol_default=1e-7)
-
-    p = sub.add_parser("cotton", help="n=2 flatness obstruction at a point")
-    p.add_argument("chart")
-    p.add_argument("--point", required=True)
-    common(p, tol_default=1e-10)
+    common(p, _run_develop, tol_default=1e-7)
     return parser
 
 
@@ -403,43 +342,15 @@ def _attach_negative_points(argv: "list[str]") -> "list[str]":
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code; every report leads with schema and command."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_negative_points(argv))
     try:
-        cfg = RunConfig(
-            command=args.command,
-            inputs=tuple(getattr(args, name)
-                         for name in ("chart", "chartA", "chartB")
-                         if getattr(args, name, None) is not None),
-            point=(_parse_point(args.point, "--point")
-                   if getattr(args, "point", None) else None),
-            samples=getattr(args, "samples", 0),
-            seed=getattr(args, "seed", 0),
-            tol=getattr(args, "tol", 1e-8),
-            h=getattr(args, "h", 1e-4),
-            as_json=args.json,
-            out=args.out,
-        )
-        if cfg.tol <= 0:
-            raise _UsageError("--tol must be positive")
-        if args.command == "analyze":
-            payload, ok = _run_analyze(cfg)
-        elif args.command == "cotton":
-            payload, ok = _run_cotton(cfg)
-        elif args.command == "invariance":
-            payload, ok = _run_invariance(cfg, args.alpha)
-        elif args.command == "equivalent":
-            payload, ok = _run_equivalent(cfg)
-        elif args.command == "twistor":
-            payload, ok = _run_twistor(cfg)
-        elif args.command == "reps":
-            payload, ok = _run_reps(cfg, args.dim, args.space)
-        elif args.command == "develop":
-            payload, ok = _run_develop(cfg, _parse_point(args.base, "--base"),
-                                       args.targets)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise _UsageError(f"unknown command {args.command}")
+        args = _build_parser().parse_args(_attach_negative_points(argv))
+    except SystemExit as stop:  # argparse printed the usage error (2) or the help (0)
+        return stop.code
+    try:
+        payload, ok = args.run(args)
+        _emit({"schema": SCHEMA, "command": args.command, **payload}, args)
     except (_UsageError, ChartError, ParseError, DomainError, SingularMetric,
             OddDimension, HasTorsion, NotBianchi, StepFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -447,7 +358,6 @@ def main(argv=None) -> int:
     except NotFlat as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _emit(payload, cfg)
     return 0 if ok else 1
 
 

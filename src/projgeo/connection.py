@@ -28,10 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
+from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
 from .tensor import TensorValue
 
 __all__ = [
-    "ConnectionSpec", "ConnectionValue", "load_chart", "POINT_BLOCK", "point_blocks",
+    "ConnectionSpec", "ConnectionValue", "load_chart", "parse_chart",
+    "POINT_BLOCK", "point_blocks",
     "torsion", "curvature", "ricci", "trace2form", "curvature_derivative",
     "second_bianchi_residual", "SingularMetric", "MissingJet", "ChartError",
 ]
@@ -43,10 +45,6 @@ class SingularMetric(ArithmeticError):
 
 class MissingJet(ValueError):
     """Operation needs a derivative level the ConnectionValue does not carry."""
-
-
-class ChartError(ValueError):
-    """Malformed chart or field file; message carries the line number."""
 
 
 # Consumers that evaluate many points walk them in blocks of this many rows:
@@ -380,92 +378,66 @@ def second_bianchi_residual(cv: ConnectionValue) -> TensorValue:
     return TensorValue(cv.n, ("up",) + ("down",) * 4, total)
 
 
-def load_chart(path_or_text: "str | Path", name: str | None = None) -> ConnectionSpec:
-    """Read a chart file (dim header plus one [metric]/[christoffel] section).
+def load_chart(path: "str | Path", name: str | None = None) -> ConnectionSpec:
+    """Read a chart file (see parse_chart); the chart is named after the file."""
+    return parse_chart(read_text(path), Path(path).name if name is None else name)
+
+
+def parse_chart(text: str, name: str = "") -> ConnectionSpec:
+    """A chart from its text: a dim header plus one [metric]/[christoffel] section.
 
     File indices are 1-based (`g 1 2 = ...`, `G 1 2 3 = ...`); missing entries
     are zero, metric entries require i <= j, duplicates are rejected.
     """
-    if isinstance(path_or_text, Path) or "\n" not in str(path_or_text):
-        path = Path(path_or_text)
-        text = path.read_text()
-        if name is None:
-            name = path.name
-    else:
-        text = str(path_or_text)
     n = None
     section = None
-    metric: dict[tuple[int, int], ex.Expr] = {}
-    christoffel: dict[tuple[int, int, int], ex.Expr] = {}
+    entries: dict[tuple[int, ...], ex.Expr] = {}
     interned: dict[str, ex.Expr] = {}
-    seen_sections = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in ("metric", "christoffel"):
-                raise ChartError(f"line {lineno}: unknown section [{section}]")
-            if seen_sections:
+            header = line[1:-1].strip()
+            if header not in ("metric", "christoffel"):
+                raise ChartError(f"line {lineno}: unknown section [{header}]")
+            if section is not None:
                 raise ChartError(
                     f"line {lineno}: [metric] and [christoffel] are exclusive, "
                     f"and only one section is allowed")
             if n is None:
                 raise ChartError(f"line {lineno}: dim must come before any section")
-            seen_sections.append(section)
+            section = header
             continue
-        if "=" not in line:
-            raise ChartError(f"line {lineno}: expected 'key = expression'")
-        key, _, rhs = line.partition("=")
-        key_parts = key.split()
-        rhs = rhs.strip()
-        if key_parts == ["dim"]:
+        words, rhs = split_entry(lineno, line)
+        if words == ["dim"]:
             if n is not None:
                 raise ChartError(f"line {lineno}: duplicate dim")
-            try:
-                n = int(rhs)
-            except ValueError:
-                raise ChartError(f"line {lineno}: dim must be an integer") from None
-            if not 1 <= n <= 8:
-                raise ChartError(f"line {lineno}: dim must be in 1..8")
+            n = read_dim(lineno, rhs)
             continue
         if section is None:
             raise ChartError(f"line {lineno}: entry before any section")
         try:
-            indices = [int(part) for part in key_parts[1:]]
+            indices = [int(word) for word in words[1:]]
         except ValueError:
-            raise ChartError(f"line {lineno}: bad indices in {key.strip()!r}") from None
+            raise ChartError(f"line {lineno}: bad indices in {' '.join(words)!r}") from None
         if any(not 1 <= i <= n for i in indices):
             raise ChartError(f"line {lineno}: index out of range 1..{n}")
         if rhs not in interned:
-            try:
-                interned[rhs] = ex.parse(rhs, n)
-            except ex.ParseError as err:
-                raise ChartError(f"line {lineno}: {err}") from err
-        parsed = interned[rhs]
+            interned[rhs] = parse_expr(lineno, rhs, n)
         if section == "metric":
-            if key_parts[0] != "g" or len(indices) != 2:
+            if words[0] != "g" or len(indices) != 2:
                 raise ChartError(f"line {lineno}: metric entries look like 'g i j = ...'")
-            i, j = indices[0] - 1, indices[1] - 1
-            if i > j:
+            if indices[0] > indices[1]:
                 raise ChartError(f"line {lineno}: metric entries use i <= j")
-            if (i, j) in metric:
-                raise ChartError(f"line {lineno}: duplicate entry g {i + 1} {j + 1}")
-            metric[(i, j)] = parsed
-        else:
-            if key_parts[0] != "G" or len(indices) != 3:
-                raise ChartError(f"line {lineno}: christoffel entries look like 'G k i j = ...'")
-            k, i, j = (x - 1 for x in indices)
-            if (k, i, j) in christoffel:
-                raise ChartError(f"line {lineno}: duplicate entry G {k + 1} {i + 1} {j + 1}")
-            christoffel[(k, i, j)] = parsed
+        elif words[0] != "G" or len(indices) != 3:
+            raise ChartError(f"line {lineno}: christoffel entries look like 'G k i j = ...'")
+        key = tuple(i - 1 for i in indices)
+        if key in entries:
+            raise ChartError(f"line {lineno}: duplicate entry "
+                             f"{words[0]} {' '.join(str(i) for i in indices)}")
+        entries[key] = interned[rhs]
 
     if n is None:
         raise ChartError("missing dim header")
-    if not seen_sections:
+    if section is None:
         raise ChartError("missing [metric] or [christoffel] section")
-    if seen_sections[0] == "metric":
-        return ConnectionSpec(n, metric=metric, name=name or "")
-    return ConnectionSpec(n, christoffel=christoffel, name=name or "")
+    return ConnectionSpec(n, **{section: entries}, name=name)

@@ -21,6 +21,7 @@ evaluates it over a block of points at once; `eval_jet` is its one-point case.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -112,6 +113,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {stripped[0]!r}",
                              len(text) - len(stripped) + 1)
         kind = m.lastgroup
+        if kind == "num" and math.isinf(float(m.group(kind))):
+            raise ParseError(f"number {m.group(kind)} out of range", m.start(kind) + 1)
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     tokens.append(("end", "", len(text) + 1))
@@ -225,7 +228,10 @@ def parse(text: str, n: int) -> Expr:
     """Parse `text` over chart variables x1..xn into an immutable AST."""
     if n < 1:
         raise ValueError("chart dimension must be at least 1")
-    return _Parser(text, n).parse()
+    try:
+        return _Parser(text, n).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 1) from None
 
 
 def _format_number(value: float) -> str:
@@ -253,7 +259,6 @@ def to_text(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-@dataclass
 @dataclass
 class Jet3:
     """Taylor data at a point: value and symmetric partials up to `order` (1..3).

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import cotton, torsion_split, weyl
-from .connection import ChartError, ConnectionSpec, curvature, point_blocks, torsion
+from .connection import ConnectionSpec, curvature, point_blocks, torsion
+from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
 from .tensor import OddDimension, norm
 
 __all__ = [
-    "OneFormField", "load_alpha", "sample_points", "projective_change",
+    "OneFormField", "load_alpha", "parse_alpha", "sample_points", "projective_change",
     "WeylInvariance", "check_weyl_invariance",
     "Equivalence", "projectively_equivalent",
     "TorsionRemoval", "remove_torsion",
@@ -52,58 +53,47 @@ class OneFormField:
         return values[0] if points.ndim == 1 else values
 
 
-def load_alpha(path_or_text: "str | Path", n: int | None = None) -> OneFormField:
-    """Read an alpha-field file: optional `dim = n` plus lines `a <i> = <expr>`.
+def load_alpha(path: "str | Path", n: int | None = None) -> OneFormField:
+    """Read an alpha-field file (see parse_alpha)."""
+    return parse_alpha(read_text(path), n)
+
+
+def parse_alpha(text: str, n: int | None = None) -> OneFormField:
+    """An alpha field from its text: optional `dim = n` plus lines `a <i> = <expr>`.
 
     Indices are 1-based; missing entries are zero. Every malformed line raises
     ChartError("line N: ...").
     """
-    text = Path(path_or_text).read_text() if "\n" not in str(path_or_text) \
-        else str(path_or_text)
     entries: dict[int, tuple[int, str]] = {}
     dim = n
-    dim_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ChartError(f"line {lineno}: expected 'a i = expression'")
-        key, _, rhs = line.partition("=")
-        parts = key.split()
-        if parts == ["dim"]:
-            if dim_line is not None:
+    has_header = False
+    for lineno, line in content_lines(text):
+        words, rhs = split_entry(lineno, line, "a i = expression")
+        if words == ["dim"]:
+            if has_header:
                 raise ChartError(f"line {lineno}: duplicate dim")
-            try:
-                header = int(rhs.strip())
-            except ValueError:
-                raise ChartError(f"line {lineno}: dim must be an integer") from None
-            if not 1 <= header <= 8:
-                raise ChartError(f"line {lineno}: dim must be in 1..8")
+            header = read_dim(lineno, rhs)
             if n is not None and header != n:
                 raise ChartError(
                     f"line {lineno}: alpha file has dim = {header}, expected {n}")
-            dim, dim_line = header, lineno
+            dim, has_header = header, True
             continue
-        if len(parts) != 2 or parts[0] != "a":
+        if len(words) != 2 or words[0] != "a":
             raise ChartError(f"line {lineno}: expected 'a i = expression'")
         try:
-            i = int(parts[1])
+            i = int(words[1])
         except ValueError:
-            raise ChartError(f"line {lineno}: bad index in {key.strip()!r}") from None
+            raise ChartError(f"line {lineno}: bad index in {' '.join(words)!r}") from None
         if i in entries:
             raise ChartError(f"line {lineno}: duplicate entry a {i}")
-        entries[i] = (lineno, rhs.strip())
+        entries[i] = (lineno, rhs)
     if dim is None:
         raise ChartError("alpha field needs a dim header or an explicit dimension")
     exprs = [ex.Num(0.0)] * dim
     for i, (lineno, rhs) in entries.items():
         if not 1 <= i <= dim:
             raise ChartError(f"line {lineno}: alpha index out of range 1..{dim}")
-        try:
-            exprs[i - 1] = ex.parse(rhs, dim)
-        except ex.ParseError as err:
-            raise ChartError(f"line {lineno}: {err}") from err
+        exprs[i - 1] = parse_expr(lineno, rhs, dim)
     return OneFormField(dim, tuple(exprs))
 
 

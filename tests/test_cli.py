@@ -45,17 +45,6 @@ def test_planar_chart_uses_the_cotton_criterion(capsys):
     assert "n=2 criterion" in out
 
 
-def test_cotton_subcommand_requires_dimension_two(capsys):
-    code, out, err = run(capsys, "cotton", str(chart_path("sphere2.chart")),
-                         "--point", "0.1,0.2")
-    assert code == 0
-    assert "C=0" in out
-    code, _, err = run(capsys, "cotton", str(chart_path("sphere3.chart")),
-                       "--point", "0,0,0")
-    assert code == 2
-    assert err != ""
-
-
 def test_json_output_is_deterministic_and_matches_text(capsys):
     args = ("analyze", str(chart_path("sphere2.chart")), "--point", "0.3,-0.2",
             "--json")
@@ -237,3 +226,69 @@ def test_negative_leading_coordinates(capsys):
                        str(chart_path("targets3.txt")), "--json")
     assert code == 0
     assert json.loads(out)["base"] == [-0.1, 0.0, 0.0]
+
+
+NESTED = "(" * 1000 + "x1" + ")" * 1000
+
+# One row per malformed input: argv ({tmp} is the test's directory), the files
+# to write there, and a fragment the error message must carry. Rows that come
+# from a file name the line.
+MALFORMED = {
+    "h-zero": (["twistor", str(chart_path("sphere4.chart")), "--h", "0", "--samples", "1"],
+               {}, "argument --h: expected a number > 0"),
+    "tol-nan": (["analyze", str(chart_path("sphere3.chart")), "--point", "0,0,0",
+                 "--tol", "nan"], {}, "argument --tol: expected finite numbers"),
+    "empty-key": (["analyze", "{tmp}/bad.chart", "--point", "0,0"],
+                  {"bad.chart": b"dim = 2\n[christoffel]\n = x1\n"},
+                  "line 3: expected 'key = expression'"),
+    "ragged-targets": (["develop", str(chart_path("flat3.chart")), "--base", "0,0,0",
+                        "--targets", "{tmp}/t.txt"], {"t.txt": b"0.1,0.2,0.3\n0.1,0.2\n"},
+                       "line 2: expected 3 comma-separated numbers"),
+    "narrow-targets": (["develop", str(chart_path("flat3.chart")), "--base", "0,0,0",
+                        "--targets", "{tmp}/t.txt"], {"t.txt": b"# one row\n0.1,0.2\n"},
+                       "line 2: expected 3 comma-separated numbers"),
+    "not-utf8": (["analyze", "{tmp}/bad.chart", "--point", "0,0"],
+                 {"bad.chart": b"dim = 2\n[metric]\ng 1 1 = 1 \xff\n"},
+                 "line 3: not UTF-8"),
+    "point-nan": (["analyze", str(chart_path("sphere2.chart")), "--point", "nan,0.1"],
+                  {}, "argument --point: expected finite numbers"),
+    "targets-nan": (["develop", str(chart_path("flat3.chart")), "--base", "0,0,0",
+                     "--targets", "{tmp}/t.txt"], {"t.txt": b"0.1,nan,0.3\n"},
+                    "line 1: expected finite numbers"),
+    "targets-inf": (["develop", str(chart_path("flat3.chart")), "--base", "0,0,0",
+                     "--targets", "{tmp}/t.txt"], {"t.txt": b"0,0,0\n\ninf,0,0\n"},
+                    "line 3: expected finite numbers"),
+    "samples-zero": (["equivalent", str(chart_path("flat3.chart")),
+                      str(chart_path("flat3.chart")), "--samples", "0"],
+                     {}, "argument --samples: expected an integer > 0"),
+    "samples-negative": (["invariance", str(chart_path("flat3.chart")), "--alpha",
+                          str(chart_path("alpha3.alpha")), "--samples", "-1"],
+                         {}, "argument --samples: expected an integer > 0"),
+    "reps-dim-zero": (["reps", "--dim", "0", "--space", "torsion"], {},
+                      "argument --dim: invalid choice"),
+    "seed-negative": (["equivalent", str(chart_path("flat3.chart")),
+                       str(chart_path("flat3.chart")), "--seed", "-1"],
+                      {}, "argument --seed"),
+    "literal-overflow": (["equivalent", "{tmp}/a.chart", "{tmp}/a.chart"],
+                         {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 1 = 1e999\n"},
+                         "line 3: number 1e999 out of range"),
+    "deep-nesting": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],
+                     {"a.chart": f"dim = 2\n[christoffel]\nG 1 1 1 = {NESTED}\n".encode()},
+                     "line 3: expression nested too deeply"),
+    "out-dir-missing": (["analyze", str(chart_path("sphere2.chart")), "--point", "0,0",
+                         "--out", "{tmp}/no-such-dir/report.json"], {}, "No such file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, name):
+    argv, files, fragment = MALFORMED[name]
+    for file_name, data in files.items():
+        (tmp_path / file_name).write_bytes(data)
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert fragment in err
+    assert "Traceback" not in err
+

@@ -6,7 +6,7 @@ import pytest
 from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
 from projgeo.connection import (ChartError, ConnectionSpec, MissingJet,
                                 SingularMetric, curvature,
-                                curvature_derivative, load_chart,
+                                curvature_derivative, load_chart, parse_chart,
                                 ricci, second_bianchi_residual, torsion,
                                 trace2form)
 from projgeo.tensor import alt2, norm
@@ -34,19 +34,19 @@ def test_fixture_charts_load():
 ])
 def test_chart_errors_carry_line_context(text, fragment):
     with pytest.raises(ChartError) as err:
-        load_chart(text)
+        parse_chart(text)
     assert fragment in str(err.value)
 
 
 def test_missing_entries_default_to_zero():
-    spec = load_chart("dim = 3\n[christoffel]\nG 1 2 3 = x1\n")
+    spec = parse_chart("dim = 3\n[christoffel]\nG 1 2 3 = x1\n")
     cv = spec.evaluate(np.array([2.0, 0.0, 0.0]), derivs=0)
     assert cv.gamma[0, 1, 2] == 2.0
     assert np.count_nonzero(cv.gamma) == 1
 
 
 def test_metric_chart_fills_symmetric_entry():
-    spec = load_chart("dim = 2\n[metric]\ng 1 1 = 2\ng 2 2 = 1\ng 1 2 = 0.5\n")
+    spec = parse_chart("dim = 2\n[metric]\ng 1 1 = 2\ng 2 2 = 1\ng 1 2 = 0.5\n")
     # Levi-Civita of a constant metric is zero even with off-diagonal terms
     cv = spec.evaluate(np.array([0.3, 0.4]))
     assert norm(torsion(cv)) == 0.0
@@ -54,7 +54,7 @@ def test_metric_chart_fills_symmetric_entry():
 
 
 def test_singular_metric_detected():
-    spec = load_chart("dim = 2\n[metric]\ng 1 1 = 1\ng 2 2 = 1\ng 1 2 = 1\n")
+    spec = parse_chart("dim = 2\n[metric]\ng 1 1 = 1\ng 2 2 = 1\ng 1 2 = 1\n")
     with pytest.raises(SingularMetric, match=r"at x = \(0, 0\)"):
         spec.evaluate(np.zeros(2))
 

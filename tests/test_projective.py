@@ -5,10 +5,10 @@ import pytest
 
 from conftest import chart_path, random_alpha, random_torsionfree_spec
 from projgeo.connection import (ChartError, ConnectionSpec, curvature,
-                                load_chart, torsion)
+                                load_chart, parse_chart, torsion)
 from projgeo.develop import model_connection, model_metric
 from projgeo.projective import (OddDimension, OneFormField,
-                                check_weyl_invariance, load_alpha,
+                                check_weyl_invariance, load_alpha, parse_alpha,
                                 projective_change, projectively_equivalent,
                                 remove_torsion, same_twistor_structure,
                                 sample_points)
@@ -31,9 +31,9 @@ def test_load_alpha_file_and_errors():
     vals = a.values_at(np.array([1.0, 2.0, 3.0]))
     assert vals[0] == pytest.approx(0.3 * 2.0)
     with pytest.raises(ChartError):
-        load_alpha("dim = 2\na 1 = x1\n", n=3)
+        parse_alpha("dim = 2\na 1 = x1\n", n=3)
     with pytest.raises(ChartError):
-        load_alpha("a 1 = x1\n")  # no dimension from any source
+        parse_alpha("a 1 = x1\n")  # no dimension from any source
 
 
 def test_zero_change_is_identity():
@@ -46,7 +46,7 @@ def test_zero_change_is_identity():
 
 def test_change_closed_form_constant_alpha():
     # flat plus alpha = dx1 pins every modified entry
-    changed = projective_change(load_chart(FLAT2), OneFormField.from_strings(["1", "0"]))
+    changed = projective_change(parse_chart(FLAT2), OneFormField.from_strings(["1", "0"]))
     g = changed.evaluate(np.array([0.7, -0.4]), derivs=0).gamma
     expect = np.zeros((2, 2, 2))
     expect[0, 0, 0] = 2.0
@@ -104,7 +104,7 @@ def test_same_connection_gives_zero_one_form():
 
 
 def test_unstraightenable_difference_is_rejected():
-    flat = load_chart(FLAT2)
+    flat = parse_chart(FLAT2)
     bump = ConnectionSpec.from_christoffel(2, {(0, 1, 1): "1"})
     eq = projectively_equivalent(flat, bump)
     assert not eq.equivalent

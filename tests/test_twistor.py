@@ -5,7 +5,7 @@ import pytest
 
 from conftest import chart_path, random_alpha, random_torsionfree_spec
 from projgeo.algebra import HasTorsion
-from projgeo.connection import load_chart
+from projgeo.connection import load_chart, parse_chart
 from projgeo.projective import projective_change
 from projgeo.tensor import OddDimension
 from projgeo.twistor import (NotAlmostComplex, TwistorChart, TwistorPoint,
@@ -57,7 +57,7 @@ def test_anticommutant_basis_shape_and_orthonormality():
 def test_flat_structure_matrix_is_block_diagonal():
     """With zero coefficients the horizontal block is j itself and the fibre
     block is left multiplication by j; the mixed blocks vanish."""
-    flat = load_chart(FLAT2)
+    flat = parse_chart(FLAT2)
     j0 = standard_complex_structure(2)
     tp = TwistorPoint(np.zeros(2), j0)
     big = twistor_acs(flat.evaluate(np.zeros(2), derivs=0), tp)
@@ -137,7 +137,7 @@ def test_nijenhuis_rejects_torsion():
 
 
 def test_flat_bundle_structure_is_integrable():
-    spec = load_chart(FLAT4)
+    spec = parse_chart(FLAT4)
     rng = np.random.default_rng(64)
     tps = sample_twistor_points(4, 2, rng)
     pairs = coordinate_pairs(12, 4, rng)
@@ -195,7 +195,7 @@ def test_defect_shrinks_quadratically_in_step():
 
 
 def test_field_variant_accepts_callables():
-    spec = load_chart(FLAT4)
+    spec = parse_chart(FLAT4)
     tp = TwistorPoint(np.zeros(4), standard_complex_structure(4))
 
     def u_field(z):
