@@ -16,6 +16,9 @@ and the Ricci trace of it is -(n-1) Q_+ - (n+1) Q_-. The projective pieces are
     W = R + [Q ^ Id]                           (trace-free Weyl part)
     F = -2/(n+1) ricci_-                       (trace 2-form of the pair, F = -s/(n+1))
     C = d^nabla Q                              (Cotton 2-form, needs ddGamma)
+
+The tensor functions take stacked points as well as single ones (see
+projgeo.tensor); relative checks compare each point with its own scale.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from .connection import (ConnectionValue, curvature, curvature_derivative,
                          ricci, torsion, trace2form)
-from .tensor import TensorValue, alt2, norm, sym2
+from .expr import refuse_where
+from .tensor import TensorValue, alt2, norm
 
 __all__ = [
     "AlgebraElement", "bracket", "wedge_id", "wedge_id3", "three_form_split",
@@ -89,8 +93,8 @@ def wedge_id(q: TensorValue) -> TensorValue:
         raise ValueError("wedge_id expects a (down, down) tensor")
     n, qd = q.n, q.data
     eye = np.eye(n)
-    data = (np.einsum("ji,lk->lkij", qd, eye) - np.einsum("ij,lk->lkij", qd, eye)
-            - np.einsum("ik,lj->lkij", qd, eye) + np.einsum("jk,li->lkij", qd, eye))
+    data = (np.einsum("...ji,lk->...lkij", qd, eye) - np.einsum("...ij,lk->...lkij", qd, eye)
+            - np.einsum("...ik,lj->...lkij", qd, eye) + np.einsum("...jk,li->...lkij", qd, eye))
     return TensorValue(n, ("up", "down", "down", "down"), data)
 
 
@@ -106,9 +110,9 @@ def wedge_id3(omega: TensorValue) -> TensorValue:
     _require_antisym01(omega)
     n, w = omega.n, omega.data
     eye = np.eye(n)
-    data = (-np.einsum("xyz,lm->lmxyz", w, eye) - np.einsum("xym,lz->lmxyz", w, eye)
-            + np.einsum("xzy,lm->lmxyz", w, eye) + np.einsum("xzm,ly->lmxyz", w, eye)
-            - np.einsum("yzx,lm->lmxyz", w, eye) - np.einsum("yzm,lx->lmxyz", w, eye))
+    data = (-np.einsum("...xyz,lm->...lmxyz", w, eye) - np.einsum("...xym,lz->...lmxyz", w, eye)
+            + np.einsum("...xzy,lm->...lmxyz", w, eye) + np.einsum("...xzm,ly->...lmxyz", w, eye)
+            - np.einsum("...yzx,lm->...lmxyz", w, eye) - np.einsum("...yzm,lx->...lmxyz", w, eye))
     return TensorValue(n, ("up",) + ("down",) * 4, data)
 
 
@@ -118,15 +122,22 @@ def three_form_split(omega: TensorValue) -> tuple[TensorValue, TensorValue]:
         raise ValueError("three_form_split expects a (down, down, down) tensor")
     _require_antisym01(omega)
     w = omega.data
-    minus = (w + w.transpose(1, 2, 0) + w.transpose(2, 0, 1)) / 3.0
+    minus = (w + np.einsum("...zxy->...xyz", w) + np.einsum("...yzx->...xyz", w)) / 3.0
     t_minus = TensorValue(omega.n, omega.variance, minus)
     t_plus = TensorValue(omega.n, omega.variance, w - minus)
     return t_plus, t_minus
 
 
+def _exceeds(residual: np.ndarray, t: TensorValue, tol: float) -> bool:
+    """Whether a residual shaped like t.data passes tol * max(1, |t|) at any point,
+    each point measured against its own max-abs scale."""
+    axes = tuple(range(-t.rank, 0))
+    scale = np.maximum(1.0, np.abs(t.data).max(axis=axes))
+    return bool(np.any(np.abs(residual).max(axis=axes) > tol * scale))
+
+
 def _require_antisym01(t: TensorValue, tol: float = 1e-12) -> None:
-    scale = max(1.0, norm(t))
-    if np.max(np.abs(t.data + np.swapaxes(t.data, 0, 1))) > tol * scale:
+    if _exceeds(t.data + np.swapaxes(t.data, -3, -2), t, tol):
         raise NotAntisymmetric("expected antisymmetry in the first two slots")
 
 
@@ -135,15 +146,14 @@ def first_bianchi_residual(r: TensorValue) -> TensorValue:
     if r.variance != ("up", "down", "down", "down"):
         raise ValueError("expected a curvature-variance tensor")
     d = r.data
-    total = d + d.transpose(0, 2, 3, 1) + d.transpose(0, 3, 1, 2)
+    total = d + np.einsum("...ljki->...lkij", d) + np.einsum("...lijk->...lkij", d)
     return TensorValue(r.n, r.variance, total)
 
 
 def bianchi_project(r: TensorValue) -> TensorValue:
     """Equivariant projection of a curvature-variance tensor onto its fully
     alternating (Lambda^3 tensor V) branch: one third of the cyclic sum."""
-    total = first_bianchi_residual(r)
-    return TensorValue(r.n, r.variance, total.data / 3.0)
+    return TensorValue(r.n, r.variance, first_bianchi_residual(r).data / 3.0)
 
 
 class WeylParts(NamedTuple):
@@ -162,15 +172,19 @@ def weyl(r: TensorValue, tol: float = 1e-10) -> WeylParts:
     n = r.n
     if n < 2:
         raise ValueError("projective decomposition needs dimension >= 2")
-    scale = max(1.0, norm(r))
-    if norm(first_bianchi_residual(r)) > tol * scale:
+    if _exceeds(first_bianchi_residual(r).data, r, tol):
         raise NotBianchi("first Bianchi identity fails; remove torsion first")
     ric = ricci(r)
-    rp, rm = sym2(ric), alt2(ric)
-    q = TensorValue(n, ("down", "down"), rp.data / (n - 1) + rm.data / (n + 1))
+    q = TensorValue(n, ("down", "down"), _normalized(ric.data, n))
     w = TensorValue(n, r.variance, r.data + wedge_id(q).data)
-    f = TensorValue(n, ("down", "down"), -2.0 / (n + 1) * rm.data)
+    f = TensorValue(n, ("down", "down"), -2.0 / (n + 1) * alt2(ric).data)
     return WeylParts(w, q, f)
+
+
+def _normalized(ric: np.ndarray, n: int) -> np.ndarray:
+    """Q = ric_+ / (n-1) + ric_- / (n+1), over the last two axes of a Ricci-type array."""
+    t = np.swapaxes(ric, -1, -2)
+    return (ric + t) / (2 * (n - 1)) + (ric - t) / (2 * (n + 1))
 
 
 def torsion_split(t: TensorValue, tol: float = 1e-12) -> tuple[TensorValue, TensorValue]:
@@ -184,42 +198,31 @@ def torsion_split(t: TensorValue, tol: float = 1e-12) -> tuple[TensorValue, Tens
     n, d = t.n, t.data
     if n < 2:
         raise ValueError("torsion split needs dimension >= 2")
-    scale = max(1.0, norm(t))
-    if np.max(np.abs(d + d.transpose(0, 2, 1))) > tol * scale:
+    if _exceeds(d + np.swapaxes(d, -1, -2), t, tol):
         raise NotAntisymmetric("torsion must be antisymmetric in its form slots")
-    alpha = np.einsum("kjk->j", d) / (n - 1)
+    alpha = np.einsum("...kjk->...j", d) / (n - 1)
     eye = np.eye(n)
-    t2 = np.einsum("i,kj->kij", alpha, eye) - np.einsum("j,ki->kij", alpha, eye)
+    t2 = np.einsum("...i,kj->...kij", alpha, eye) - np.einsum("...j,ki->...kij", alpha, eye)
     return (TensorValue(n, t.variance, d - t2), TensorValue(n, t.variance, t2))
-
-
-def _q_field(cv: ConnectionValue):
-    """Values and first derivatives of the normalized Ricci Q along the chart."""
-    n = cv.n
-    r = curvature(cv).data
-    dr = curvature_derivative(cv)
-    r0 = np.einsum("kjik->ij", r)
-    dr0 = np.einsum("mkjik->mij", dr)
-    q0 = (r0 + r0.T) / (2 * (n - 1)) + (r0 - r0.T) / (2 * (n + 1))
-    sym = (dr0 + dr0.transpose(0, 2, 1)) / 2
-    skew = (dr0 - dr0.transpose(0, 2, 1)) / 2
-    dq = sym / (n - 1) + skew / (n + 1)
-    return q0, dq
 
 
 def cotton(cv: ConnectionValue, tol: float = 1e-10) -> TensorValue:
     """Projective Cotton tensor C = d^nabla Q, C_{ijk} antisymmetric in (i, j).
 
-    Needs two derivative levels of Gamma and a torsion-free connection.
+    Needs two derivative levels of Gamma and a torsion-free connection; raises
+    DomainError naming the first point whose C is not finite.
     """
     if norm(torsion(cv)) > tol:
         raise HasTorsion("cotton is defined for torsion-free connections")
-    cv.require(2)
     g = cv.gamma
-    q0, dq = _q_field(cv)
-    nabla_q = (dq - np.einsum("mij,mk->ijk", g, q0)
-               - np.einsum("mik,jm->ijk", g, q0))
-    c = nabla_q - nabla_q.transpose(1, 0, 2)
+    # the normalized Ricci Q and its coordinate derivatives d_m Q_ij
+    q0 = _normalized(ricci(curvature(cv)).data, cv.n)
+    dq = _normalized(np.einsum("...mkjik->...mij", curvature_derivative(cv)), cv.n)
+    nabla_q = (dq - np.einsum("...mij,...mk->...ijk", g, q0)
+               - np.einsum("...mik,...jm->...ijk", g, q0))
+    c = nabla_q - np.swapaxes(nabla_q, -3, -2)
+    refuse_where(~np.isfinite(c).all(axis=(-3, -2, -1)), "Cotton tensor is not finite", None,
+                 cv.point.reshape(-1, cv.n))
     return TensorValue(cv.n, ("down", "down", "down"), c)
 
 
@@ -239,13 +242,11 @@ def cartan_curvature(cv: ConnectionValue, tol: float = 1e-10) -> CartanCurvature
     n = cv.n
     r = curvature(cv)
     w, q, f = weyl(r, tol=tol)
-    qminus = alt2(q)
-    topleft = TensorValue(n, ("down", "down"), f.data + 2.0 * qminus.data)
+    topleft = TensorValue(n, ("down", "down"), f.data + 2.0 * alt2(q).data)
     topright = cotton(cv, tol=tol)
     bottomleft = torsion(cv)
-    eye = np.eye(n)
     bottomright = TensorValue(n, ("up", "down", "down", "down"),
-                              w.data + np.einsum("ij,lk->lkij", topleft.data, eye))
+                              w.data + np.einsum("...ij,lk->...lkij", topleft.data, np.eye(n)))
     return CartanCurvature(topleft, topright, bottomleft, bottomright)
 
 
@@ -275,19 +276,16 @@ def curvature_report(cv: ConnectionValue, tol: float = 1e-10) -> CurvatureReport
     n = cv.n
     t = torsion(cv)
     r = curvature(cv)
-    ric = ricci(r)
-    s = trace2form(r)
-    report = CurvatureReport(n, cv.point, t, r, ric, s)
+    report = CurvatureReport(n, cv.point, t, r, ricci(r), trace2form(r))
     report.residuals["first_bianchi"] = norm(first_bianchi_residual(r))
-    torsion_free = norm(t) <= tol
-    if torsion_free:
+    if norm(t) <= tol:
         w, q, f = weyl(r, tol=tol)
         report.W, report.Q, report.F = w, q, f
         report.residuals["ricci_of_weyl"] = norm(ricci(w))
         recon = w.data - wedge_id(q).data
         report.residuals["reconstruction"] = float(np.max(np.abs(recon - r.data)))
         report.residuals["s_minus_2ricci_skew"] = norm(
-            TensorValue(n, ("down", "down"), s.data - 2.0 * alt2(ric).data))
+            TensorValue(n, ("down", "down"), report.s.data - 2.0 * alt2(report.ricci).data))
         if cv.ddgamma is not None:
             report.C = cotton(cv, tol=tol)
     return report

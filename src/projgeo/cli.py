@@ -31,7 +31,7 @@ from .projective import (check_weyl_invariance, load_alpha, projectively_equival
 from .readers import ChartError, parse_points, read_numbers, read_text
 from .reps import j0_census
 from .tensor import OddDimension, norm
-from .twistor import (integrability_verdict, coordinate_pairs, nijenhuis,
+from .twistor import (StepTooSmall, integrability_verdict, coordinate_pairs, nijenhuis,
                       sample_twistor_points)
 
 __all__ = ["main", "entry"]
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         payload, ok = args.run(args)
         _emit({"schema": SCHEMA, "command": args.command, **payload}, args)
     except (_UsageError, ChartError, ParseError, DomainError, SingularMetric,
-            OddDimension, HasTorsion, NotBianchi, StepFailure, OSError) as err:
+            OddDimension, HasTorsion, NotBianchi, StepFailure, StepTooSmall, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NotFlat as err:

@@ -15,9 +15,13 @@ so curvature values have variance (up, down, down, down) in slot order
 Z), and the trace 2-form is s_ij = R^k_{kij}.
 
 Connections come from closed-form Christoffel entries, from a metric
-(Levi-Civita, computed pointwise through jet arithmetic, never symbolically),
-or from either of those plus a projective perturbation alpha (which adds
-alpha_i delta^k_j + alpha_j delta^k_i).
+(Levi-Civita, computed from the metric's jets at each point, never
+symbolically), or from either of those plus a projective perturbation alpha
+(which adds alpha_i delta^k_j + alpha_j delta^k_i).
+
+Every array above may carry leading point axes: `ConnectionSpec.evaluate_many`
+stacks its rows on one, and the curvature functions below act on such a stack
+as on a single point, which is the case with no leading axis.
 """
 
 from __future__ import annotations
@@ -62,10 +66,10 @@ def point_blocks(points) -> "list[np.ndarray]":
 
 @dataclass
 class ConnectionValue:
-    """Pointwise connection data: Gamma and optionally its first two derivative levels.
+    """Connection data: Gamma and optionally its first two derivative levels.
 
-    `ConnectionSpec.evaluate_many` returns the same fields stacked along a
-    leading point axis; `rows()` splits such a value into per-point ones.
+    From `ConnectionSpec.evaluate` the fields belong to one point; from
+    `ConnectionSpec.evaluate_many` they are stacked along a leading point axis.
     """
 
     n: int
@@ -79,13 +83,6 @@ class ConnectionValue:
             raise MissingJet("dgamma (first derivatives of Gamma) not evaluated")
         if level >= 2 and self.ddgamma is None:
             raise MissingJet("ddgamma (second derivatives of Gamma) not evaluated")
-
-    def rows(self) -> "list[ConnectionValue]":
-        """The per-point values of a stacked result of ConnectionSpec.evaluate_many."""
-        return [ConnectionValue(self.n, self.point[r], self.gamma[r],
-                                None if self.dgamma is None else self.dgamma[r],
-                                None if self.ddgamma is None else self.ddgamma[r])
-                for r in range(self.point.shape[0])]
 
 
 @dataclass
@@ -142,9 +139,9 @@ class ConnectionSpec:
     def evaluate(self, p, derivs: int = 1) -> ConnectionValue:
         """Connection data at point p with `derivs` derivative levels of Gamma (0..2)."""
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.n,):
-            raise ValueError(f"point has shape {p.shape}, chart dimension is {self.n}")
-        return self.evaluate_many(p[None], derivs).rows()[0]
+        cv = self.evaluate_many(p[None], derivs)
+        return ConnectionValue(self.n, p, *(None if a is None else a[0]
+                                            for a in (cv.gamma, cv.dgamma, cv.ddgamma)))
 
     def evaluate_many(self, points, derivs: int = 1) -> ConnectionValue:
         """Connection data at each row of `points` (P, n), stacked along a leading axis.
@@ -169,14 +166,6 @@ class ConnectionSpec:
             alpha = [jet[..., plan.m:] for jet in jets]
             _add_projective_term(gamma, dgamma, ddgamma, alpha)
         return ConnectionValue(self.n, points, gamma, dgamma, ddgamma)
-
-    def metric_at(self, p) -> np.ndarray:
-        """Metric matrix g_ij at p (metric-sourced specs only)."""
-        if self.metric is None:
-            raise ValueError("not a metric-sourced connection")
-        p = np.asarray(p, dtype=float)
-        plan = self._plan()
-        return plan.entry_arrays(plan.tape.run(p[None], 0), 1)[0][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,18 +301,20 @@ def _add_projective_term(gamma, dgamma, ddgamma, alpha):
 
 def torsion(cv: ConnectionValue) -> TensorValue:
     """Torsion T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, variance (up, down, down)."""
-    data = cv.gamma - cv.gamma.transpose(0, 2, 1)
-    return TensorValue(cv.n, ("up", "down", "down"), data)
+    return TensorValue(cv.n, ("up", "down", "down"), cv.gamma - np.swapaxes(cv.gamma, -1, -2))
 
 
 def curvature(cv: ConnectionValue) -> TensorValue:
-    """Curvature R^l_{kij} in the fixed convention, variance (up, down, down, down)."""
+    """Curvature R^l_{kij} in the fixed convention, variance (up, down, down, down).
+
+    Raises DomainError naming the first point whose curvature is not finite.
+    """
     cv.require(1)
-    dg, g = cv.dgamma, cv.gamma
-    t1 = np.einsum("iljk->lkij", dg)
-    r = t1 - t1.transpose(0, 1, 3, 2)
-    t3 = np.einsum("lim,mjk->lkij", g, g)
-    r = r + t3 - t3.transpose(0, 1, 3, 2)
+    t1 = np.einsum("...iljk->...lkij", cv.dgamma)
+    t3 = np.einsum("...lim,...mjk->...lkij", cv.gamma, cv.gamma)
+    r = t1 - np.swapaxes(t1, -1, -2) + t3 - np.swapaxes(t3, -1, -2)
+    ex.refuse_where(~np.isfinite(r).all(axis=(-4, -3, -2, -1)), "curvature is not finite",
+                    None, cv.point.reshape(-1, cv.n))
     return TensorValue(cv.n, ("up", "down", "down", "down"), r)
 
 
@@ -331,26 +322,24 @@ def ricci(r: TensorValue) -> TensorValue:
     """Ricci r_ij = R^k_{jik}: trace of Z -> R(X, Z)Y over Z."""
     if r.variance != ("up", "down", "down", "down"):
         raise ValueError("ricci expects a curvature-variance tensor")
-    return TensorValue(r.n, ("down", "down"), np.einsum("kjik->ij", r.data))
+    return TensorValue(r.n, ("down", "down"), np.einsum("...kjik->...ij", r.data))
 
 
 def trace2form(r: TensorValue) -> TensorValue:
     """Trace 2-form s_ij = R^k_{kij} (trace of the curvature endomorphism)."""
     if r.variance != ("up", "down", "down", "down"):
         raise ValueError("trace2form expects a curvature-variance tensor")
-    return TensorValue(r.n, ("down", "down"), np.einsum("kkij->ij", r.data))
+    return TensorValue(r.n, ("down", "down"), np.einsum("...kkij->...ij", r.data))
 
 
 def curvature_derivative(cv: ConnectionValue) -> np.ndarray:
-    """Coordinate derivative d_m R^l_{kij}, as a raw array [m, l, k, i, j]."""
+    """Coordinate derivative d_m R^l_{kij}, as a raw array [..., m, l, k, i, j]."""
     cv.require(2)
     g, dg, ddg = cv.gamma, cv.dgamma, cv.ddgamma
-    t = np.einsum("miljk->mlkij", ddg)
-    out = t - t.transpose(0, 1, 2, 4, 3)
-    t = (np.einsum("mlip,pjk->mlkij", dg, g)
-         + np.einsum("lip,mpjk->mlkij", g, dg))
-    out = out + t - t.transpose(0, 1, 2, 4, 3)
-    return out
+    t = np.einsum("...miljk->...mlkij", ddg)
+    u = (np.einsum("...mlip,...pjk->...mlkij", dg, g)
+         + np.einsum("...lip,...mpjk->...mlkij", g, dg))
+    return t - np.swapaxes(t, -1, -2) + u - np.swapaxes(u, -1, -2)
 
 
 def second_bianchi_residual(cv: ConnectionValue) -> TensorValue:
@@ -364,17 +353,17 @@ def second_bianchi_residual(cv: ConnectionValue) -> TensorValue:
     r = curvature(cv).data
     dr = curvature_derivative(cv)
     nabla_r = (dr
-               + np.einsum("lap,pkij->alkij", g, r)
-               - np.einsum("pak,lpij->alkij", g, r)
-               - np.einsum("pai,lkpj->alkij", g, r)
-               - np.einsum("paj,lkip->alkij", g, r))
-    total = (np.einsum("alkbc->lkabc", nabla_r)
-             + np.einsum("blkca->lkabc", nabla_r)
-             + np.einsum("clkab->lkabc", nabla_r))
-    t = (g - g.transpose(0, 2, 1))
-    total = total + (np.einsum("pab,lkpc->lkabc", t, r)
-                     + np.einsum("pbc,lkpa->lkabc", t, r)
-                     + np.einsum("pca,lkpb->lkabc", t, r))
+               + np.einsum("...lap,...pkij->...alkij", g, r)
+               - np.einsum("...pak,...lpij->...alkij", g, r)
+               - np.einsum("...pai,...lkpj->...alkij", g, r)
+               - np.einsum("...paj,...lkip->...alkij", g, r))
+    total = (np.einsum("...alkbc->...lkabc", nabla_r)
+             + np.einsum("...blkca->...lkabc", nabla_r)
+             + np.einsum("...clkab->...lkabc", nabla_r))
+    t = torsion(cv).data
+    total = total + (np.einsum("...pab,...lkpc->...lkabc", t, r)
+                     + np.einsum("...pbc,...lkpa->...lkabc", t, r)
+                     + np.einsum("...pca,...lkpb->...lkabc", t, r))
     return TensorValue(cv.n, ("up",) + ("down",) * 4, total)
 
 

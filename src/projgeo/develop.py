@@ -75,15 +75,17 @@ class CartanFrame:
 
 
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
-    """Connection matrix of the induced bundle at cv.point, contracted with direction u."""
+    """Connection matrix of the induced bundle at each point of cv, contracted
+    with direction u: (..., n+1, n+1) for connection data stacked over (...)."""
     n = cv.n
     _, q, _ = weyl(curvature(cv))
-    a = -np.einsum("kki->i", cv.gamma) / (n + 1)
-    out = np.empty((n + 1, n + 1))
-    out[0, 0] = a @ u
-    out[0, 1:] = u @ q.data
-    out[1:, 0] = u
-    out[1:, 1:] = np.einsum("i,lim->lm", u, cv.gamma) + (a @ u) * np.eye(n)
+    au = (-np.einsum("...kki->...i", cv.gamma) / (n + 1)) @ u
+    out = np.empty(cv.gamma.shape[:-3] + (n + 1, n + 1))
+    out[..., 0, 0] = au
+    out[..., 0, 1:] = np.einsum("i,...ij->...j", u, q.data)
+    out[..., 1:, 0] = u
+    out[..., 1:, 1:] = (np.einsum("i,...lim->...lm", u, cv.gamma)
+                        + au[..., None, None] * np.eye(n))
     return out
 
 
@@ -133,8 +135,7 @@ def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
             fresh = [s for s in dict.fromkeys(nodes) if s not in a_cache]
             if fresh:
                 xs = p0 + np.array(fresh)[:, None] * u
-                for s, cv in zip(fresh, spec.evaluate_many(xs, derivs=1).rows()):
-                    a_cache[s] = _hat_matrix(cv, u)
+                a_cache.update(zip(fresh, _hat_matrix(spec.evaluate_many(xs, derivs=1), u)))
             full = rk4(phi, t, h)
             half = rk4(rk4(phi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
             err = float(np.max(np.abs(full - half)))

@@ -31,7 +31,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
     "Jet3", "Tape", "parse", "to_text", "compile_tape", "eval_jet", "jet_partial",
-    "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point",
+    "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point", "refuse_where",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -330,7 +330,7 @@ class Tape:
         (P, n, n), (P, n, n, n) up to `order`; a partial that vanishes
         identically is not stored, so constants carry none, and a slot is
         released after its last reader. Raises DomainError naming the first
-        point at which an operation leaves its domain.
+        point at which an operation leaves its domain or an output overflows.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.n:
@@ -374,6 +374,8 @@ class Tape:
                 slots[b] = None
             if drop & 4:
                 slots[i] = None
+        bad = np.any([~np.isfinite(d).reshape(count, -1).all(axis=1) for d in out], axis=0)
+        refuse_where(bad, "value or partial is not finite", None, points)
         return out
 
 
@@ -444,7 +446,7 @@ def _compose(f, h):
     return jet
 
 
-def _refuse_where(bad, message: str, v, points) -> None:
+def refuse_where(bad, message: str, v, points) -> None:
     """Raise DomainError at the first point where `bad` holds (v: its argument value)."""
     if np.any(bad):
         r = int(np.argmax(bad))
@@ -460,12 +462,12 @@ def _outer_derivs(op: str, v, lit, order: int, points) -> list:
     reads those up to `order`.
     """
     if op == "inv":
-        _refuse_where(v == 0.0, "division by zero", None, points)
+        refuse_where(v == 0.0, "division by zero", None, points)
         h = [1.0 / v]
         if order:
             h += [-1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
     elif op == "pow":
-        _refuse_where(v <= 0.0, "non-integer power of non-positive base", v, points)
+        refuse_where(v <= 0.0, "non-integer power of non-positive base", v, points)
         a = lit
         h = [v**a]
         if order:
@@ -485,12 +487,12 @@ def _outer_derivs(op: str, v, lit, order: int, points) -> list:
     elif op == "exp":
         h = [np.exp(v)] * 4
     elif op == "ln":
-        _refuse_where(v <= 0.0, "ln of non-positive value", v, points)
+        refuse_where(v <= 0.0, "ln of non-positive value", v, points)
         h = [np.log(v)]
         if order:
             h += [1.0 / v, -1.0 / v**2, 2.0 / v**3]
     elif op == "sqrt":
-        _refuse_where(v <= 0.0, "sqrt of non-positive value", v, points)
+        refuse_where(v <= 0.0, "sqrt of non-positive value", v, points)
         s = np.sqrt(v)
         h = [s]
         if order:

@@ -158,15 +158,12 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
     worst_w = 0.0
     worst_c: float | None = 0.0 if n == 2 else None
     for block in point_blocks(points):
-        rows_a = spec.evaluate_many(block, derivs=derivs).rows()
-        rows_b = changed.evaluate_many(block, derivs=derivs).rows()
-        for cv_a, cv_b in zip(rows_a, rows_b):
-            w_a, _, _ = weyl(curvature(cv_a), tol=tol)
-            w_b, _, _ = weyl(curvature(cv_b), tol=tol)
-            worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
-            if n == 2:
-                c_a, c_b = cotton(cv_a, tol=tol), cotton(cv_b, tol=tol)
-                worst_c = max(worst_c, float(np.max(np.abs(c_a.data - c_b.data))))
+        cv_a, cv_b = (s.evaluate_many(block, derivs=derivs) for s in (spec, changed))
+        w_a, w_b = (weyl(curvature(cv), tol=tol).W for cv in (cv_a, cv_b))
+        worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
+        if n == 2:
+            c_a, c_b = cotton(cv_a, tol=tol), cotton(cv_b, tol=tol)
+            worst_c = max(worst_c, float(np.max(np.abs(c_a.data - c_b.data))))
     return WeylInvariance(n, worst_w, worst_c)
 
 
@@ -192,18 +189,20 @@ def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     if points is None:
         points = sample_points(n, 10, seed=11)
     eye = np.eye(n)
-    worst = 0.0
-    alphas = []
-    for block in point_blocks(points):
-        d = (spec_b.evaluate_many(block, derivs=0).gamma
-             - spec_a.evaluate_many(block, derivs=0).gamma)
-        alpha = np.einsum("...kik->...i", d) / (n + 1)
-        alphas.append(alpha)
-        recon = (np.einsum("...i,kj->...kij", alpha, eye)
-                 + np.einsum("...j,ki->...kij", alpha, eye))
-        worst = max(worst, float(np.max(np.abs(d - recon))))
-    return Equivalence(worst <= tol, worst,
-                       np.concatenate(alphas) if alphas else np.zeros((0, n)))
+    d = _gamma_difference(spec_a, spec_b, points)
+    alpha = np.einsum("...kik->...i", d) / (n + 1)
+    recon = (np.einsum("...i,kj->...kij", alpha, eye)
+             + np.einsum("...j,ki->...kij", alpha, eye))
+    worst = float(np.max(np.abs(d - recon), initial=0.0))
+    return Equivalence(worst <= tol, worst, alpha)
+
+
+def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) -> np.ndarray:
+    """Gamma_B - Gamma_A at each row of points (P, n), as (P, n, n, n)."""
+    n = spec_a.n
+    return np.concatenate([np.zeros((0, n, n, n))] + [
+        spec_b.evaluate_many(block, derivs=0).gamma - spec_a.evaluate_many(block, derivs=0).gamma
+        for block in point_blocks(points)])
 
 
 @dataclass
@@ -265,9 +264,8 @@ def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> Tors
 
     worst_t1 = 0.0
     for block in point_blocks(points):
-        for cv in spec.evaluate_many(block, derivs=0).rows():
-            t1, _ = torsion_split(torsion(cv))
-            worst_t1 = max(worst_t1, norm(t1))
+        t1, _ = torsion_split(torsion(spec.evaluate_many(block, derivs=0)))
+        worst_t1 = max(worst_t1, norm(t1))
     if worst_t1 > tol:
         return TorsionRemoval(False, worst_t1, None, None)
     return TorsionRemoval(True, worst_t1,
@@ -310,14 +308,12 @@ def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     rng = np.random.default_rng(seed)
     js = [random_complex_structure(n, rng) for _ in range(j_samples)]
     worst = 0.0
-    for block in point_blocks(points):
-        diffs = (spec_b.evaluate_many(block, derivs=0).gamma
-                 - spec_a.evaluate_many(block, derivs=0).gamma)
-        for a in diffs:  # a[k, x, y] = A(d_x) d_y coefficient
-            for j in js:
-                jp = j + 1j * np.eye(n)
-                jm = j - 1j * np.eye(n)
-                proj = np.einsum("lk,kbc,bx,cy->lxy", jp, a.astype(complex), jm, jm)
-                scale = (1.0 + float(np.max(np.abs(j)))) ** 3
-                worst = max(worst, float(np.max(np.abs(proj))) / scale)
+    # a[p, k, x, y] = A(d_x) d_y coefficient at point p
+    a = _gamma_difference(spec_a, spec_b, points).astype(complex)
+    for j in js:
+        jp = j + 1j * np.eye(n)
+        jm = j - 1j * np.eye(n)
+        proj = np.einsum("lk,pkbc,bx,cy->plxy", jp, a, jm, jm)
+        scale = (1.0 + float(np.max(np.abs(j)))) ** 3
+        worst = max(worst, float(np.max(np.abs(proj), initial=0.0)) / scale)
     return TwistorComparison(worst <= tol, worst)

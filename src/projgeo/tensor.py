@@ -3,7 +3,9 @@
 A TensorValue is a rank-r array over an n-dimensional chart (n <= 8), row-major,
 with each slot marked "up" (vector) or "down" (covector). All the curvature
 machinery stores its results in this form, e.g. curvature R^l_{kij} has variance
-("up", "down", "down", "down").
+("up", "down", "down", "down"). The variance describes the trailing r axes of
+the data; any leading axes index sample points, so one value can hold a stack
+of tensors, and slot operations address slots counted from the end.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class TensorValue:
             raise ValueError(f"variance entries must be 'up' or 'down': {self.variance}")
         expected = (self.n,) * len(self.variance)
         arr = np.asarray(self.data, dtype=float)
-        if arr.shape != expected:
-            raise ValueError(f"data shape {arr.shape} does not match {expected}")
+        if arr.shape[arr.ndim - len(expected):] != expected:
+            raise ValueError(f"data shape {arr.shape} does not end in {expected}")
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "variance", tuple(self.variance))
 
@@ -72,7 +74,7 @@ def contract(t: TensorValue, a: int, b: int) -> TensorValue:
         raise VarianceMismatch(
             f"contract needs one up and one down slot, got "
             f"({t.variance[a]}, {t.variance[b]})")
-    data = np.trace(t.data, axis1=a, axis2=b)
+    data = np.trace(t.data, axis1=a - t.rank, axis2=b - t.rank)
     variance = tuple(v for i, v in enumerate(t.variance) if i not in (a, b))
     return TensorValue(t.n, variance, data)
 
@@ -82,7 +84,7 @@ def swap(t: TensorValue, a: int, b: int) -> TensorValue:
     _check_slots(t, a, b)
     if t.variance[a] != t.variance[b]:
         raise VarianceMismatch("swap needs slots of equal variance")
-    return TensorValue(t.n, t.variance, np.swapaxes(t.data, a, b))
+    return TensorValue(t.n, t.variance, np.swapaxes(t.data, a - t.rank, b - t.rank))
 
 
 def sym2(t: TensorValue, a: int = 0, b: int = 1) -> TensorValue:
@@ -98,7 +100,7 @@ def alt2(t: TensorValue, a: int = 0, b: int = 1) -> TensorValue:
 
 
 def norm(t: TensorValue) -> float:
-    """Max-abs entry norm."""
+    """Max-abs entry norm; for a stack, that of its worst point."""
     return float(np.max(np.abs(t.data))) if t.data.size else 0.0
 
 

@@ -17,10 +17,11 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from .connection import ConnectionSpec, ConnectionValue, torsion
+from .expr import DomainError, at_point
 from .tensor import OddDimension, norm
 
 __all__ = [
-    "NotAlmostComplex", "OddDimension", "TwistorPoint", "TwistorChart",
+    "NotAlmostComplex", "StepTooSmall", "OddDimension", "TwistorPoint", "TwistorChart",
     "standard_complex_structure", "random_complex_structure",
     "mild_complex_structure", "anticommutant_basis", "twistor_acs",
     "acs_field_matrix", "nijenhuis", "nijenhuis_fields",
@@ -32,6 +33,10 @@ ACS_SQUARE_TOL = 1e-12
 
 class NotAlmostComplex(ValueError):
     """The endomorphism does not square to minus the identity."""
+
+
+class StepTooSmall(ValueError):
+    """A finite-difference step leaves unchanged a coordinate its direction moves."""
 
 
 def standard_complex_structure(n: int) -> np.ndarray:
@@ -164,19 +169,22 @@ class TwistorChart:
         return TwistorPoint(np.asarray(x, dtype=float), _polish(j))
 
 
-def _structure_matrix(gamma: np.ndarray, chart: TwistorChart,
+def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
                       m_coords: np.ndarray) -> np.ndarray:
-    """Matrix of the almost complex structure at chart coordinates (x, m).
+    """Matrix of the almost complex structure at chart coordinates (cv.point, m).
 
     Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
     exponential supplying the chart-to-intrinsic conversion, and a least
-    squares solve inverting it again after j acts.
+    squares solve inverting it again after j acts. A fibre point that
+    overflows raises DomainError.
     """
     n, d = chart.n, chart.fibre_dim
-    j0 = chart.anchor.j
+    j0, gamma = chart.anchor.j, cv.gamma
     m = chart.fibre_matrix(m_coords)
     e2m = expm(2.0 * m)
+    if not np.isfinite(e2m).all():
+        raise DomainError(f"twistor fibre point exp(2m) j is not finite {at_point(cv.point)}")
     jp = e2m @ j0
 
     # columns of the linear map mdot-coords -> jdot matrices, and its inverse
@@ -219,14 +227,13 @@ def twistor_acs(cv: ConnectionValue, tp: TwistorPoint) -> np.ndarray:
     if tp.x.size != cv.n:
         raise ValueError("twistor point dimension does not match the connection")
     chart = TwistorChart(tp)
-    return _structure_matrix(cv.gamma, chart, np.zeros(chart.fibre_dim))
+    return _structure_matrix(cv, chart, np.zeros(chart.fibre_dim))
 
 
 def acs_field_matrix(spec: ConnectionSpec, chart: TwistorChart,
                      x: np.ndarray, m_coords: np.ndarray) -> np.ndarray:
     """The structure matrix at displaced chart coordinates (x, m)."""
-    cv = spec.evaluate(x, derivs=0)
-    return _structure_matrix(cv.gamma, chart, m_coords)
+    return _structure_matrix(spec.evaluate(x, derivs=0), chart, m_coords)
 
 
 def nijenhuis_fields(spec: ConnectionSpec, tp: TwistorPoint, pairs,
@@ -237,7 +244,8 @@ def nijenhuis_fields(spec: ConnectionSpec, tp: TwistorPoint, pairs,
     N(U, V) = [JU, JV] - [U, V] - J[JU, V] - J[U, JV], every bracket computed
     by central finite differences of the relevant field with step h. The
     structure matrix is memoized per chart point, so constant-coefficient
-    pairs cost nine evaluations each.
+    pairs cost nine evaluations each. A step h too small to move every chart
+    coordinate its direction moves raises StepTooSmall.
     """
     from .algebra import HasTorsion
 
@@ -260,6 +268,9 @@ def nijenhuis_fields(spec: ConnectionSpec, tp: TwistorPoint, pairs,
 
     def bracket(af, bf) -> np.ndarray:
         a0, b0 = af(z0), bf(z0)
+        if any(np.any((z0 + h * v == z0) & (v != 0)) for v in (a0, b0)):
+            raise StepTooSmall(f"step h = {h:.3g} leaves a chart coordinate "
+                               f"unchanged {at_point(tp.x)}")
         da = (bf(z0 + h * a0) - bf(z0 - h * a0)) / (2.0 * h)
         db = (af(z0 + h * b0) - af(z0 - h * b0)) / (2.0 * h)
         return da - db

@@ -229,6 +229,8 @@ def test_negative_leading_coordinates(capsys):
 
 
 NESTED = "(" * 1000 + "x1" + ")" * 1000
+# Gamma is finite near x1 = 0.39, its square is not
+OVERFLOW_CURVATURE = b"dim = 3\n[christoffel]\nG 1 1 1 = exp(1000*x1)\nG 2 1 1 = x2*x3\n"
 
 # One row per malformed input: argv ({tmp} is the test's directory), the files
 # to write there, and a fragment the error message must carry. Rows that come
@@ -277,6 +279,27 @@ MALFORMED = {
                      "line 3: expression nested too deeply"),
     "out-dir-missing": (["analyze", str(chart_path("sphere2.chart")), "--point", "0,0",
                          "--out", "{tmp}/no-such-dir/report.json"], {}, "No such file"),
+    "gamma-overflow": (["twistor", "{tmp}/a.chart", "--samples", "3"],
+                       {"a.chart": b"dim = 4\n[christoffel]\nG 1 1 1 = exp(3000*x1)\n"
+                                   b"G 2 1 1 = x2*x3\n"},
+                       "twistor fibre point exp(2m) j is not finite at x = ("),
+    "gamma-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "0.3,0.1"],
+                               {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 1 = exp(3000*x1)\n"},
+                               "value or partial is not finite at x = (0.3, 0.1)"),
+    "curvature-overflow-invariance": (["invariance", "{tmp}/a.chart",
+                                       "--alpha", "{tmp}/zero.alpha"],
+                                      {"a.chart": OVERFLOW_CURVATURE, "zero.alpha": b"dim = 3\n"},
+                                      "curvature is not finite at x = ("),
+    "curvature-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "0.39,0.1,0.1"],
+                                   {"a.chart": OVERFLOW_CURVATURE},
+                                   "curvature is not finite at x = (0.39, 0.1, 0.1)"),
+    "cotton-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "0.352,0.1"],
+                                {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 1 = exp(1000*x1)\n"
+                                            b"G 1 2 2 = exp(1000*x1)\nG 2 1 2 = x1*x2\n"
+                                            b"G 2 2 1 = x1*x2\n"},
+                                "Cotton tensor is not finite at x = (0.352, 0.1)"),
+    "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
+                     "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
 }
 
 

@@ -183,6 +183,17 @@ def test_domain_errors_name_the_first_offending_point():
         tape.run(points, 1)
 
 
+def test_overflow_is_refused_at_the_first_point_it_reaches():
+    tape = compile_tape([parse("exp(709*x1)", 2)], 2)
+    points = np.array([[0.5, 0.0], [1.0, 0.2], [2.0, 0.0]])
+    # the value overflows at x1 = 2, its first partial already at x1 = 1
+    with pytest.raises(DomainError, match=r"not finite at x = \(2, 0\)"):
+        tape.run(points, 0)
+    with pytest.raises(DomainError, match=r"not finite at x = \(1, 0\.2\)"):
+        tape.run(points, 1)
+    assert np.isfinite(tape.run(points[:1], 3)[3]).all()
+
+
 def test_order_zero_runs_carry_values_only():
     out = compile_tape([parse("x1*x2", 2), parse("3", 2)], 2).run(
         np.array([[2.0, 5.0], [1.0, -1.0]]), 0)

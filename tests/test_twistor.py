@@ -8,7 +8,7 @@ from projgeo.algebra import HasTorsion
 from projgeo.connection import load_chart, parse_chart
 from projgeo.projective import projective_change
 from projgeo.tensor import OddDimension
-from projgeo.twistor import (NotAlmostComplex, TwistorChart, TwistorPoint,
+from projgeo.twistor import (NotAlmostComplex, StepTooSmall, TwistorChart, TwistorPoint,
                              acs_field_matrix, anticommutant_basis,
                              coordinate_pairs, integrability_verdict,
                              mild_complex_structure, nijenhuis,
@@ -163,6 +163,16 @@ def test_curved_witness_obstructs():
     res = nijenhuis(spec, tp, coordinate_pairs(12, 4, rng))
     assert res > 1e-2
     assert integrability_verdict(res) == "obstruction detected"
+
+
+def test_step_that_moves_no_coordinate_is_refused():
+    spec = load_chart(chart_path("witness4.chart"))
+    rng = np.random.default_rng(66)
+    tp = sample_twistor_points(4, 1, rng)[0]
+    pairs = coordinate_pairs(12, 4, rng)
+    assert integrability_verdict(nijenhuis(spec, tp, pairs)) == "obstruction detected"
+    with pytest.raises(StepTooSmall, match="step h = 1e-300"):
+        nijenhuis(spec, tp, pairs, h=1e-300)
 
 
 def test_antisymmetry_of_the_defect():
