@@ -58,7 +58,8 @@ POINT_BLOCK = 8
 
 
 def point_blocks(points) -> "list[np.ndarray]":
-    """Consecutive blocks of at most POINT_BLOCK rows of a (P, n) point array."""
+    """Consecutive blocks of at most POINT_BLOCK rows of a 2-D array: a (P, n)
+    point array, or any stack of flattened rows."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return [points[start:start + POINT_BLOCK]
             for start in range(0, points.shape[0], POINT_BLOCK)]

@@ -89,9 +89,9 @@ def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
-                     tol: float = 1e-10, domain: float | None = None) -> CartanFrame:
-    """Integrate the frame ODE dPhi/dt = Phi A(gamma(t)) along a polyline.
+def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
+                     domain: float | None = None) -> CartanFrame:
+    """Integrate the frame ODE dPhi/dt = Phi A(gamma(t)) from Phi = I along a polyline.
 
     `path` is a list of vertices; each segment is traversed with classical
     RK4 under step doubling, error target `tol` per unit length. The returned
@@ -104,7 +104,7 @@ def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
         raise ValueError("path vertices do not match the chart dimension")
     if domain is not None and np.any(np.abs(path) > domain):
         raise PathOutsideDomain(f"path leaves the box of half-width {domain}")
-    phi = np.eye(n + 1) if phi0 is None else np.array(phi0, dtype=float)
+    phi = np.eye(n + 1)
     total_err = 0.0
 
     for p0, p1 in zip(path[:-1], path[1:]):
@@ -156,15 +156,15 @@ def cartan_transport(spec: ConnectionSpec, path, phi0: np.ndarray | None = None,
     return CartanFrame(phi, path[0].copy(), path[-1].copy(), total_err)
 
 
-def holonomy_loops(x0: np.ndarray, seed: int = 0,
-                   sides=(0.1, 0.2)) -> "list[np.ndarray]":
-    """Eight seeded square loops through x0 in coordinate 2-planes."""
+def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
+    """Eight seeded square loops through x0 in coordinate 2-planes, with sides
+    0.1 and 0.2 in turn."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     rng = np.random.default_rng(seed)
     loops = []
     for idx in range(8):
-        s = sides[idx % len(sides)]
+        s = (0.1, 0.2)[idx % 2]
         if n == 2:
             i, j = 0, 1
         else:
@@ -217,8 +217,7 @@ class DevelopedPoint:
 
 
 def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float = 1e-7,
-                seed: int = 0, step_tol: float = 1e-10,
-                domain: float | None = None) -> "list[DevelopedPoint]":
+                seed: int = 0) -> "list[DevelopedPoint]":
     """Develop targets into projective space from base x0.
 
     Flatness is certified first on the seeded loop family (NotFlat on
@@ -227,16 +226,16 @@ def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float = 1e-7,
     column and the two-path discrepancy is reported per target.
     """
     x0 = np.asarray(x0, dtype=float)
-    defect = flatness_defect(spec, x0, seed=seed, tol=step_tol)
+    defect = flatness_defect(spec, x0, seed=seed)
     if defect > flat_tol:
         raise NotFlat(defect, flat_tol)
     rng = np.random.default_rng(seed + 1)
     out = []
     for raw in np.atleast_2d(np.asarray(targets, dtype=float)):
-        frame = cartan_transport(spec, [x0, raw], tol=step_tol, domain=domain)
+        frame = cartan_transport(spec, [x0, raw])
         first = ProjectivePoint(frame.phi[:, 0])
         mid = 0.5 * (x0 + raw) + rng.uniform(-0.05, 0.05, x0.size)
-        frame2 = cartan_transport(spec, [x0, mid, raw], tol=step_tol, domain=domain)
+        frame2 = cartan_transport(spec, [x0, mid, raw])
         second = ProjectivePoint(frame2.phi[:, 0])
         err = float(np.max(np.abs(first.homogeneous - second.homogeneous)))
         out.append(DevelopedPoint(raw.copy(), first, err))

@@ -285,10 +285,10 @@ class TwistorComparison:
 
 
 def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
-                           points=None, j_samples: int = 10, seed: int = 0,
+                           points=None, seed: int = 0,
                            tol: float = 1e-8) -> TwistorComparison:
     """Whether the difference tensor A = Gamma_B - Gamma_A is invisible to every
-    almost complex structure: (j + i) A((j - i) X)(j - i) = 0 for sampled j.
+    almost complex structure: (j + i) A((j - i) X)(j - i) = 0 for 10 sampled j.
 
     The projection isolates the 3i-eigencomponent of A; for torsion-free pairs
     a zero residual is equivalent to projective equivalence, and trace-type
@@ -306,7 +306,7 @@ def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     if points is None:
         points = sample_points(n, 3, seed=seed + 1)
     rng = np.random.default_rng(seed)
-    js = [random_complex_structure(n, rng) for _ in range(j_samples)]
+    js = [random_complex_structure(n, rng) for _ in range(10)]
     worst = 0.0
     # a[p, k, x, y] = A(d_x) d_y coefficient at point p
     a = _gamma_difference(spec_a, spec_b, points).astype(complex)

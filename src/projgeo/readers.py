@@ -78,13 +78,14 @@ def read_numbers(text: str, count: int | None = None, kind: type = float) -> lis
 
 
 def read_dim(lineno: int, rhs: str) -> int:
-    """The chart dimension of a `dim = n` header."""
+    """The chart dimension of a `dim = n` header: 2 to MAX_DIM, since the
+    projective decomposition and the holonomy loops need a 2-plane."""
     try:
         (n,) = read_numbers(rhs, 1, int)
     except ChartError:
         raise ChartError(f"line {lineno}: dim must be an integer") from None
-    if not 1 <= n <= MAX_DIM:
-        raise ChartError(f"line {lineno}: dim must be in 1..{MAX_DIM}")
+    if not 2 <= n <= MAX_DIM:
+        raise ChartError(f"line {lineno}: dim must be in 2..{MAX_DIM}")
     return n
 
 

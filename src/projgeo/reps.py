@@ -7,8 +7,10 @@ irreducible with the defining representation V (or its dual) splits with
 multiplicity one, the components being indexed by the dominant sums of the
 highest weight with the weights of the factor. Dimensions come from the
 classical product formula, and the census realizes each component as the
-image of an explicit equivariant projector to read off which eigenvalues the
-standard complex structure takes on it.
+image of an equivariant projector to read off which eigenvalues the standard
+complex structure takes on it. The projectors are those of projgeo.algebra
+(torsion_split, bianchi_project, weyl, wedge_id), the ones the verdicts use,
+so the census is also an equivariance and dimension check on that algebra.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import OddDimension
+from .algebra import bianchi_project, torsion_split, wedge_id, weyl
+from .connection import point_blocks, trace2form
+from .tensor import OddDimension, TensorValue, alt2, sym2
 from .twistor import standard_complex_structure
 
 __all__ = [
@@ -148,105 +152,52 @@ class IrrepComponent:
     spectrum: "dict[int, int]"  # imaginary part k -> multiplicity of eigenvalue ik
 
 
-def _torsion_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of {T^l_{ij} antisymmetric in ij}, flattened rows."""
-    rows = []
-    s = 1.0 / np.sqrt(2.0)
-    for l in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                t = np.zeros((n, n, n))
-                t[l, i, j] = s
-                t[l, j, i] = -s
-                rows.append(t.ravel())
-    return np.array(rows)
+def _antisymmetric_basis(n: int, rank: int) -> np.ndarray:
+    """Orthonormal basis of the rank-`rank` tensors antisymmetric in their last
+    two slots, as flattened rows; the leading slots vary slowest."""
+    i, j = np.triu_indices(n, 1)
+    pairs = np.zeros((i.size, n, n))
+    pairs[np.arange(i.size), i, j] = 1.0 / np.sqrt(2.0)
+    pairs[np.arange(i.size), j, i] = -1.0 / np.sqrt(2.0)
+    return np.kron(np.eye(n ** (rank - 2)), pairs.reshape(i.size, n * n))
 
 
-def _curvature_basis(n: int) -> np.ndarray:
-    rows = []
-    s = 1.0 / np.sqrt(2.0)
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a = np.zeros((n, n, n, n))
-                    a[l, k, i, j] = s
-                    a[l, k, j, i] = -s
-                    rows.append(a.ravel())
-    return np.array(rows)
+def _curvature_pieces(a: TensorValue) -> "list[TensorValue]":
+    """The alternating branch (trace-free, trace), then W and the symmetric and
+    skew [Q ^ Id] parts of the Bianchi branch."""
+    n = a.n
+    lam3 = bianchi_project(a)
+    # Id (x) omega: its alternating projection has trace 2-form (n-2)/3 omega
+    embedded = np.einsum("lk,...ij->...lkij", np.eye(n), trace2form(lam3).data)
+    trace = bianchi_project(TensorValue(n, a.variance, embedded)).data * (3.0 / (n - 2))
+    w, q, _ = weyl(TensorValue(n, a.variance, a.data - lam3.data))
+    return [TensorValue(n, a.variance, data) for data in
+            (lam3.data - trace, trace, w.data, -wedge_id(sym2(q)).data, -wedge_id(alt2(q)).data)]
 
 
-def _torsion_projectors(n: int):
-    eye = np.eye(n)
+def _matrix_of(linear, basis: np.ndarray, n: int, rank: int) -> np.ndarray:
+    """Matrix, in the orthonormal basis rows, of a linear map on stacked tensors.
 
-    def trace_part(t):
-        alpha = np.einsum("kjk->j", t) / (n - 1)
-        return (np.einsum("i,kj->kij", alpha, eye)
-                - np.einsum("j,ki->kij", alpha, eye))
-
-    return [lambda t: t - trace_part(t), trace_part]
-
-
-def _curvature_projectors(n: int):
-    eye = np.eye(n)
-
-    def cyc(a):
-        return (a + np.einsum("lijk->lkij", a) + np.einsum("ljki->lkij", a)) / 3.0
-
-    def wedge(q):
-        return (np.einsum("ji,lk->lkij", q, eye) - np.einsum("ij,lk->lkij", q, eye)
-                - np.einsum("ik,lj->lkij", q, eye) + np.einsum("jk,li->lkij", q, eye))
-
-    def embed(omega):
-        return cyc(np.einsum("lk,ij->lkij", eye, omega))
-
-    # Schur scalar of (trace after embed) on 2-forms, from a probe
-    probe = np.zeros((n, n))
-    probe[0, 1], probe[1, 0] = 1.0, -1.0
-    c = np.einsum("kkij->ij", embed(probe))[0, 1]
-
-    def lam3_trace(a):
-        return embed(np.einsum("kkij->ij", cyc(a))) / c
-
-    def lam3_tracefree(a):
-        return cyc(a) - lam3_trace(a)
-
-    def ricci_of(a):
-        return np.einsum("kjik->ij", a)
-
-    def sym_part(a):
-        r = ricci_of(a - cyc(a))
-        return wedge(-(r + r.T) / (2.0 * (n - 1)))
-
-    def skew_part(a):
-        r = ricci_of(a - cyc(a))
-        return wedge(-(r - r.T) / (2.0 * (n + 1)))
-
-    def weyl_part(a):
-        b = a - cyc(a)
-        return b - sym_part(a) - skew_part(a)
-
-    return [lam3_tracefree, lam3_trace, weyl_part, sym_part, skew_part]
+    The basis is walked in blocks of rows, and each block's coordinates are
+    written into the one output matrix, so only a block's images are held.
+    """
+    variance = ("up",) + ("down",) * (rank - 1)
+    out = np.empty((len(basis), len(basis)))
+    start = 0
+    for block in point_blocks(basis):
+        image = linear(TensorValue(n, variance, block.reshape((-1,) + (n,) * rank))).data
+        out[:, start:start + len(block)] = basis @ image.reshape(len(block), -1).T
+        start += len(block)
+    return out
 
 
-def _lie_action_matrix(x: np.ndarray, basis: np.ndarray, rank: int) -> np.ndarray:
-    """Matrix of the Lie-algebra action of x on the spanned tensor space."""
-    n = x.shape[0]
-    shape = (n,) * rank
-    cols = []
-    for row in basis:
-        a = row.reshape(shape)
-        if rank == 3:
-            act = (np.einsum("lm,mij->lij", x, a)
-                   - np.einsum("lmj,mi->lij", a, x)
-                   - np.einsum("lim,mj->lij", a, x))
-        else:
-            act = (np.einsum("lm,mkij->lkij", x, a)
-                   - np.einsum("lmij,mk->lkij", a, x)
-                   - np.einsum("lkmj,mi->lkij", a, x)
-                   - np.einsum("lkim,mj->lkij", a, x))
-        cols.append(basis @ act.ravel())
-    return np.array(cols).T
+def _lie_action(x: np.ndarray, a: TensorValue) -> TensorValue:
+    """The action of x in gl(n) on a stack of tensors with one up slot, then down slots."""
+    d = a.data
+    out = np.einsum("lm,bm...->bl...", x, d)
+    for axis in range(2, d.ndim):
+        out -= np.moveaxis(np.moveaxis(d, axis, -1) @ x, -1, axis)
+    return TensorValue(a.n, a.variance, out)
 
 
 def j0_census(space: str, n: int) -> "list[IrrepComponent]":
@@ -255,8 +206,12 @@ def j0_census(space: str, n: int) -> "list[IrrepComponent]":
     Realizes each irreducible component as the image of its projector on an
     orthonormal tensor basis, restricts the induced Lie-algebra action of j0,
     and counts eigenvalue-ik multiplicities by the rank defect of (M - ik I),
-    tolerance 1e-8. Labels are attached positionally from the decomposition
-    lists and cross-checked against the product dimension formula.
+    tolerance 1e-8. The projectors are the projective decomposition of
+    projgeo.algebra applied to the basis as stacked tensors; the trace part of
+    the alternating branch is rescaled by the closed-form Schur scalar
+    (n-2)/3. One component's matrix is built at a time. Labels are attached
+    positionally from the decomposition lists and cross-checked against the
+    product dimension formula.
     """
     if n % 2 != 0:
         raise OddDimension("the census pairs coordinates into 2-planes")
@@ -264,26 +219,19 @@ def j0_census(space: str, n: int) -> "list[IrrepComponent]":
         raise ValueError(
             "census supports n = 4 and 6; the generic component lists collapse at n = 2")
     if space == "torsion":
-        basis, rank = _torsion_basis(n), 3
-        projectors = _torsion_projectors(n)
-        labels = torsion_component_weights(n)
+        rank, pieces, labels = 3, torsion_split, torsion_component_weights(n)
     elif space == "curvature":
-        basis, rank = _curvature_basis(n), 4
-        projectors = _curvature_projectors(n)
-        labels = curvature_component_weights(n)
+        rank, pieces, labels = 4, _curvature_pieces, curvature_component_weights(n)
     else:
         raise ValueError(f"space must be 'torsion' or 'curvature', got {space!r}")
-    if len(labels) != len(projectors):
-        # n <= 3 collapses branch labels; the census only supports n where
-        # the generic component count holds
-        raise ValueError(f"component labels degenerate at n={n}")
 
-    shape = (n,) * rank
-    action = _lie_action_matrix(standard_complex_structure(n), basis, rank)
+    basis = _antisymmetric_basis(n, rank)
+    j0 = standard_complex_structure(n)
+    action = _matrix_of(lambda a: _lie_action(j0, a), basis, n, rank)
 
     out = []
-    for proj, label in zip(projectors, labels):
-        cols = np.array([basis @ proj(row.reshape(shape)).ravel() for row in basis]).T
+    for index, label in enumerate(labels):
+        cols = _matrix_of(lambda a: pieces(a)[index], basis, n, rank)
         u, sv, _ = np.linalg.svd(cols)
         d = int(np.sum(sv > 1e-8))
         expected = weyl_dim(label, n)

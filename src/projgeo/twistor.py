@@ -77,17 +77,16 @@ def random_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("could not draw a well-conditioned conjugating matrix")
 
 
-def mild_complex_structure(n: int, rng: np.random.Generator,
-                           spread: float = 0.25) -> np.ndarray:
-    """A generic but well-conditioned structure q (I + spread A) j0 (...)^{-1}.
+def mild_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A generic but well-conditioned structure q (I + A/4) j0 (...)^{-1}.
 
-    Conjugating by an orthogonal q keeps |j| = 1; the extra (I + spread A)
+    Conjugating by an orthogonal q keeps |j| = 1; the extra (I + A/4)
     factor moves j off the orthogonal orbit while keeping the condition number
     near 1, which is what finite-difference work on the fibre needs.
     """
     j0 = standard_complex_structure(n)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    g = q @ (np.eye(n) + spread * rng.uniform(-1.0, 1.0, size=(n, n)))
+    g = q @ (np.eye(n) + 0.25 * rng.uniform(-1.0, 1.0, size=(n, n)))
     return _polish(g @ j0 @ np.linalg.inv(g))
 
 
@@ -297,21 +296,21 @@ def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
     return nijenhuis_fields(spec, tp, as_fields, h=h)
 
 
-def integrability_verdict(residual: float,
-                          pass_tol: float = 1e-5,
-                          fail_tol: float = 1e-2) -> str:
-    """Threshold reading of a Nijenhuis residual from the finite-difference test."""
-    if residual <= pass_tol:
+def integrability_verdict(residual: float) -> str:
+    """Threshold reading of a Nijenhuis residual from the finite-difference test:
+    at most 1e-5 passes, at least 1e-2 fails."""
+    if residual <= 1e-5:
         return "integrable at sample"
-    if residual >= fail_tol:
+    if residual >= 1e-2:
         return "obstruction detected"
     return "inconclusive - refine h"
 
 
-def sample_twistor_points(n: int, count: int, rng: np.random.Generator,
-                          half_width: float = 0.4) -> "list[TwistorPoint]":
-    """Seeded twistor samples: box-uniform base points, well-conditioned structures."""
-    return [TwistorPoint(rng.uniform(-half_width, half_width, n),
+def sample_twistor_points(n: int, count: int,
+                          rng: np.random.Generator) -> "list[TwistorPoint]":
+    """Seeded twistor samples: base points uniform in the box |x_i| <= 0.4,
+    well-conditioned structures."""
+    return [TwistorPoint(rng.uniform(-0.4, 0.4, n),
                          mild_complex_structure(n, rng))
             for _ in range(count)]
 

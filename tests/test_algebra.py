@@ -1,5 +1,7 @@
 """Bracket algebra and the curvature decomposition pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from projgeo.algebra import (AlgebraElement, HasTorsion, NotAntisymmetric,
                              first_bianchi_residual, three_form_split,
                              torsion_split, wedge_id, wedge_id3, weyl)
 from projgeo.connection import curvature, load_chart, ricci, torsion
+from projgeo.reps import _curvature_pieces, _lie_action, j0_census
 from projgeo.tensor import TensorValue, alt2, norm, sym2
 
 
@@ -244,3 +247,49 @@ def test_curvature_report_with_torsion_skips_projective_parts():
     rep = curvature_report(spec.evaluate(np.zeros(3), derivs=2))
     assert norm(rep.torsion) > 1e-3
     assert rep.W is None and rep.Q is None and rep.F is None and rep.C is None
+
+
+def _census_pieces(a):
+    return list(torsion_split(a)) if a.rank == 3 else _curvature_pieces(a)
+
+
+def _gl_action(x, d):
+    """x in gl(n) acting on stacked tensors (one up slot, then down slots), slot by slot."""
+    out = np.moveaxis(np.tensordot(x, d, axes=([1], [1])), 0, 1)
+    for axis in range(2, d.ndim):
+        out -= np.moveaxis(np.tensordot(d, x, axes=([axis], [0])), -1, axis)
+    return out
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_census_pieces_are_complementary_equivariant_projectors(n, rank):
+    rng = np.random.default_rng(10 * n + rank)
+    variance = ("up",) + ("down",) * (rank - 1)
+    d = rng.standard_normal((3,) + (n,) * rank)
+    d = d - np.swapaxes(d, -1, -2)
+    pieces = [p.data for p in _census_pieces(TensorValue(n, variance, d))]
+    assert len(pieces) == (2 if rank == 3 else 5)
+    assert np.abs(sum(pieces) - d).max() <= 1e-12
+    for k, p in enumerate(pieces):
+        again = _census_pieces(TensorValue(n, variance, p))
+        for j, q in enumerate(again):
+            assert np.abs(q.data - (p if j == k else 0.0)).max() <= 1e-12
+    x = rng.standard_normal((n, n))
+    moved = _gl_action(x, d)
+    assert np.abs(_lie_action(x, TensorValue(n, variance, d)).data - moved).max() <= 1e-12
+    for p, q in zip(pieces, _census_pieces(TensorValue(n, variance, moved))):
+        assert np.abs(q.data - _gl_action(x, p)).max() <= 1e-12
+
+
+def test_curvature_census_holds_one_component_matrix_at_a_time():
+    # the n = 6 curvature census sets the twistor workload's memory high-water
+    # mark: about 20 MiB with one 540 x 540 component matrix at a time, about
+    # 29 MiB with all five held, about 50 MiB with the whole basis stacked
+    tracemalloc.start()
+    try:
+        j0_census("curvature", 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 2**20

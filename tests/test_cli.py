@@ -229,6 +229,8 @@ def test_negative_leading_coordinates(capsys):
 
 
 NESTED = "(" * 1000 + "x1" + ")" * 1000
+# a one-dimensional chart has no 2-plane for the decomposition or the loops
+DIM_ONE = b"dim = 1\n[christoffel]\nG 1 1 1 = x1\n"
 # Gamma is finite near x1 = 0.39, its square is not
 OVERFLOW_CURVATURE = b"dim = 3\n[christoffel]\nG 1 1 1 = exp(1000*x1)\nG 2 1 1 = x2*x3\n"
 
@@ -266,6 +268,13 @@ MALFORMED = {
     "samples-negative": (["invariance", str(chart_path("flat3.chart")), "--alpha",
                           str(chart_path("alpha3.alpha")), "--samples", "-1"],
                          {}, "argument --samples: expected an integer > 0"),
+    "dim-one-analyze": (["analyze", "{tmp}/c.chart", "--point", "0.1"],
+                        {"c.chart": DIM_ONE}, "line 1: dim must be in 2..8"),
+    "dim-one-invariance": (["invariance", "{tmp}/c.chart", "--alpha", "{tmp}/a.alpha"],
+                           {"c.chart": DIM_ONE, "a.alpha": b"dim = 1\na 1 = x1\n"},
+                           "line 1: dim must be in 2..8"),
+    "dim-one-develop": (["develop", "{tmp}/c.chart", "--base", "0", "--targets", "{tmp}/t.txt"],
+                        {"c.chart": DIM_ONE, "t.txt": b"0.1\n"}, "line 1: dim must be in 2..8"),
     "reps-dim-zero": (["reps", "--dim", "0", "--space", "torsion"], {},
                       "argument --dim: invalid choice"),
     "seed-negative": (["equivalent", str(chart_path("flat3.chart")),

@@ -28,7 +28,7 @@ def test_fixture_charts_load():
     ("dim = 2\n[metric]\ng 2 1 = 1\n", "i <= j"),
     ("[metric]\ndim = 2\n", "dim must come before"),
     ("dim = 2\n[metric]\ng 1 1 = 1 +\n", "line 3"),
-    ("dim = 0\n[metric]\n", "1..8"),
+    ("dim = 0\n[metric]\n", "2..8"),
     ("dim = 2\n", "missing [metric] or [christoffel]"),
     ("[nonsense]\n", "unknown section"),
 ])
