@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
-from .tensor import TensorValue
+from .tensor import MAX_DIM, TensorValue
 
 __all__ = [
     "ConnectionSpec", "ConnectionValue", "load_chart", "parse_chart",
@@ -106,6 +106,8 @@ class ConnectionSpec:
                                           compare=False)
 
     def __post_init__(self):
+        if not 2 <= self.n <= MAX_DIM:
+            raise ValueError(f"chart dimension must be in 2..{MAX_DIM}, got {self.n}")
         if (self.christoffel is None) == (self.metric is None):
             raise ValueError("exactly one of christoffel/metric must be given")
 

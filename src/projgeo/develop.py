@@ -95,8 +95,17 @@ def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
 
     `path` is a list of vertices; each segment is traversed with classical
     RK4 under step doubling, error target `tol` per unit length. The returned
-    error estimate is the accumulated Richardson estimate. The connection is
-    evaluated once per attempted step, at all of its nodes not yet seen.
+    error estimate is the accumulated Richardson estimate.
+
+    The connection is evaluated only when a step attempt meets a node not yet
+    seen, and then ahead of need, in one call: the attempt's missing nodes,
+    the nodes of each halving from h down to the step last accepted in this
+    transport, and a grid t + k q, q = min(h, last accepted h) / 4, of at
+    most four nodes per step accepted so far, clipped to the segment end.
+    The grid is bounded by work already done, so a step that never passes
+    still costs a few nodes per attempt. Nodes are dyadic fractions of the
+    segment, so every prefetched float equals the one the step builds, and
+    step sizes and frames are those of node-by-node evaluation.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
     n = spec.n
@@ -106,6 +115,7 @@ def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
         raise PathOutsideDomain(f"path leaves the box of half-width {domain}")
     phi = np.eye(n + 1)
     total_err = 0.0
+    accepted, h_ok = 0, np.inf  # steps accepted, and the last one's size
 
     for p0, p1 in zip(path[:-1], path[1:]):
         u = p1 - p0
@@ -116,6 +126,12 @@ def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
 
         def rk4_nodes(t: float, h: float) -> tuple[float, float, float]:
             return t, t + 0.5 * h, t + h
+
+        def attempt_nodes(t: float, h: float) -> tuple[float, ...]:
+            # the full step and its two halves, built with the same float
+            # expressions as the rk4 calls below so the cache hits
+            return (rk4_nodes(t, h) + rk4_nodes(t, 0.5 * h)
+                    + rk4_nodes(t + 0.5 * h, 0.5 * h))
 
         def rk4(phi_in: np.ndarray, t: float, h: float) -> np.ndarray:
             a0, a_mid, a1 = (a_cache[s] for s in rk4_nodes(t, h))
@@ -128,12 +144,17 @@ def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
         t, h = 0.0, 1.0
         while t < 1.0 - 1e-14:
             h = min(h, 1.0 - t)
-            # the nodes of the full step and of its two halves, built with the
-            # same float expressions as the rk4 calls below so the cache hits
-            nodes = (rk4_nodes(t, h) + rk4_nodes(t, 0.5 * h)
-                     + rk4_nodes(t + 0.5 * h, 0.5 * h))
-            fresh = [s for s in dict.fromkeys(nodes) if s not in a_cache]
-            if fresh:
+            nodes = attempt_nodes(t, h)
+            if any(s not in a_cache for s in nodes):
+                # prefetch the halvings a rejection would try, and a grid
+                # ahead that grows with the steps accepted so far
+                level = h
+                while level > h_ok:
+                    level *= 0.5
+                    nodes += attempt_nodes(t, level)
+                q = 0.25 * min(h, h_ok)
+                nodes += tuple(t + k * q for k in range(1, 4 * accepted + 1))
+                fresh = [s for s in dict.fromkeys(nodes) if s <= 1.0 and s not in a_cache]
                 xs = p0 + np.array(fresh)[:, None] * u
                 a_cache.update(zip(fresh, _hat_matrix(spec.evaluate_many(xs, derivs=1), u)))
             full = rk4(phi, t, h)
@@ -149,6 +170,8 @@ def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
                 continue
             phi = half
             t += h
+            h_ok = h
+            accepted += 1
             total_err += err / 15.0
             if err < 0.01 * budget:
                 h *= 2.0

@@ -285,10 +285,10 @@ class TwistorComparison:
 
 
 def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
-                           points=None, seed: int = 0,
-                           tol: float = 1e-8) -> TwistorComparison:
+                           seed: int = 0) -> TwistorComparison:
     """Whether the difference tensor A = Gamma_B - Gamma_A is invisible to every
-    almost complex structure: (j + i) A((j - i) X)(j - i) = 0 for 10 sampled j.
+    almost complex structure: (j + i) A((j - i) X)(j - i) = 0 for 10 sampled j,
+    at 3 seeded sample points, within 1e-8.
 
     The projection isolates the 3i-eigencomponent of A; for torsion-free pairs
     a zero residual is equivalent to projective equivalence, and trace-type
@@ -303,8 +303,7 @@ def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
         raise ValueError("charts have different dimensions")
     if n % 2 != 0:
         raise OddDimension("the twistor criterion needs even dimension")
-    if points is None:
-        points = sample_points(n, 3, seed=seed + 1)
+    points = sample_points(n, 3, seed=seed + 1)
     rng = np.random.default_rng(seed)
     js = [random_complex_structure(n, rng) for _ in range(10)]
     worst = 0.0
@@ -316,4 +315,4 @@ def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
         proj = np.einsum("lk,pkbc,bx,cy->plxy", jp, a, jm, jm)
         scale = (1.0 + float(np.max(np.abs(j)))) ** 3
         worst = max(worst, float(np.max(np.abs(proj), initial=0.0)) / scale)
-    return TwistorComparison(worst <= tol, worst)
+    return TwistorComparison(worst <= 1e-8, worst)

@@ -18,11 +18,10 @@ from typing import Iterator
 import numpy as np
 
 from . import expr as ex
+from .tensor import MAX_DIM
 
 __all__ = ["ChartError", "MAX_DIM", "read_text", "content_lines", "split_entry",
            "read_numbers", "read_dim", "parse_expr", "parse_points"]
-
-MAX_DIM = 8
 
 
 class ChartError(ValueError):

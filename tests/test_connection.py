@@ -9,7 +9,7 @@ from projgeo.connection import (ChartError, ConnectionSpec, MissingJet,
                                 curvature_derivative, load_chart, parse_chart,
                                 ricci, second_bianchi_residual, torsion,
                                 trace2form)
-from projgeo.tensor import alt2, norm
+from projgeo.tensor import MAX_DIM, alt2, norm
 
 
 def test_fixture_charts_load():
@@ -181,6 +181,15 @@ def test_from_christoffel_accepts_strings_and_exprs():
     assert cv.gamma[0, 0, 1] == 3.0
     assert cv.gamma[1, 1, 1] == 0.5
 
+
+@pytest.mark.parametrize("n,entries", [(0, {}), (1, {(0, 0, 0): "x1"}),
+                                       (MAX_DIM + 1, {})])
+def test_spec_refuses_dimension_outside_chart_range(n, entries):
+    """The library takes the dimensions a chart file may declare, 2..MAX_DIM;
+    a one-dimensional spec used to build and then fail deep in develop or
+    curvature_report."""
+    with pytest.raises(ValueError, match=f"2..{MAX_DIM}"):
+        ConnectionSpec.from_christoffel(n, entries)
 
 def test_evaluate_rejects_wrong_point_length():
     spec = load_chart(chart_path("flat3.chart"))

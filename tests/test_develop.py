@@ -1,15 +1,18 @@
 """Frame transport, flatness certification and the developing map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import chart_path
-from projgeo.connection import load_chart
+from projgeo.connection import ConnectionSpec, load_chart
 from projgeo.develop import (LeftDomain, NotFlat, PathOutsideDomain,
-                             ProjectivePoint, StepFailure, cartan_transport,
-                             collinearity_defect, develop_map, flatness_defect,
-                             geodesic_trace, model_connection, model_metric)
-from projgeo.projective import OneFormField, projective_change
+                             ProjectivePoint, StepFailure, _hat_matrix,
+                             cartan_transport, collinearity_defect, develop_map,
+                             flatness_defect, geodesic_trace, holonomy_loops,
+                             model_connection, model_metric)
+from projgeo.projective import OneFormField, load_alpha, projective_change
 from projgeo.algebra import cotton, weyl
 from projgeo.connection import curvature
 from projgeo.tensor import norm
@@ -147,3 +150,114 @@ def test_unreachable_tolerance_fails_loudly():
     sph = load_chart(chart_path("sphere2.chart"))
     with pytest.raises(StepFailure):
         cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])], tol=1e-19)
+
+
+def _reference_transport(spec, path, tol=1e-10):
+    """Step-doubling RK4 with the connection evaluated one node at a time, when
+    a step first needs it. Returns the frame, the error estimate and every
+    attempted step as (h, accepted)."""
+    path = np.atleast_2d(np.asarray(path, dtype=float))
+    phi = np.eye(spec.n + 1)
+    total_err, attempts = 0.0, []
+    for p0, p1 in zip(path[:-1], path[1:]):
+        u = p1 - p0
+        seg_len = float(np.linalg.norm(u))
+        cache = {}
+
+        def a(s):
+            if s not in cache:
+                cache[s] = _hat_matrix(spec.evaluate(p0 + s * u, derivs=1), u)
+            return cache[s]
+
+        def rk4(phi_in, t, h):
+            k1 = phi_in @ a(t)
+            k2 = (phi_in + 0.5 * h * k1) @ a(t + 0.5 * h)
+            k3 = (phi_in + 0.5 * h * k2) @ a(t + 0.5 * h)
+            k4 = (phi_in + h * k3) @ a(t + h)
+            return phi_in + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        t, h = 0.0, 1.0
+        while t < 1.0 - 1e-14:
+            h = min(h, 1.0 - t)
+            full = rk4(phi, t, h)
+            half = rk4(rk4(phi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+            err = float(np.max(np.abs(full - half)))
+            budget = tol * seg_len * h
+            attempts.append((h, err <= budget))
+            if err > budget:
+                h *= 0.5
+                assert h >= 1e-6, "reference step collapsed"
+                continue
+            phi = half
+            t += h
+            total_err += err / 15.0
+            if err < 0.01 * budget:
+                h *= 2.0
+    return phi, total_err, attempts
+
+
+def _changed_flat3():
+    return projective_change(load_chart(chart_path("flat3.chart")),
+                             load_alpha(chart_path("alpha3.alpha")))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_chart(chart_path("sphere3.chart")),
+    lambda: load_chart(chart_path("witness3.chart")),
+    _changed_flat3,
+], ids=["sphere3", "witness3", "flat3-alpha3"])
+def test_batched_transport_matches_node_by_node_reference(make):
+    spec = make()
+    x0, raw = np.zeros(3), np.array([0.3, -0.2, 0.25])
+    mid = 0.5 * (x0 + raw) + np.array([0.04, 0.03, -0.02])
+    develop_path = np.array([x0, mid, raw])
+    for path in holonomy_loops(x0, seed=1)[:2] + [develop_path]:
+        ref_phi, ref_err, attempts = _reference_transport(spec, path)
+        frame = cartan_transport(spec, path)
+        scale = float(np.max(np.abs(ref_phi)))
+        assert np.max(np.abs(frame.phi - ref_phi)) <= 1e-13 * scale
+        assert abs(frame.error_estimate - ref_err) <= 1e-13 * scale
+    # the develop path exercises both step-size changes after an accepted step
+    steps = list(zip(attempts, attempts[1:]))
+    assert any(ok and not ok_next for (_, ok), (_, ok_next) in steps)
+    assert any(ok and h_next > h for (h, ok), (h_next, _) in steps)
+
+
+def _evaluation_record(monkeypatch, run):
+    """Call sizes of every evaluate_many made by run(), and its tracemalloc peak."""
+    sizes = []
+    evaluate_many = ConnectionSpec.evaluate_many
+
+    def counted(self, points, derivs=1):
+        sizes.append(len(points))
+        return evaluate_many(self, points, derivs)
+
+    monkeypatch.setattr(ConnectionSpec, "evaluate_many", counted)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sizes, peak
+
+
+def test_failing_tolerance_evaluates_in_small_batches(monkeypatch):
+    """Lookahead is bounded by accepted steps, so a step that never passes
+    costs what it did node by node."""
+    sph = load_chart(chart_path("sphere2.chart"))
+
+    def run():
+        with pytest.raises(StepFailure):
+            cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])], tol=1e-19)
+
+    sizes, peak = _evaluation_record(monkeypatch, run)
+    assert max(sizes) <= 16
+    assert peak <= 1e6
+
+
+def test_flatness_certificate_evaluates_in_few_calls(monkeypatch):
+    sizes, peak = _evaluation_record(
+        monkeypatch, lambda: flatness_defect(model_metric(3), np.zeros(3), seed=0))
+    assert len(sizes) <= 200
+    assert peak <= 3e6
