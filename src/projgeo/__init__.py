@@ -108,7 +108,6 @@ from .twistor import (
     integrability_verdict,
     mild_complex_structure,
     nijenhuis,
-    nijenhuis_fields,
     random_complex_structure,
     sample_twistor_points,
     standard_complex_structure,

@@ -206,6 +206,7 @@ def torsion_split(t: TensorValue, tol: float = 1e-12) -> tuple[TensorValue, Tens
     return (TensorValue(n, t.variance, d - t2), TensorValue(n, t.variance, t2))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cotton(cv: ConnectionValue, tol: float = 1e-10) -> TensorValue:
     """Projective Cotton tensor C = d^nabla Q, C_{ijk} antisymmetric in (i, j).
 

@@ -307,6 +307,7 @@ def torsion(cv: ConnectionValue) -> TensorValue:
     return TensorValue(cv.n, ("up", "down", "down"), cv.gamma - np.swapaxes(cv.gamma, -1, -2))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def curvature(cv: ConnectionValue) -> TensorValue:
     """Curvature R^l_{kij} in the fixed convention, variance (up, down, down, down).
 

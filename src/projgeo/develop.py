@@ -10,6 +10,7 @@ projective space whose first column gives homogeneous image coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -89,6 +90,7 @@ def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
                      domain: float | None = None) -> CartanFrame:
     """Integrate the frame ODE dPhi/dt = Phi A(gamma(t)) from Phi = I along a polyline.
@@ -160,6 +162,8 @@ def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
             full = rk4(phi, t, h)
             half = rk4(rk4(phi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
             err = float(np.max(np.abs(full - half)))
+            if not math.isfinite(err):
+                raise StepFailure(f"transport frame is not finite {at_point(p0 + t * u)}")
             budget = tol * seg_len * h
             if err > budget:
                 h *= 0.5

@@ -321,6 +321,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self.code)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def run(self, points, order: int) -> "list[np.ndarray]":
         """Every output at each row of `points` (P, n), with partials up to `order` (0..3).
 

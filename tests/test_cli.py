@@ -289,9 +289,16 @@ MALFORMED = {
     "out-dir-missing": (["analyze", str(chart_path("sphere2.chart")), "--point", "0,0",
                          "--out", "{tmp}/no-such-dir/report.json"], {}, "No such file"),
     "gamma-overflow": (["twistor", "{tmp}/a.chart", "--samples", "3"],
-                       {"a.chart": b"dim = 4\n[christoffel]\nG 1 1 1 = exp(3000*x1)\n"
-                                   b"G 2 1 1 = x2*x3\n"},
+                       {"a.chart": b"dim = 4\n[christoffel]\nG 1 1 1 = 1e160\n"},
+                       "Nijenhuis tensor is not finite at x = ("),
+    "fibre-overflow": (["twistor", str(chart_path("witness4.chart")), "--h", "1000",
+                        "--samples", "1"], {},
                        "twistor fibre point exp(2m) j is not finite at x = ("),
+    "transport-overflow-develop": (["develop", "{tmp}/a.chart", "--base", "0,0",
+                                    "--targets", "{tmp}/t.txt"],
+                                   {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 1 = 1e150\n",
+                                    "t.txt": b"0.1,0.1\n"},
+                                   "transport frame is not finite at x = (0, 0)"),
     "gamma-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "0.3,0.1"],
                                {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 1 = exp(3000*x1)\n"},
                                "value or partial is not finite at x = (0.3, 0.1)"),
@@ -312,6 +319,7 @@ MALFORMED = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a refusal prints only its error line
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, name):
     argv, files, fragment = MALFORMED[name]
