@@ -59,6 +59,7 @@ from .develop import (
     holonomy_loops,
     model_connection,
     model_metric,
+    transport_many,
 )
 from .expr import DomainError, ParseError, UnknownFunction, UnknownVariable, eval_jet, parse
 from .projective import (

@@ -162,12 +162,15 @@ class WeylParts(NamedTuple):
     F: TensorValue
 
 
-def weyl(r: TensorValue, tol: float = 1e-10) -> WeylParts:
+@np.errstate(over="ignore", invalid="ignore")
+def weyl(r: TensorValue, tol: float = 1e-10, points=None) -> WeylParts:
     """Projective decomposition of a Bianchi curvature tensor.
 
     Returns W (trace-free part, ricci(W) = 0), the normalized Ricci Q and the
     trace 2-form F = -2/(n+1) ricci_-. Raises NotBianchi when the first Bianchi
-    cyclic sum exceeds `tol` relative to the input scale.
+    cyclic sum exceeds `tol` relative to the input scale, and DomainError when
+    W, Q or F is not finite, naming the first such point of `points` (the
+    chart points of r's leading axes) when they are given.
     """
     n = r.n
     if n < 2:
@@ -178,6 +181,10 @@ def weyl(r: TensorValue, tol: float = 1e-10) -> WeylParts:
     q = TensorValue(n, ("down", "down"), _normalized(ric.data, n))
     w = TensorValue(n, r.variance, r.data + wedge_id(q).data)
     f = TensorValue(n, ("down", "down"), -2.0 / (n + 1) * alt2(ric).data)
+    finite = (np.isfinite(w.data).all(axis=(-4, -3, -2, -1))
+              & np.isfinite(q.data).all(axis=(-2, -1)) & np.isfinite(f.data).all(axis=(-2, -1)))
+    refuse_where(~finite, "projective decomposition (W, Q, F) is not finite", None,
+                 None if points is None else np.reshape(points, (-1, n)))
     return WeylParts(w, q, f)
 
 
@@ -242,7 +249,7 @@ def cartan_curvature(cv: ConnectionValue, tol: float = 1e-10) -> CartanCurvature
     (for n >= 3 the bottomright W block forces the rest)."""
     n = cv.n
     r = curvature(cv)
-    w, q, f = weyl(r, tol=tol)
+    w, q, f = weyl(r, tol=tol, points=cv.point)
     topleft = TensorValue(n, ("down", "down"), f.data + 2.0 * alt2(q).data)
     topright = cotton(cv, tol=tol)
     bottomleft = torsion(cv)
@@ -280,7 +287,7 @@ def curvature_report(cv: ConnectionValue, tol: float = 1e-10) -> CurvatureReport
     report = CurvatureReport(n, cv.point, t, r, ricci(r), trace2form(r))
     report.residuals["first_bianchi"] = norm(first_bianchi_residual(r))
     if norm(t) <= tol:
-        w, q, f = weyl(r, tol=tol)
+        w, q, f = weyl(r, tol=tol, points=cv.point)
         report.W, report.Q, report.F = w, q, f
         report.residuals["ricci_of_weyl"] = norm(ricci(w))
         recon = w.data - wedge_id(q).data

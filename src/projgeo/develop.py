@@ -3,15 +3,16 @@
 A torsion-free connection induces a connection on the rank-(n+1) bundle
 whose blocks (in the line-plus-tangent splitting) are the trace adjustment,
 the normalized Ricci form Q, the identity, and Gamma itself. Its parallel
-frames along paths are computed here by adaptive RK4; flat inputs (zero Weyl
-tensor, zero Cotton tensor for n = 2) then admit a developing map into
-projective space whose first column gives homogeneous image coordinates.
+frames along polylines come from uniform RK4 refined by doubling, all paths
+at once; flat inputs (zero Weyl tensor, zero Cotton tensor for n = 2) then
+admit a developing map into projective space whose first column gives
+homogeneous image coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,7 @@ __all__ = [
     "NotFlat", "StepFailure", "PathOutsideDomain", "LeftDomain",
     "CartanFrame", "ProjectivePoint", "DevelopedPoint",
     "model_connection", "model_metric",
-    "cartan_transport", "holonomy_loops", "flatness_defect",
+    "cartan_transport", "transport_many", "holonomy_loops", "flatness_defect",
     "develop_map", "geodesic_trace", "collinearity_defect",
 ]
 
@@ -41,7 +42,7 @@ class NotFlat(RuntimeError):
 
 
 class StepFailure(RuntimeError):
-    """Adaptive step size underflowed without meeting the error target."""
+    """A transport frame is not finite, or its segment needs more than MAX_STEPS steps."""
 
 
 class PathOutsideDomain(ValueError):
@@ -65,6 +66,14 @@ def model_metric(n: int) -> ConnectionSpec:
     return ConnectionSpec.from_metric(n, entries, name="round-sphere")
 
 
+# Nodes per evaluate_many + _hat_matrix call. A call costs 1-2 ms whatever its
+# size, but on metric charts holds ~12 KB of temporaries per node: blocks of
+# 256 nodes cost +3.1 MB of develop peak RSS, and raising the shared
+# POINT_BLOCK to 64 instead would cost the survey workload +5.9 MB.
+NODE_BLOCK = 64
+MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 128
+
+
 @dataclass(eq=False)
 class CartanFrame:
     """Parallel frame of the induced bundle along a path."""
@@ -73,114 +82,108 @@ class CartanFrame:
     start: np.ndarray
     end: np.ndarray
     error_estimate: float
+    steps: tuple  # RK4 steps accepted on each segment, 0 for a zero-length one
 
 
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
     """Connection matrix of the induced bundle at each point of cv, contracted
-    with direction u: (..., n+1, n+1) for connection data stacked over (...)."""
+    with the direction u, (n,) or one per point (..., n): (..., n+1, n+1) for
+    connection data stacked over (...)."""
     n = cv.n
-    _, q, _ = weyl(curvature(cv))
-    au = (-np.einsum("...kki->...i", cv.gamma) / (n + 1)) @ u
+    _, q, _ = weyl(curvature(cv), points=cv.point)
+    au = np.einsum("...i,...i->...", np.einsum("...kki->...i", cv.gamma), u) / -(n + 1)
     out = np.empty(cv.gamma.shape[:-3] + (n + 1, n + 1))
     out[..., 0, 0] = au
-    out[..., 0, 1:] = np.einsum("i,...ij->...j", u, q.data)
+    out[..., 0, 1:] = np.einsum("...i,...ij->...j", u, q.data)
     out[..., 1:, 0] = u
-    out[..., 1:, 1:] = (np.einsum("i,...lim->...lm", u, cv.gamma)
+    out[..., 1:, 1:] = (np.einsum("...i,...lim->...lm", u, cv.gamma)
                         + au[..., None, None] * np.eye(n))
     return out
 
 
+def _rk4_frame(a: np.ndarray) -> np.ndarray:
+    """Frame of dPhi/dt = Phi A over t in [0, 1] from Phi = I by K uniform RK4
+    steps, K a power of two; a holds A at t = i/(2K), i = 0..2K: (..., 2K+1, m, m).
+    Step maps S = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = (I + h/2 A0) Am,
+    K3 = (I + h/2 K2) Am, K4 = (I + h K3) A1 are multiplied as a pairwise tree."""
+    h = 2.0 / (a.shape[-3] - 1)
+    eye = np.eye(a.shape[-1])
+    a0, am, a1 = a[..., :-1:2, :, :], a[..., 1::2, :, :], a[..., 2::2, :, :]
+    k = (0.5 * h * a0 + eye) @ am  # K2
+    s = a0 + 2.0 * k
+    k = (0.5 * h * k + eye) @ am  # K3
+    s += 2.0 * k
+    s += (h * k + eye) @ a1  # K4
+    s = eye + h / 6.0 * s
+    while s.shape[-3] > 1:
+        s = s[..., 0::2, :, :] @ s[..., 1::2, :, :]
+    return s[..., 0, :, :]
+
+
+def _hat_nodes(spec: ConnectionSpec, starts, dirs, t) -> np.ndarray:
+    """A at starts[s] + t[j] dirs[s] as out[s, j], NODE_BLOCK nodes per call."""
+    out = np.empty((len(starts), t.size, spec.n + 1, spec.n + 1))
+    seg, node = np.divmod(np.arange(len(starts) * t.size), t.size)
+    for i in range(0, seg.size, NODE_BLOCK):
+        s, j = seg[i:i + NODE_BLOCK], node[i:i + NODE_BLOCK]
+        cv = spec.evaluate_many(starts[s] + t[j, None] * dirs[s], derivs=1)
+        out[s, j] = _hat_matrix(cv, dirs[s])
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10,
+                   domain: float | None = None) -> "list[CartanFrame]":
+    """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`.
+
+    Each segment of nonzero length takes K uniform RK4 steps, nodes t = i/(2K),
+    from K = 1; doubling K keeps the nodes evaluated and adds the odd ones, for
+    all unfinished segments together. A segment is done when max|Phi_K - Phi_2K|
+    <= tol * length: it keeps Phi_2K and adds diff/15 to the error estimate.
+    StepFailure names the start of a segment whose frame is not finite or that
+    needs more than MAX_STEPS steps.
+    """
+    n = spec.n
+    paths = [np.atleast_2d(np.asarray(path, dtype=float)) for path in paths]
+    if any(path.shape[1] != n for path in paths):
+        raise ValueError("path vertices do not match the chart dimension")
+    if domain is not None and any(np.any(np.abs(path) > domain) for path in paths):
+        raise PathOutsideDomain(f"path leaves the box of half-width {domain}")
+    starts = np.concatenate([np.empty((0, n))] + [path[:-1] for path in paths])
+    dirs = np.concatenate([np.empty((0, n))] + [np.diff(path, axis=0) for path in paths])
+    lengths = np.linalg.norm(dirs, axis=1)
+    frames = np.tile(np.eye(n + 1), (len(dirs), 1, 1))
+    errs, steps = np.zeros(len(dirs)), np.zeros(len(dirs), dtype=int)
+
+    todo = np.flatnonzero(lengths)  # unfinished segments, in path order
+    a = _hat_nodes(spec, starts[todo], dirs[todo], np.linspace(0.0, 1.0, 3))
+    coarse, k = _rk4_frame(a), 1
+    while todo.size:
+        k *= 2
+        t = (2 * np.arange(k) + 1) / (2 * k)  # the new odd nodes
+        a = np.insert(a, range(1, k + 1), _hat_nodes(spec, starts[todo], dirs[todo], t), axis=1)
+        phi = _rk4_frame(a)
+        bad = todo[~np.isfinite(phi).all(axis=(-2, -1))]
+        if bad.size:
+            raise StepFailure(f"transport frame is not finite {at_point(starts[bad[0]])}")
+        diff = np.abs(phi - coarse).max(axis=(-2, -1))
+        done = diff <= tol * lengths[todo]
+        frames[todo[done]], errs[todo[done]], steps[todo[done]] = phi[done], diff[done] / 15.0, k
+        if k == MAX_STEPS and not done.all():
+            raise StepFailure(f"transport needs more than {MAX_STEPS} steps per segment "
+                              f"{at_point(starts[todo[np.argmin(done)]])}")
+        todo, a, coarse = todo[~done], a[~done], phi[~done]
+
+    ends = np.cumsum([0] + [len(path) - 1 for path in paths])
+    return [CartanFrame(reduce(np.matmul, frames[i:j], np.eye(n + 1)), path[0].copy(),
+                        path[-1].copy(), float(np.sum(errs[i:j])), tuple(steps[i:j].tolist()))
+            for path, i, j in zip(paths, ends, ends[1:])]
+
+
 def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
                      domain: float | None = None) -> CartanFrame:
-    """Integrate the frame ODE dPhi/dt = Phi A(gamma(t)) from Phi = I along a polyline.
-
-    `path` is a list of vertices; each segment is traversed with classical
-    RK4 under step doubling, error target `tol` per unit length. The returned
-    error estimate is the accumulated Richardson estimate.
-
-    The connection is evaluated only when a step attempt meets a node not yet
-    seen, and then ahead of need, in one call: the attempt's missing nodes,
-    the nodes of each halving from h down to the step last accepted in this
-    transport, and a grid t + k q, q = min(h, last accepted h) / 4, of at
-    most four nodes per step accepted so far, clipped to the segment end.
-    The grid is bounded by work already done, so a step that never passes
-    still costs a few nodes per attempt. Nodes are dyadic fractions of the
-    segment, so every prefetched float equals the one the step builds, and
-    step sizes and frames are those of node-by-node evaluation.
-    """
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    n = spec.n
-    if path.shape[1] != n:
-        raise ValueError("path vertices do not match the chart dimension")
-    if domain is not None and np.any(np.abs(path) > domain):
-        raise PathOutsideDomain(f"path leaves the box of half-width {domain}")
-    phi = np.eye(n + 1)
-    total_err = 0.0
-    accepted, h_ok = 0, np.inf  # steps accepted, and the last one's size
-
-    for p0, p1 in zip(path[:-1], path[1:]):
-        u = p1 - p0
-        seg_len = float(np.linalg.norm(u))
-        if seg_len == 0.0:
-            continue
-        a_cache: dict[float, np.ndarray] = {}
-
-        def rk4_nodes(t: float, h: float) -> tuple[float, float, float]:
-            return t, t + 0.5 * h, t + h
-
-        def attempt_nodes(t: float, h: float) -> tuple[float, ...]:
-            # the full step and its two halves, built with the same float
-            # expressions as the rk4 calls below so the cache hits
-            return (rk4_nodes(t, h) + rk4_nodes(t, 0.5 * h)
-                    + rk4_nodes(t + 0.5 * h, 0.5 * h))
-
-        def rk4(phi_in: np.ndarray, t: float, h: float) -> np.ndarray:
-            a0, a_mid, a1 = (a_cache[s] for s in rk4_nodes(t, h))
-            k1 = phi_in @ a0
-            k2 = (phi_in + 0.5 * h * k1) @ a_mid
-            k3 = (phi_in + 0.5 * h * k2) @ a_mid
-            k4 = (phi_in + h * k3) @ a1
-            return phi_in + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        t, h = 0.0, 1.0
-        while t < 1.0 - 1e-14:
-            h = min(h, 1.0 - t)
-            nodes = attempt_nodes(t, h)
-            if any(s not in a_cache for s in nodes):
-                # prefetch the halvings a rejection would try, and a grid
-                # ahead that grows with the steps accepted so far
-                level = h
-                while level > h_ok:
-                    level *= 0.5
-                    nodes += attempt_nodes(t, level)
-                q = 0.25 * min(h, h_ok)
-                nodes += tuple(t + k * q for k in range(1, 4 * accepted + 1))
-                fresh = [s for s in dict.fromkeys(nodes) if s <= 1.0 and s not in a_cache]
-                xs = p0 + np.array(fresh)[:, None] * u
-                a_cache.update(zip(fresh, _hat_matrix(spec.evaluate_many(xs, derivs=1), u)))
-            full = rk4(phi, t, h)
-            half = rk4(rk4(phi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
-            err = float(np.max(np.abs(full - half)))
-            if not math.isfinite(err):
-                raise StepFailure(f"transport frame is not finite {at_point(p0 + t * u)}")
-            budget = tol * seg_len * h
-            if err > budget:
-                h *= 0.5
-                if h < 1e-6:
-                    raise StepFailure(
-                        f"step collapsed below 1e-6 with error {err:.2e} "
-                        f"{at_point(p0 + t * u)}")
-                continue
-            phi = half
-            t += h
-            h_ok = h
-            accepted += 1
-            total_err += err / 15.0
-            if err < 0.01 * budget:
-                h *= 2.0
-
-    return CartanFrame(phi, path[0].copy(), path[-1].copy(), total_err)
+    """The frame along one polyline: transport_many with a single path."""
+    return transport_many(spec, [path], tol=tol, domain=domain)[0]
 
 
 def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
@@ -206,11 +209,9 @@ def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
 def flatness_defect(spec: ConnectionSpec, x0, seed: int = 0,
                     tol: float = 1e-10) -> float:
     """Worst holonomy deviation from the identity over the seeded loop family."""
-    worst = 0.0
-    for loop in holonomy_loops(np.asarray(x0, dtype=float), seed=seed):
-        frame = cartan_transport(spec, loop, tol=tol)
-        worst = max(worst, float(np.max(np.abs(frame.phi - np.eye(spec.n + 1)))))
-    return worst
+    loops = holonomy_loops(np.asarray(x0, dtype=float), seed=seed)
+    return max(float(np.max(np.abs(frame.phi - np.eye(spec.n + 1))))
+               for frame in transport_many(spec, loops, tol=tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,16 +258,15 @@ def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float = 1e-7,
     if defect > flat_tol:
         raise NotFlat(defect, flat_tol)
     rng = np.random.default_rng(seed + 1)
-    out = []
-    for raw in np.atleast_2d(np.asarray(targets, dtype=float)):
-        frame = cartan_transport(spec, [x0, raw])
-        first = ProjectivePoint(frame.phi[:, 0])
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    paths = []
+    for raw in targets:
         mid = 0.5 * (x0 + raw) + rng.uniform(-0.05, 0.05, x0.size)
-        frame2 = cartan_transport(spec, [x0, mid, raw])
-        second = ProjectivePoint(frame2.phi[:, 0])
-        err = float(np.max(np.abs(first.homogeneous - second.homogeneous)))
-        out.append(DevelopedPoint(raw.copy(), first, err))
-    return out
+        paths += [[x0, raw], [x0, mid, raw]]
+    images = [ProjectivePoint(frame.phi[:, 0]) for frame in transport_many(spec, paths)]
+    return [DevelopedPoint(raw.copy(), first,
+                           float(np.max(np.abs(first.homogeneous - second.homogeneous))))
+            for raw, first, second in zip(targets, images[0::2], images[1::2])]
 
 
 def collinearity_defect(points: "list[ProjectivePoint]") -> float:

@@ -448,12 +448,13 @@ def _compose(f, h):
 
 
 def refuse_where(bad, message: str, v, points) -> None:
-    """Raise DomainError at the first point where `bad` holds (v: its argument value)."""
+    """Raise DomainError at the first point where `bad` holds (v: its argument value),
+    naming that point unless `points` is None."""
     if np.any(bad):
         r = int(np.argmax(bad))
         if v is not None:
             message = f"{message} {float(v[r])}"
-        raise DomainError(f"{message} {at_point(points[r])}")
+        raise DomainError(message if points is None else f"{message} {at_point(points[r])}")
 
 
 def _outer_derivs(op: str, v, lit, order: int, points) -> list:

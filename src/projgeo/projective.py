@@ -159,7 +159,7 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
     worst_c: float | None = 0.0 if n == 2 else None
     for block in point_blocks(points):
         cv_a, cv_b = (s.evaluate_many(block, derivs=derivs) for s in (spec, changed))
-        w_a, w_b = (weyl(curvature(cv), tol=tol).W for cv in (cv_a, cv_b))
+        w_a, w_b = (weyl(curvature(cv), tol=tol, points=block).W for cv in (cv_a, cv_b))
         worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
         if n == 2:
             c_a, c_b = cotton(cv_a, tol=tol), cotton(cv_b, tol=tol)

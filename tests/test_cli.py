@@ -233,6 +233,8 @@ NESTED = "(" * 1000 + "x1" + ")" * 1000
 DIM_ONE = b"dim = 1\n[christoffel]\nG 1 1 1 = x1\n"
 # Gamma is finite near x1 = 0.39, its square is not
 OVERFLOW_CURVATURE = b"dim = 3\n[christoffel]\nG 1 1 1 = exp(1000*x1)\nG 2 1 1 = x2*x3\n"
+# the curvature is finite (about 1e308), its Ricci trace and so W are not
+OVERFLOW_WEYL = b"dim = 3\n[christoffel]\nG 1 1 2 = 1e154\nG 1 2 1 = 1e154\n"
 
 # One row per malformed input: argv ({tmp} is the test's directory), the files
 # to write there, and a fragment the error message must carry. Rows that come
@@ -314,6 +316,11 @@ MALFORMED = {
                                             b"G 1 2 2 = exp(1000*x1)\nG 2 1 2 = x1*x2\n"
                                             b"G 2 2 1 = x1*x2\n"},
                                 "Cotton tensor is not finite at x = (0.352, 0.1)"),
+    "weyl-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2,0.3"],
+                              {"a.chart": OVERFLOW_WEYL}, "at x = ("),
+    "weyl-overflow-invariance": (["invariance", "{tmp}/a.chart", "--alpha", "{tmp}/zero.alpha"],
+                                 {"a.chart": OVERFLOW_WEYL, "zero.alpha": b"dim = 3\n"},
+                                 "at x = ("),
     "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
                      "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
 }
