@@ -109,7 +109,6 @@ from .twistor import (
     integrability_verdict,
     mild_complex_structure,
     nijenhuis,
-    random_complex_structure,
     sample_twistor_points,
     standard_complex_structure,
     twistor_acs,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .connection import (ConnectionValue, curvature, curvature_derivative,
                          ricci, torsion, trace2form)
-from .expr import refuse_where
+from .expr import at_point, refuse_where
 from .tensor import TensorValue, alt2, norm
 
 __all__ = [
@@ -128,16 +128,16 @@ def three_form_split(omega: TensorValue) -> tuple[TensorValue, TensorValue]:
     return t_plus, t_minus
 
 
-def _exceeds(residual: np.ndarray, t: TensorValue, tol: float) -> bool:
-    """Whether a residual shaped like t.data passes tol * max(1, |t|) at any point,
-    each point measured against its own max-abs scale."""
+def _exceeds(residual: np.ndarray, t: TensorValue, tol: float) -> np.ndarray:
+    """Whether a residual shaped like t.data passes tol * max(1, |t|), at each
+    point of t's leading axes, each measured against its own max-abs scale."""
     axes = tuple(range(-t.rank, 0))
     scale = np.maximum(1.0, np.abs(t.data).max(axis=axes))
-    return bool(np.any(np.abs(residual).max(axis=axes) > tol * scale))
+    return np.abs(residual).max(axis=axes) > tol * scale
 
 
 def _require_antisym01(t: TensorValue, tol: float = 1e-12) -> None:
-    if _exceeds(t.data + np.swapaxes(t.data, -3, -2), t, tol):
+    if np.any(_exceeds(t.data + np.swapaxes(t.data, -3, -2), t, tol)):
         raise NotAntisymmetric("expected antisymmetry in the first two slots")
 
 
@@ -148,6 +148,18 @@ def first_bianchi_residual(r: TensorValue) -> TensorValue:
     d = r.data
     total = d + np.einsum("...ljki->...lkij", d) + np.einsum("...lijk->...lkij", d)
     return TensorValue(r.n, r.variance, total)
+
+
+def _require_bianchi(r: TensorValue, tol: float, points) -> None:
+    """Raise NotBianchi when the first Bianchi cyclic sum of r exceeds `tol`
+    relative to its scale, naming the first such point of `points` (the chart
+    points of r's leading axes) when they are given."""
+    bad = np.reshape(_exceeds(first_bianchi_residual(r).data, r, tol), -1)
+    if np.any(bad):
+        message = "first Bianchi identity fails; remove torsion first"
+        if points is not None:
+            message += " " + at_point(np.reshape(points, (-1, r.n))[np.argmax(bad)])
+        raise NotBianchi(message)
 
 
 def bianchi_project(r: TensorValue) -> TensorValue:
@@ -169,14 +181,13 @@ def weyl(r: TensorValue, tol: float = 1e-10, points=None) -> WeylParts:
     Returns W (trace-free part, ricci(W) = 0), the normalized Ricci Q and the
     trace 2-form F = -2/(n+1) ricci_-. Raises NotBianchi when the first Bianchi
     cyclic sum exceeds `tol` relative to the input scale, and DomainError when
-    W, Q or F is not finite, naming the first such point of `points` (the
+    W, Q or F is not finite, each naming the first such point of `points` (the
     chart points of r's leading axes) when they are given.
     """
     n = r.n
     if n < 2:
         raise ValueError("projective decomposition needs dimension >= 2")
-    if _exceeds(first_bianchi_residual(r).data, r, tol):
-        raise NotBianchi("first Bianchi identity fails; remove torsion first")
+    _require_bianchi(r, tol, points)
     ric = ricci(r)
     q = TensorValue(n, ("down", "down"), _normalized(ric.data, n))
     w = TensorValue(n, r.variance, r.data + wedge_id(q).data)
@@ -205,7 +216,7 @@ def torsion_split(t: TensorValue, tol: float = 1e-12) -> tuple[TensorValue, Tens
     n, d = t.n, t.data
     if n < 2:
         raise ValueError("torsion split needs dimension >= 2")
-    if _exceeds(d + np.swapaxes(d, -1, -2), t, tol):
+    if np.any(_exceeds(d + np.swapaxes(d, -1, -2), t, tol)):
         raise NotAntisymmetric("torsion must be antisymmetric in its form slots")
     alpha = np.einsum("...kjk->...j", d) / (n - 1)
     eye = np.eye(n)

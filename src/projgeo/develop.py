@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import weyl
-from .connection import ConnectionSpec, ConnectionValue, curvature
+from .algebra import _normalized, _require_bianchi
+from .connection import ConnectionSpec, ConnectionValue, curvature, ricci
 from .expr import at_point
 
 __all__ = [
@@ -88,13 +88,17 @@ class CartanFrame:
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
     """Connection matrix of the induced bundle at each point of cv, contracted
     with the direction u, (n,) or one per point (..., n): (..., n+1, n+1) for
-    connection data stacked over (...)."""
+    connection data stacked over (...). Q is the normalized Ricci trace; a
+    curvature that fails the first Bianchi identity raises NotBianchi naming
+    the first such point."""
     n = cv.n
-    _, q, _ = weyl(curvature(cv), points=cv.point)
+    r = curvature(cv)
+    _require_bianchi(r, 1e-10, cv.point)
+    q = _normalized(ricci(r).data, n)
     au = np.einsum("...i,...i->...", np.einsum("...kki->...i", cv.gamma), u) / -(n + 1)
     out = np.empty(cv.gamma.shape[:-3] + (n + 1, n + 1))
     out[..., 0, 0] = au
-    out[..., 0, 1:] = np.einsum("...i,...ij->...j", u, q.data)
+    out[..., 0, 1:] = np.einsum("...i,...ij->...j", u, q)
     out[..., 1:, 0] = u
     out[..., 1:, 1:] = (np.einsum("...i,...lim->...lm", u, cv.gamma)
                         + au[..., None, None] * np.eye(n))

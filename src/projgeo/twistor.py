@@ -23,8 +23,8 @@ from .tensor import OddDimension, norm
 
 __all__ = [
     "NotAlmostComplex", "StepTooSmall", "OddDimension", "TwistorPoint", "TwistorChart",
-    "standard_complex_structure", "random_complex_structure",
-    "mild_complex_structure", "anticommutant_basis", "twistor_acs",
+    "standard_complex_structure", "mild_complex_structure", "anticommutant_basis",
+    "vertical_motion", "twistor_acs",
     "acs_field_matrix", "nijenhuis",
     "integrability_verdict", "sample_twistor_points", "coordinate_pairs",
 ]
@@ -62,20 +62,6 @@ def _polish(j: np.ndarray) -> np.ndarray:
 
 def norm_sq_defect(j: np.ndarray) -> float:
     return float(np.max(np.abs(j @ j + np.eye(j.shape[0]))))
-
-
-def random_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A random conjugate g j0 g^{-1} of the standard structure.
-
-    g has entries uniform in [-1, 1]; draws with condition number above 1e6
-    are rejected, and the result is polished so that j^2 = -I holds to 1e-13.
-    """
-    j0 = standard_complex_structure(n)
-    for _ in range(100):
-        g = rng.uniform(-1.0, 1.0, size=(n, n))
-        if np.linalg.cond(g) <= 1e6:
-            return _polish(g @ j0 @ np.linalg.solve(g.T, np.eye(n)).T)
-    raise RuntimeError("could not draw a well-conditioned conjugating matrix")
 
 
 def mild_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,6 +151,20 @@ class TwistorChart:
         return TwistorPoint(np.asarray(x, dtype=float), _polish(j))
 
 
+def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """How J depends on Gamma: kdot_i = -[Gamma(j d_i), j] + j [Gamma(d_i), j].
+
+    A horizontal direction d_i moves j by -[Gamma(d_i), j]; J sends it to
+    j d_i, whose own motion is -[Gamma(j d_i), j], plus j times the first.
+    kdot is linear in gamma. gamma (..., n, n, n) and j (..., n, n) broadcast
+    over their leading axes; the result is (..., n, n, n), indexed [..., i, l, m].
+    """
+    gx = np.moveaxis(gamma, -2, -3)                   # Gamma(d_i), stacked over i
+    gy = np.einsum("...ji,...ljm->...ilm", j, gamma)  # Gamma(j d_i)
+    ji = j[..., None, :, :]                           # j, broadcast over i
+    return -(gy @ ji - ji @ gy) + ji @ (gx @ ji - ji @ gx)
+
+
 def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
                       m_coords: np.ndarray) -> np.ndarray:
     """Matrix of the almost complex structure at chart coordinates (cv.point, m).
@@ -172,11 +172,12 @@ def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
     Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
     exponential supplying the chart-to-intrinsic conversion, and a least
-    squares solve inverting it again after j acts. A fibre point that
+    squares solve inverting it again after j acts. Gamma enters only the
+    horizontal-to-vertical block, through vertical_motion. A fibre point that
     overflows raises DomainError.
     """
     n, d = chart.n, chart.fibre_dim
-    j0, gamma = chart.anchor.j, cv.gamma
+    j0 = chart.anchor.j
     m = chart.fibre_matrix(m_coords)
     e2m = expm(2.0 * m)
     if not np.isfinite(e2m).all():
@@ -188,14 +189,9 @@ def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
                      for b in chart.basis])
     pull = np.linalg.pinv(push.reshape(d, n * n).T)
 
-    # a horizontal direction d_i moves j by -[Gamma(d_i), j]; J sends it to
-    # j d_i, whose own motion is -[Gamma(j d_i), j], plus j times the first
-    gx = np.moveaxis(gamma, -2, 0)                  # Gamma(d_i), stacked over i
-    gy = np.einsum("ji,ljm->ilm", jp, gamma)        # Gamma(j d_i)
-    kdot = -(gy @ jp - jp @ gy) + jp @ (gx @ jp - jp @ gx)
     out = np.zeros((n + d, n + d))
     out[:n, :n] = jp
-    out[n:, :n] = pull @ kdot.reshape(n, n * n).T
+    out[n:, :n] = pull @ vertical_motion(cv.gamma, jp).reshape(n, n * n).T
     out[n:, n:] = pull @ (jp @ push).reshape(d, n * n).T
     return out
 
@@ -277,22 +273,9 @@ def sample_twistor_points(n: int, count: int,
             for _ in range(count)]
 
 
-def coordinate_pairs(dim: int, count: int, rng: np.random.Generator | None = None):
-    """Tangent-vector pairs for the Nijenhuis test.
-
-    Without an rng, the first `count` pairs of distinct coordinate directions;
-    with one, unit-normalized random pairs.
-    """
+def coordinate_pairs(dim: int, count: int, rng: np.random.Generator):
+    """`count` unit-normalized random tangent-vector pairs for the Nijenhuis test."""
     pairs = []
-    if rng is None:
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if len(pairs) >= count:
-                    return pairs
-                ea, eb = np.zeros(dim), np.zeros(dim)
-                ea[a], eb[b] = 1.0, 1.0
-                pairs.append((ea, eb))
-        return pairs
     for _ in range(count):
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)

@@ -59,8 +59,8 @@ def test_bianchi_check_measures_each_point_on_its_own_scale():
     with pytest.raises(NotBianchi):
         weyl(TensorValue(3, variance, small))
     # a scale taken over the whole stack would let the small row through
-    with pytest.raises(NotBianchi):
-        weyl(TensorValue(3, variance, np.stack([big, small])))
+    with pytest.raises(NotBianchi, match=r"at x = \(0\.5, 0, 0\)"):
+        weyl(TensorValue(3, variance, np.stack([big, small])), points=[[0, 0, 0], [0.5, 0, 0]])
 
 
 def test_antisymmetry_check_measures_each_point_on_its_own_scale():

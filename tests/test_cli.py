@@ -321,6 +321,14 @@ MALFORMED = {
     "weyl-overflow-invariance": (["invariance", "{tmp}/a.chart", "--alpha", "{tmp}/zero.alpha"],
                                  {"a.chart": OVERFLOW_WEYL, "zero.alpha": b"dim = 3\n"},
                                  "at x = ("),
+    "weyl-overflow-develop": (["develop", "{tmp}/a.chart", "--base", "0.1,0.2,0.3",
+                               "--targets", "{tmp}/t.txt"],
+                              {"a.chart": OVERFLOW_WEYL, "t.txt": b"0.2,0.2,0.2\n"}, "at x = ("),
+    "torsion-develop": (["develop", "{tmp}/a.chart", "--base", "0,0,0",
+                         "--targets", "{tmp}/t.txt"],
+                        {"a.chart": b"dim = 3\n[christoffel]\nG 1 2 3 = x1\n",
+                         "t.txt": b"0.1,0.1,0.1\n"},
+                        "first Bianchi identity fails"),
     "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
                      "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
 }

@@ -13,7 +13,7 @@ from projgeo.develop import (LeftDomain, NotFlat, PathOutsideDomain,
                              flatness_defect, geodesic_trace, holonomy_loops,
                              model_connection, model_metric, transport_many)
 from projgeo.projective import OneFormField, load_alpha, projective_change
-from projgeo.algebra import cotton, weyl
+from projgeo.algebra import NotBianchi, cotton, weyl
 from projgeo.connection import curvature
 from projgeo.tensor import norm
 
@@ -150,6 +150,12 @@ def test_unreachable_tolerance_fails_loudly():
     sph = load_chart(chart_path("sphere2.chart"))
     with pytest.raises(StepFailure, match=r"more than 1024 steps .* at x = \(0, 0\)"):
         cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])], tol=1e-19)
+
+
+def test_torsion_is_refused_at_the_first_failing_node():
+    spec = ConnectionSpec.from_christoffel(3, {(0, 1, 2): "x1"})
+    with pytest.raises(NotBianchi, match=r"Bianchi identity fails.* at x = \(0\.1, 0\.2, 0\.3\)"):
+        cartan_transport(spec, [[0.1, 0.2, 0.3], [0.2, 0.2, 0.3]])
 
 
 def _reference_transport(spec, path, tol=1e-10):

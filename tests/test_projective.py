@@ -13,6 +13,7 @@ from projgeo.projective import (OddDimension, OneFormField,
                                 remove_torsion, same_twistor_structure,
                                 sample_points)
 from projgeo.tensor import norm
+from projgeo.twistor import sample_twistor_points, twistor_acs
 
 FLAT2 = "dim = 2\n[christoffel]\n"
 
@@ -158,6 +159,27 @@ def test_twistor_comparison_agrees_with_equivalence():
     bad = same_twistor_structure(spec, stranger)
     assert good.same and good.residual < 1e-10
     assert not bad.same and bad.residual > 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_twistor_comparison_matches_the_structure_matrices(n):
+    """The verdict agrees with J itself: twistor_acs of the two connections
+    agree at seeded twistor points exactly when the comparison says same, and
+    differ only in the horizontal-to-vertical block."""
+    rng = np.random.default_rng(30 + n)
+    for k in range(20):
+        spec = random_torsionfree_spec(n, rng)
+        other = (projective_change(spec, random_alpha(n, rng)) if k % 2 == 0
+                 else random_torsionfree_spec(n, rng, name="generic"))
+        worst = 0.0
+        for tp in sample_twistor_points(n, 2, rng):
+            gap = (twistor_acs(spec.evaluate(tp.x, derivs=0), tp)
+                   - twistor_acs(other.evaluate(tp.x, derivs=0), tp))
+            assert not np.any(gap[:n]) and not np.any(gap[n:, n:])
+            worst = max(worst, float(np.max(np.abs(gap))))
+        same = same_twistor_structure(spec, other, seed=k).same
+        assert same == (k % 2 == 0)
+        assert (worst <= 1e-12) == same
 
 
 def test_twistor_comparison_needs_even_dimension():
