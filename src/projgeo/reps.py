@@ -6,11 +6,11 @@ under sl(n). The decompositions are driven by one fact: tensoring an
 irreducible with the defining representation V (or its dual) splits with
 multiplicity one, the components being indexed by the dominant sums of the
 highest weight with the weights of the factor. Dimensions come from the
-classical product formula, and the census realizes each component as the
-image of an equivariant projector to read off which eigenvalues the standard
-complex structure takes on it. The projectors are those of projgeo.algebra
-(torsion_split, bianchi_project, weyl, wedge_id), the ones the verdicts use,
-so the census is also an equivariance and dimension check on that algebra.
+classical product formula. The census reads the standard complex structure's
+eigenvalues on each component as traces of its equivariant projector over the
+eigenspaces of one eigendecomposition. The projectors are those of
+projgeo.algebra (torsion_split, bianchi_project, weyl, wedge_id), the ones the
+verdicts use, so the census is also an equivariance and dimension check on them.
 """
 
 from __future__ import annotations
@@ -175,22 +175,6 @@ def _curvature_pieces(a: TensorValue) -> "list[TensorValue]":
             (lam3.data - trace, trace, w.data, -wedge_id(sym2(q)).data, -wedge_id(alt2(q)).data)]
 
 
-def _matrix_of(linear, basis: np.ndarray, n: int, rank: int) -> np.ndarray:
-    """Matrix, in the orthonormal basis rows, of a linear map on stacked tensors.
-
-    The basis is walked in blocks of rows, and each block's coordinates are
-    written into the one output matrix, so only a block's images are held.
-    """
-    variance = ("up",) + ("down",) * (rank - 1)
-    out = np.empty((len(basis), len(basis)))
-    start = 0
-    for block in point_blocks(basis):
-        image = linear(TensorValue(n, variance, block.reshape((-1,) + (n,) * rank))).data
-        out[:, start:start + len(block)] = basis @ image.reshape(len(block), -1).T
-        start += len(block)
-    return out
-
-
 def _lie_action(x: np.ndarray, a: TensorValue) -> TensorValue:
     """The action of x in gl(n) on a stack of tensors with one up slot, then down slots."""
     d = a.data
@@ -200,18 +184,25 @@ def _lie_action(x: np.ndarray, a: TensorValue) -> TensorValue:
     return TensorValue(a.n, a.variance, out)
 
 
+def _require_near(values: np.ndarray, nearest: np.ndarray, what: str) -> None:
+    """Refuse when a census value lies more than 1e-8 from the integer it stands for."""
+    far = np.abs(values - nearest) > 1e-8
+    if far.any():
+        raise ValueError(f"{what} {values[far][0]:.12g} is not within 1e-8 of {nearest[far][0]:g}")
+
+
 def j0_census(space: str, n: int) -> "list[IrrepComponent]":
     """Eigenvalues of the standard complex structure on each component.
 
-    Realizes each irreducible component as the image of its projector on an
-    orthonormal tensor basis, restricts the induced Lie-algebra action of j0,
-    and counts eigenvalue-ik multiplicities by the rank defect of (M - ik I),
-    tolerance 1e-8. The projectors are the projective decomposition of
-    projgeo.algebra applied to the basis as stacked tensors; the trace part of
-    the alternating branch is rescaled by the closed-form Schur scalar
-    (n-2)/3. One component's matrix is built at a time. Labels are attached
-    positionally from the decomposition lists and cross-checked against the
-    product dimension formula.
+    j0 acts on an orthonormal tensor basis by a skew matrix A, so one real
+    eigh of A^T A splits the space into the real spans of the +-ik
+    eigenspaces, with eigenvalue k^2. Each component's projector P is an
+    equivariant idempotent, so it preserves those spans, and the sum of
+    <v, P v> over one span's eigenvectors, halved for k > 0, is the
+    multiplicity of ik on the component. P runs once per block of eigenvector
+    rows. An eigenvalue of A^T A or a multiplicity more than 1e-8 from an
+    integer is refused. Labels come positionally from the decomposition lists;
+    each component's whole trace is checked against the dimension formula.
     """
     if n % 2 != 0:
         raise OddDimension("the census pairs coordinates into 2-planes")
@@ -226,27 +217,35 @@ def j0_census(space: str, n: int) -> "list[IrrepComponent]":
         raise ValueError(f"space must be 'torsion' or 'curvature', got {space!r}")
 
     basis = _antisymmetric_basis(n, rank)
+    variance, shape = ("up",) + ("down",) * (rank - 1), (-1,) + (n,) * rank
     j0 = standard_complex_structure(n)
-    action = _matrix_of(lambda a: _lie_action(j0, a), basis, n, rank)
+    # row i holds the image of basis row i in basis coordinates: the rows form A^T
+    images = np.concatenate([
+        _lie_action(j0, TensorValue(n, variance, b.reshape(shape))).data.reshape(len(b), -1)
+        @ basis.T for b in point_blocks(basis)])
+    squares, vectors = np.linalg.eigh(images @ images.T)
+    ks = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
+    _require_near(squares, ks ** 2, "eigenvalue of A^T A")
+
+    traces = []  # <v, P v> for each piece P and eigenvector v
+    for block in point_blocks(vectors.T):
+        rows = block @ basis
+        traces.append([np.sum(rows * p.data.reshape(len(rows), -1), axis=1)
+                       for p in pieces(TensorValue(n, variance, rows.reshape(shape)))])
+    traces = np.concatenate(traces, axis=1)
+    sums = np.array([np.bincount(ks, weights=t) for t in traces])
+    sums[:, 1:] /= 2  # the eigenspace of k > 0 carries both +ik and -ik
+    mults = np.rint(sums).astype(int)
+    _require_near(sums, mults, "census multiplicity")
 
     out = []
-    for index, label in enumerate(labels):
-        cols = _matrix_of(lambda a: pieces(a)[index], basis, n, rank)
-        u, sv, _ = np.linalg.svd(cols)
-        d = int(np.sum(sv > 1e-8))
+    for label, trace, mult in zip(labels, traces, mults):
+        d = int(np.rint(trace.sum()))
         expected = weyl_dim(label, n)
         if d != expected:
             raise ValueError(
                 f"projector image for {label} has dimension {d}, expected {expected}")
-        comp = u[:, :d]
-        m = comp.T @ action @ comp
-        spectrum: dict[int, int] = {}
-        for k in range(0, rank + 1):
-            defect = d - np.linalg.matrix_rank(m - 1j * k * np.eye(d), tol=1e-8)
-            if defect > 0:
-                spectrum[k] = int(defect)
-                if k > 0:
-                    spectrum[-k] = int(defect)
+        spectrum = {sign * k: int(m) for k, m in enumerate(mult) if m for sign in (-1, 1)}
         if sum(spectrum.values()) != d:
             raise ValueError(f"census multiplicities for {label} do not add to {d}")
         out.append(IrrepComponent(label, d, dict(sorted(spectrum.items()))))

@@ -282,14 +282,14 @@ def test_census_pieces_are_complementary_equivariant_projectors(n, rank):
         assert np.abs(q.data - _gl_action(x, p)).max() <= 1e-12
 
 
-def test_curvature_census_holds_one_component_matrix_at_a_time():
+def test_curvature_census_memory_is_bounded():
     # the n = 6 curvature census sets the twistor workload's memory high-water
-    # mark: about 20 MiB with one 540 x 540 component matrix at a time, about
-    # 29 MiB with all five held, about 50 MiB with the whole basis stacked
+    # mark: the basis, the 540 x 540 action and its eigenvectors, about 12 MiB
+    # in all, with the pieces applied to one block of eigenvector rows at a time
     tracemalloc.start()
     try:
         j0_census("curvature", 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 22 * 2**20
+    assert peak <= 18 * 2**20

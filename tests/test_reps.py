@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from projgeo import reps
+from projgeo.algebra import torsion_split
+from projgeo.connection import point_blocks
 from projgeo.reps import (NotDominant, WeightVector, curvature_component_weights,
                           decompose_with, fundamental, j0_census,
                           torsion_component_weights, weights_of_V,
                           weights_of_dual, weyl_dim)
-from projgeo.tensor import OddDimension
+from projgeo.tensor import OddDimension, TensorValue
+from projgeo.twistor import standard_complex_structure
 
 
 def test_weight_vector_arithmetic_and_rendering():
@@ -136,7 +140,7 @@ def test_census_dimension_six():
 
 
 def test_census_spectra_are_symmetric_and_complete():
-    for space, n in (("torsion", 4), ("curvature", 4), ("torsion", 6)):
+    for space, n in (("torsion", 4), ("curvature", 4), ("torsion", 6), ("curvature", 6)):
         for comp in j0_census(space, n):
             assert sum(comp.spectrum.values()) == comp.dim
             for k, mult in comp.spectrum.items():
@@ -148,3 +152,64 @@ def test_extreme_speed_eigenvalue_sits_on_one_torsion_piece_only():
         comps = j0_census("torsion", n)
         with_three = [str(c.highest) for c in comps if 3 in c.spectrum]
         assert with_three == [str(fundamental(1, n) + fundamental(n - 2, n))]
+
+
+def _reference_matrix_of(linear, basis, n, rank):
+    variance = ("up",) + ("down",) * (rank - 1)
+    out = np.empty((len(basis), len(basis)))
+    start = 0
+    for block in point_blocks(basis):
+        image = linear(TensorValue(n, variance, block.reshape((-1,) + (n,) * rank))).data
+        out[:, start:start + len(block)] = basis @ image.reshape(len(block), -1).T
+        start += len(block)
+    return out
+
+
+def _reference_census(space, n):
+    """An independent census: each component's image from an SVD of its projector
+    matrix, and each multiplicity from the rank defect of (M - ik I) on it."""
+    if space == "torsion":
+        rank, pieces, labels = 3, torsion_split, torsion_component_weights(n)
+    else:
+        rank, pieces, labels = 4, reps._curvature_pieces, curvature_component_weights(n)
+    basis = reps._antisymmetric_basis(n, rank)
+    j0 = standard_complex_structure(n)
+    action = _reference_matrix_of(lambda a: reps._lie_action(j0, a), basis, n, rank)
+    out = []
+    for index, label in enumerate(labels):
+        cols = _reference_matrix_of(lambda a: pieces(a)[index], basis, n, rank)
+        u, sv, _ = np.linalg.svd(cols)
+        d = int(np.sum(sv > 1e-8))
+        comp = u[:, :d]
+        m = comp.T @ action @ comp
+        spectrum = {}
+        for k in range(0, rank + 1):
+            defect = d - np.linalg.matrix_rank(m - 1j * k * np.eye(d), tol=1e-8)
+            if defect > 0:
+                spectrum[k] = spectrum[-k] = int(defect)
+        out.append((str(label), d, dict(sorted(spectrum.items()))))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("space", ["torsion", "curvature"])
+def test_census_matches_the_rank_defect_reference(space, n):
+    got = [(str(c.highest), c.dim, c.spectrum) for c in j0_census(space, n)]
+    assert got == _reference_census(space, n)
+
+
+def test_census_refuses_a_piece_that_is_not_idempotent(monkeypatch):
+    def doubled_trace_free(t):
+        t1, t2 = torsion_split(t)
+        return TensorValue(t.n, t.variance, 2.0 * t1.data), t2
+
+    monkeypatch.setattr(reps, "torsion_split", doubled_trace_free)
+    with pytest.raises(ValueError, match="dimension 40, expected 20"):
+        j0_census("torsion", 4)
+
+
+def test_census_refuses_a_structure_whose_square_is_not_minus_one(monkeypatch):
+    monkeypatch.setattr(reps, "standard_complex_structure",
+                        lambda n: 1.5 * standard_complex_structure(n))
+    with pytest.raises(ValueError, match="eigenvalue of A\\^T A"):
+        j0_census("torsion", 4)
