@@ -65,6 +65,17 @@ _POINT = _numbers()
 _POSITIVE = _numbers(1, above=0)
 _COUNT = _numbers(1, int, above=0)
 _SEED = _numbers(1, int, above=-1)
+# The largest --samples taken. `equivalent` holds P·n³ Gamma differences at
+# once, 41 MB at this count and n = 8; a count far above it cannot be allocated.
+MAX_SAMPLES = 10_000
+
+
+def _sample_count(text: str) -> int:
+    """An argparse type: a sample count in 1..MAX_SAMPLES."""
+    count = _COUNT(text)
+    if count > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected an integer <= {MAX_SAMPLES}, got {text!r}")
+    return count
 
 
 def _fmt(value) -> str:
@@ -285,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, run, samples_default=10, tol_default=1e-8):
         output(p, run)
         p.add_argument("--seed", type=_SEED, default=0)
-        p.add_argument("--samples", type=_COUNT, default=samples_default)
+        p.add_argument("--samples", type=_sample_count, default=samples_default)
         p.add_argument("--tol", type=_POSITIVE, default=tol_default)
 
     p = sub.add_parser("analyze", help="curvature report and flatness verdict at a point")

@@ -14,10 +14,10 @@ so curvature values have variance (up, down, down, down) in slot order
 [l, k, i, j]. The Ricci trace is r_ij = R^k_{jik} (trace of Z -> R(X,Z)Y over
 Z), and the trace 2-form is s_ij = R^k_{kij}.
 
-Connections come from closed-form Christoffel entries, from a metric
-(Levi-Civita, computed from the metric's jets at each point, never
-symbolically), or from either of those plus a projective perturbation alpha
-(which adds alpha_i delta^k_j + alpha_j delta^k_i).
+Connections come from closed-form Christoffel entries or from a metric, either
+optionally plus a projective perturbation alpha (which adds
+alpha_i delta^k_j + alpha_j delta^k_i at every derivative level). Levi-Civita
+solves g Gamma = c on the metric's jets at each point, never symbolically.
 
 Every array above may carry leading point axes: `ConnectionSpec.evaluate_many`
 stacks its rows on one, and the curvature functions below act on such a stack
@@ -160,15 +160,13 @@ class ConnectionSpec:
         plan = self._plan()
         if self.metric is not None:
             jets = plan.tape.run(points, derivs + 1)
-            gamma, dgamma, ddgamma = _levi_civita(plan.entry_arrays(jets, 4), points, derivs)
+            levels = _levi_civita(plan.entry_arrays(jets), points)
         else:
             jets = plan.tape.run(points, derivs)
-            gamma, dgamma, ddgamma = plan.entry_arrays(jets, 3)
+            levels = plan.entry_arrays(jets)
         if self.alpha is not None:
-            # alpha_i, d_l alpha_i as [l, i], d_m d_l alpha_i as [m, l, i]
-            alpha = [jet[..., plan.m:] for jet in jets]
-            _add_projective_term(gamma, dgamma, ddgamma, alpha)
-        return ConnectionValue(self.n, points, gamma, dgamma, ddgamma)
+            _add_projective_term(levels, [jet[..., plan.m:] for jet in jets])
+        return ConnectionValue(self.n, points, *levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +204,8 @@ class _Compiled:
         return cls(n, 2 if spec.metric is not None else 3, ex.compile_tape(exprs, n),
                    len(entries), np.array(flat, dtype=np.intp), np.array(cols, dtype=np.intp))
 
-    def entry_arrays(self, jets, levels: int) -> list:
-        """Dense base-entry arrays, one per tape output level, None-padded to `levels`.
+    def entry_arrays(self, jets) -> list:
+        """Dense base-entry arrays, one per tape output level.
 
         For Gamma: gamma, dgamma[l, k, i, j], ddgamma[m, l, k, i, j]; for g:
         g, dg[a, i, j], ddg[a, b, i, j], dddg[a, b, c, i, j].
@@ -218,7 +216,7 @@ class _Compiled:
             dense = np.zeros(lead + (self.n ** self.rank,))
             dense[..., self.flat] = jet[..., self.cols]
             out.append(dense.reshape(lead + (self.n,) * self.rank))
-        return out + [None] * (levels - len(out))
+        return out
 
 
 def _parse_entries(entries, n):
@@ -236,70 +234,49 @@ def _parse_entries(entries, n):
     return parsed
 
 
-def _inverse_jets(g0, g1, g2, points):
-    """Derivative arrays of g^{-1} from those of g, via the product-rule recursion.
+def _levi_civita(metric_arrays, points) -> list:
+    """Levi-Civita gamma and its derivative levels, one fewer than the metric jets.
 
-    Every array carries a leading point axis; i2 is formed only when g2 is
-    given. A row whose metric is not invertible to working precision raises
-    SingularMetric naming its point.
+    Solves g Gamma = c (c the symbols of the first kind) by the product rule,
+    level by level, with Gamma as (n, n^2) matrices. A row whose metric is not
+    invertible to working precision raises SingularMetric naming its point.
     """
+    g0, g1, *higher = metric_arrays
     cond = np.linalg.cond(g0)
     bad = cond > 1e12
     if np.any(bad):
         r = int(np.argmax(bad))
         raise SingularMetric(f"metric condition estimate {cond[r]:.3e} exceeds 1e12 "
                              f"{ex.at_point(points[r])}")
-    i0 = np.linalg.inv(g0)
-    # i1[a] = -i0 g1[a] i0
-    i1 = -(i0[:, None] @ g1 @ i0[:, None])
-    i2 = None
-    if g2 is not None:
-        # i2[a, b] = -i0 (g2[a, b] i0 + g1[a] i1[b] + g1[b] i1[a])
-        inner = (g2 @ i0[:, None, None] + g1[:, :, None] @ i1[:, None]
-                 + g1[:, None] @ i1[:, :, None])
-        i2 = -(i0[:, None, None] @ inner)
-    return i0, i1, i2
+    ginv = np.linalg.inv(g0)
+    n = g0.shape[-1]
+    # c[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2 as (n, n^2) matrices; the
+    # ellipsis takes the derivative slots, so level d of c comes from level d + 1 of g
+    c = []
+    for g in (g1, *higher):
+        t = np.einsum("...ijl->...lij", g)
+        c.append((0.5 * (t + np.swapaxes(t, -1, -2) - g)).reshape(g.shape[:-2] + (n * n,)))
+    levels = [ginv @ c[0]]
+    if len(c) > 1:  # g d_a Gamma = d_a c - d_a g Gamma
+        rhs = c[1]
+        rhs -= g1 @ levels[0][:, None]
+        levels.append(ginv[:, None] @ rhs)
+    if len(c) > 2:  # g d_a d_b Gamma = d_a d_b c minus the three products below
+        gamma, dgamma = levels
+        rhs, tmp = c[2], np.empty_like(c[2])
+        rhs -= np.matmul(higher[0], gamma[:, None, None], out=tmp)  # d_a d_b g Gamma
+        rhs -= np.matmul(g1[:, :, None], dgamma[:, None], out=tmp)  # d_a g d_b Gamma
+        rhs -= np.matmul(g1[:, None], dgamma[:, :, None], out=tmp)  # d_b g d_a Gamma
+        levels.append(np.matmul(ginv[:, None, None], rhs, out=tmp))
+    return [level.reshape(level.shape[:-2] + (n, n, n)) for level in levels]
 
 
-def _levi_civita(metric_arrays, points, derivs):
-    """Stacked gamma, dgamma, ddgamma of the Levi-Civita connection, one row per point."""
-    g0, g1, g2, g3 = metric_arrays
-    i0, i1, i2 = _inverse_jets(g0, g1, g2 if derivs >= 2 else None, points)
-
-    # c[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, with derivative levels
-    # read off one order higher in the metric jets
-    c0 = 0.5 * (np.einsum("...ijl->...lij", g1) + np.einsum("...jil->...lij", g1) - g1)
-    gamma = np.einsum("...kl,...lij->...kij", i0, c0)
-    dgamma = ddgamma = None
-    if derivs >= 1:
-        c1 = 0.5 * (np.einsum("...aijl->...alij", g2) + np.einsum("...ajil->...alij", g2)
-                    - g2)
-        dgamma = (np.einsum("...akl,...lij->...akij", i1, c0)
-                  + np.einsum("...kl,...alij->...akij", i0, c1))
-    if derivs >= 2:
-        c2 = 0.5 * (np.einsum("...abijl->...ablij", g3) + np.einsum("...abjil->...ablij", g3)
-                    - g3)
-        ddgamma = (np.einsum("...abkl,...lij->...abkij", i2, c0)
-                   + np.einsum("...akl,...blij->...abkij", i1, c1)
-                   + np.einsum("...bkl,...alij->...abkij", i1, c1)
-                   + np.einsum("...kl,...ablij->...abkij", i0, c2))
-    return gamma, dgamma, ddgamma
-
-
-def _add_projective_term(gamma, dgamma, ddgamma, alpha):
-    """Add alpha_i delta^k_j + alpha_j delta^k_i, and its derivatives, in place."""
-    eye = np.eye(gamma.shape[-1])
-    a0 = alpha[0]
-    gamma += (np.einsum("...i,kj->...kij", a0, eye)
-              + np.einsum("...j,ki->...kij", a0, eye))
-    if dgamma is not None:
-        a1 = alpha[1]  # a1[l, i] = d_l alpha_i
-        dgamma += (np.einsum("...li,kj->...lkij", a1, eye)
-                   + np.einsum("...lj,ki->...lkij", a1, eye))
-    if ddgamma is not None:
-        a2 = alpha[2]  # a2[m, l, i]
-        ddgamma += (np.einsum("...mli,kj->...mlkij", a2, eye)
-                    + np.einsum("...mlj,ki->...mlkij", a2, eye))
+def _add_projective_term(levels, alpha) -> None:
+    """Add alpha_i delta^k_j + alpha_j delta^k_i to every level in place; levels[d]
+    and alpha[d] carry d derivative slots ahead of their index slots."""
+    eye = np.eye(levels[0].shape[-1])
+    for level, a in zip(levels, alpha):
+        level += np.einsum("...i,kj->...kij", a, eye) + np.einsum("...j,ki->...kij", a, eye)
 
 
 def torsion(cv: ConnectionValue) -> TensorValue:

@@ -4,12 +4,13 @@ A projective change by a 1-form alpha replaces Gamma^k_{ij} with
 Gamma^k_{ij} + alpha_i delta^k_j + alpha_j delta^k_i. It keeps the
 unparametrized geodesics, the Weyl tensor W (n >= 3), the Cotton tensor
 (n = 2) and the twistor almost complex structure; those invariances are what
-this module measures.
+this module measures. A changed chart keeps its own entries, metric or
+Christoffel, and adds alpha to the 1-form it carries as `ConnectionSpec.alpha`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,32 +112,14 @@ def _add(a: ex.Expr | None, b: ex.Expr) -> ex.Expr:
 def projective_change(spec: ConnectionSpec, alpha: OneFormField) -> ConnectionSpec:
     """The connection with Gamma^k_{ij} + alpha_i delta^k_j + alpha_j delta^k_i.
 
-    Christoffel charts stay in closed form (the perturbation is spliced into
-    the entry expressions); metric charts gain a pointwise perturbation since
-    no symbolic Levi-Civita is attempted.
+    The chart keeps its own entries, metric or Christoffel, and alpha is added
+    to the spec's projective 1-form, which evaluation applies to every jet level.
     """
     if alpha.n != spec.n:
         raise ValueError("alpha dimension does not match the chart")
-    n = spec.n
-    if spec.source == "metric":
-        if spec.alpha is None:
-            combined = alpha.entries
-        else:
-            combined = tuple(ex.BinOp("+", old, new)
-                             for old, new in zip(spec.alpha, alpha.entries))
-        return ConnectionSpec(n, metric=spec.metric, alpha=combined, name=spec.name)
-    entries: dict[tuple[int, int, int], ex.Expr | None] = dict(spec.christoffel)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                term = None
-                if k == j:
-                    term = _add(term, alpha.entries[i])
-                if k == i:
-                    term = _add(term, alpha.entries[j])
-                if term is not None:
-                    entries[(k, i, j)] = _add(entries.get((k, i, j)), term)
-    return ConnectionSpec(n, christoffel=entries, name=spec.name)
+    combined = alpha.entries if spec.alpha is None else tuple(
+        ex.BinOp("+", old, new) for old, new in zip(spec.alpha, alpha.entries))
+    return replace(spec, alpha=combined)
 
 
 @dataclass
@@ -261,7 +244,7 @@ def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> Tors
                 elif k == i and not _is_zero(alpha_exprs[j]):
                     entries[(k, i, j)] = _add(
                         entries.get((k, i, j)), ex.BinOp("*", half, alpha_exprs[j]))
-    fixed = ConnectionSpec(n, christoffel=entries, name=spec.name)
+    fixed = ConnectionSpec(n, christoffel=entries, alpha=spec.alpha, name=spec.name)
 
     worst_t1 = 0.0
     for block in point_blocks(points):

@@ -270,6 +270,12 @@ MALFORMED = {
     "samples-negative": (["invariance", str(chart_path("flat3.chart")), "--alpha",
                           str(chart_path("alpha3.alpha")), "--samples", "-1"],
                          {}, "argument --samples: expected an integer > 0"),
+    "samples-huge": (["invariance", str(chart_path("sphere3.chart")), "--alpha",
+                      str(chart_path("alpha3.alpha")), "--samples", "1000000000000"],
+                     {}, "argument --samples: expected an integer <= 10000"),
+    "samples-above-cap": (["equivalent", str(chart_path("flat3.chart")),
+                           str(chart_path("flat3.chart")), "--samples", "10001"],
+                          {}, "argument --samples: expected an integer <= 10000"),
     "dim-one-analyze": (["analyze", "{tmp}/c.chart", "--point", "0.1"],
                         {"c.chart": DIM_ONE}, "line 1: dim must be in 2..8"),
     "dim-one-invariance": (["invariance", "{tmp}/c.chart", "--alpha", "{tmp}/a.alpha"],

@@ -79,6 +79,66 @@ def test_levi_civita_of_round_metric(n):
         assert np.allclose(cv.gamma, _round_metric_christoffel(p), atol=1e-13)
 
 
+def _reference_inverse_jets(g0, g1, g2):
+    """Derivative arrays of g^{-1} from those of g, via the product-rule recursion."""
+    i0 = np.linalg.inv(g0)
+    i1 = -(i0[:, None] @ g1 @ i0[:, None])
+    inner = (g2 @ i0[:, None, None] + g1[:, :, None] @ i1[:, None]
+             + g1[:, None] @ i1[:, :, None])
+    return i0, i1, -(i0[:, None, None] @ inner)
+
+
+def _reference_levi_civita(g0, g1, g2, g3):
+    """Levi-Civita gamma, dgamma, ddgamma as g^{-1} jets contracted with c jets,
+    an independent route from the solve of g Gamma = c in connection.py."""
+    i0, i1, i2 = _reference_inverse_jets(g0, g1, g2)
+    c0 = 0.5 * (np.einsum("...ijl->...lij", g1) + np.einsum("...jil->...lij", g1) - g1)
+    c1 = 0.5 * (np.einsum("...aijl->...alij", g2) + np.einsum("...ajil->...alij", g2) - g2)
+    c2 = 0.5 * (np.einsum("...abijl->...ablij", g3) + np.einsum("...abjil->...ablij", g3)
+                - g3)
+    gamma = np.einsum("...kl,...lij->...kij", i0, c0)
+    dgamma = (np.einsum("...akl,...lij->...akij", i1, c0)
+              + np.einsum("...kl,...alij->...akij", i0, c1))
+    ddgamma = (np.einsum("...abkl,...lij->...abkij", i2, c0)
+               + np.einsum("...akl,...blij->...abkij", i1, c1)
+               + np.einsum("...bkl,...alij->...abkij", i1, c1)
+               + np.einsum("...kl,...ablij->...abkij", i0, c2))
+    return gamma, dgamma, ddgamma
+
+
+def _random_metric_spec(n, rng):
+    """A non-diagonal metric, diagonally dominant on the sample box."""
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            c = rng.uniform(-0.3, 0.3, size=3)
+            u, v = rng.integers(1, n + 1, size=2)
+            entries[(i, j)] = (f"{(2.0 if i == j else 0.0) + c[0]:.4f} + {c[1]:.4f}*x{u}"
+                               f" + {c[2]:.4f}*x{u}*sin(x{v})")
+    return ConnectionSpec.from_metric(n, entries)
+
+
+LEVI_CIVITA_CASES = (
+    [(f"sphere{n}", lambda n=n: load_chart(chart_path(f"sphere{n}.chart"))) for n in (2, 3, 4)]
+    + [(f"random{k}-n{2 + k % 3}",
+        lambda k=k: _random_metric_spec(2 + k % 3, np.random.default_rng(60 + k)))
+       for k in range(6)])
+
+
+@pytest.mark.parametrize("name,make", LEVI_CIVITA_CASES, ids=[c[0] for c in LEVI_CIVITA_CASES])
+def test_levi_civita_matches_the_inverse_metric_reference(name, make):
+    spec = make()
+    points = np.random.default_rng(3).uniform(-0.4, 0.4, size=(6, spec.n))
+    plan = spec._plan()
+    metric_jets = plan.entry_arrays(plan.tape.run(points, 3))
+    cv = spec.evaluate_many(points, derivs=2)
+    for got, want in zip((cv.gamma, cv.dgamma, cv.ddgamma),
+                         _reference_levi_civita(*metric_jets)):
+        scale = np.max(np.abs(want))
+        assert scale > 1e-3
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+
 def test_torsion_reads_off_the_antisymmetric_part():
     spec = load_chart(chart_path("torsion3.chart"))
     t = torsion(spec.evaluate(np.zeros(3), derivs=0))

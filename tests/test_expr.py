@@ -334,5 +334,5 @@ def test_tape_merges_shared_subexpressions():
                     entries[(k, i, j)] = " + ".join(terms)
     alpha = OneFormField.from_strings([f"0.1*x{i % n + 1} - 0.2" for i in range(n)])
     spec = projective_change(ConnectionSpec.from_christoffel(n, entries), alpha)
-    tree_total = sum(_tree_size(e) for e in spec.christoffel.values())
+    tree_total = sum(_tree_size(e) for e in (*spec.christoffel.values(), *spec.alpha))
     assert len(spec.tape) < tree_total / 10

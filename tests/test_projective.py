@@ -144,6 +144,24 @@ def test_remove_trace_torsion():
         assert norm(torsion(out.spec.evaluate(p, derivs=0))) < 1e-12
 
 
+def test_torsion_removal_keeps_the_projective_term():
+    """Removing trace torsion commutes with a projective change: the alpha a
+    changed chart carries survives into the corrected chart."""
+    n = 3
+    texts = ["0.4 + 0.2*x2", "-0.1*x1", "0.25 - x3*x1"]
+    entries = {(k, i, k): texts[i] for i in range(n) for k in range(n)}
+    entries[(0, 1, 2)] = entries[(0, 2, 1)] = "0.3*x1 - 0.2"
+    spec = ConnectionSpec.from_christoffel(n, entries)
+    alpha = random_alpha(n, np.random.default_rng(14))
+    removed_after = remove_torsion(projective_change(spec, alpha)).spec
+    removed_before = projective_change(remove_torsion(spec).spec, alpha)
+    points = sample_points(n, 5, seed=2)
+    a, b = (s.evaluate_many(points, derivs=1) for s in (removed_after, removed_before))
+    assert np.max(np.abs(a.gamma - spec.evaluate_many(points, derivs=0).gamma)) > 0.1
+    assert np.max(np.abs(a.gamma - b.gamma)) <= 1e-14
+    assert np.max(np.abs(a.dgamma - b.dgamma)) <= 1e-14
+
+
 def test_remove_torsion_reports_the_obstruction():
     out = remove_torsion(load_chart(chart_path("torsion3.chart")))
     assert not out.ok
