@@ -293,31 +293,44 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", help="write the report to this file")
 
-    def common(p, run, samples_default=10, tol_default=1e-8):
-        output(p, run)
+    # each subcommand takes only the flags its run function reads
+    def seed(p):
         p.add_argument("--seed", type=_SEED, default=0)
-        p.add_argument("--samples", type=_sample_count, default=samples_default)
-        p.add_argument("--tol", type=_POSITIVE, default=tol_default)
+
+    def samples(p, default):
+        p.add_argument("--samples", type=_sample_count, default=default)
+
+    def tol(p, default):
+        p.add_argument("--tol", type=_POSITIVE, default=default)
 
     p = sub.add_parser("analyze", help="curvature report and flatness verdict at a point")
     p.add_argument("chart")
     p.add_argument("--point", type=_POINT, required=True)
-    common(p, _run_analyze, tol_default=1e-10)
+    output(p, _run_analyze)
+    tol(p, 1e-10)
 
     p = sub.add_parser("invariance", help="projective invariance residual of the Weyl tensor")
     p.add_argument("chart")
     p.add_argument("--alpha", required=True, help="1-form file: lines 'a i = expr'")
-    common(p, _run_invariance, tol_default=1e-9)
+    output(p, _run_invariance)
+    seed(p)
+    samples(p, 10)
+    tol(p, 1e-9)
 
     p = sub.add_parser("equivalent", help="pointwise projective equivalence of two charts")
     p.add_argument("chartA")
     p.add_argument("chartB")
-    common(p, _run_equivalent)
+    output(p, _run_equivalent)
+    seed(p)
+    samples(p, 10)
+    tol(p, 1e-8)
 
     p = sub.add_parser("twistor", help="Nijenhuis integrability test at twistor samples")
     p.add_argument("chart")
     p.add_argument("--h", type=_POSITIVE, default=1e-4, help="finite-difference step")
-    common(p, _run_twistor, samples_default=3)
+    output(p, _run_twistor)
+    seed(p)
+    samples(p, 3)
 
     p = sub.add_parser("reps", help="component table with structure eigenvalues")
     p.add_argument("--dim", type=_numbers(1, int), choices=(4, 6), required=True)
@@ -328,7 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("chart")
     p.add_argument("--base", type=_POINT, required=True)
     p.add_argument("--targets", required=True, help="file of comma-separated points")
-    common(p, _run_develop, tol_default=1e-7)
+    output(p, _run_develop)
+    seed(p)
+    tol(p, 1e-7)
     return parser
 
 

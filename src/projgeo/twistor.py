@@ -8,6 +8,9 @@ projection, and by left multiplication by j on the vertical part. Its
 Nijenhuis tensor, built here from the structure matrix J over a chart of the
 bundle and the central differences of J along each chart coordinate, measures
 integrability.
+
+scipy supplies the matrix exponential of the exp fibre chart and is imported
+on first use, so the rest of projgeo starts without it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .connection import ConnectionSpec, ConnectionValue, torsion
 from .expr import DomainError, at_point
@@ -147,8 +149,17 @@ class TwistorChart:
         return np.einsum("a,aij->ij", m_coords, self.basis)
 
     def point(self, x: np.ndarray, m_coords: np.ndarray) -> TwistorPoint:
+        from scipy.linalg import expm
+
         j = expm(2.0 * self.fibre_matrix(m_coords)) @ self.anchor.j
         return TwistorPoint(np.asarray(x, dtype=float), _polish(j))
+
+
+def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The Frechet derivative of the matrix exponential at a along e (scipy's)."""
+    from scipy.linalg import expm_frechet
+
+    return expm_frechet(a, e, compute_expm=False)
 
 
 def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -176,6 +187,8 @@ def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
     horizontal-to-vertical block, through vertical_motion. A fibre point that
     overflows raises DomainError.
     """
+    from scipy.linalg import expm
+
     n, d = chart.n, chart.fibre_dim
     j0 = chart.anchor.j
     m = chart.fibre_matrix(m_coords)
@@ -185,7 +198,7 @@ def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
     jp = e2m @ j0
 
     # jdot matrices of the fibre coordinate directions, and the inverse map
-    push = np.array([expm_frechet(2.0 * m, 2.0 * b, compute_expm=False) @ j0
+    push = np.array([expm_frechet(2.0 * m, 2.0 * b) @ j0
                      for b in chart.basis])
     pull = np.linalg.pinv(push.reshape(d, n * n).T)
 

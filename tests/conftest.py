@@ -1,5 +1,8 @@
 """Shared helpers: fixture chart paths and random connection generators."""
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,10 +12,23 @@ from projgeo.connection import ConnectionSpec
 from projgeo.projective import OneFormField
 
 CHARTS = Path(__file__).parent / "charts"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def chart_path(name):
     return CHARTS / name
+
+
+def run_fresh_python(script, *args):
+    """Run `script` in a new interpreter, where nothing this test process has
+    imported (scipy among it) is loaded yet; return its last stdout line read
+    as JSON. `args` become sys.argv[1:]."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def poly_entry(rng, n, scale):

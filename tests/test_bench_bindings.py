@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import chart_path, run_fresh_python
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -42,3 +44,31 @@ def test_tracer_installs_with_full_coverage():
         assert tracer.coverage_problems() == []
     finally:
         tracer.uninstall()
+
+
+# In a process where neither projgeo nor scipy is loaded yet, as in the bench
+# worker: load the spans as _load_spans does, install (which imports
+# projgeo.cli), then run one twistor job.
+TRACED_TWISTOR = """
+import json, sys, types
+spans_path, chart, out = sys.argv[1:]
+spans = types.ModuleType("bench_spans")
+with open(spans_path) as f:
+    exec(compile(f.read(), spans_path, "exec"), spans.__dict__)
+tracer = spans.Tracer()
+tracer.install()
+import projgeo.cli as cli
+code = cli.main(["twistor", chart, "--samples", "1", "--out", out])
+print(json.dumps({"code": code, "problems": tracer.coverage_problems(),
+                  "calls": dict(tracer.calls)}))
+"""
+
+
+def test_traced_twistor_job_counts_every_frechet_derivative(tmp_path):
+    """One structure matrix per chart point calls expm_frechet n^2/2 = 8 times."""
+    seen = run_fresh_python(TRACED_TWISTOR, SPANS, chart_path("sphere4.chart"),
+                            tmp_path / "report.json")
+    assert seen["code"] == 0
+    assert seen["problems"] == []
+    calls = seen["calls"]
+    assert calls["twistor.expm_frechet"] == 8 * calls["twistor.acs_field_matrix"] > 0

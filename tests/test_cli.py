@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import chart_path
+from conftest import CHARTS, chart_path, run_fresh_python
 from projgeo.cli import main
 
 
@@ -335,6 +335,15 @@ MALFORMED = {
                         {"a.chart": b"dim = 3\n[christoffel]\nG 1 2 3 = x1\n",
                          "t.txt": b"0.1,0.1,0.1\n"},
                         "first Bianchi identity fails"),
+    "analyze-samples": (["analyze", str(chart_path("sphere3.chart")), "--point", "0.1,0.2,0.3",
+                         "--samples", "999"], {}, "unrecognized arguments: --samples 999"),
+    "analyze-seed": (["analyze", str(chart_path("sphere3.chart")), "--point", "0.1,0.2,0.3",
+                      "--seed", "7"], {}, "unrecognized arguments: --seed 7"),
+    "develop-samples": (["develop", str(chart_path("flat3.chart")), "--base", "0,0,0",
+                         "--targets", str(chart_path("targets3.txt")), "--samples", "5"],
+                        {}, "unrecognized arguments: --samples 5"),
+    "twistor-tol": (["twistor", str(chart_path("sphere4.chart")), "--samples", "1",
+                     "--tol", "1e-3"], {}, "unrecognized arguments: --tol 1e-3"),
     "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
                      "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
 }
@@ -353,3 +362,34 @@ def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, name):
     assert fragment in err
     assert "Traceback" not in err
 
+
+# Runs every subcommand but twistor, then twistor, in one process, printing
+# whether scipy was loaded after each stage.
+COLD_START = """
+import json, os, sys
+import projgeo.cli as cli
+
+charts, out = sys.argv[1], os.path.join(sys.argv[2], "report.txt")
+def chart(name):
+    return os.path.join(charts, name)
+stages = {"import": [], "jet commands": [
+    ["analyze", chart("sphere3.chart"), "--point", "0.1,0.2,0.3"],
+    ["invariance", chart("sphere3.chart"), "--alpha", chart("alpha3.alpha"), "--samples", "2"],
+    ["equivalent", chart("sphere3.chart"), chart("sphere3.chart"), "--samples", "2"],
+    ["develop", chart("flat3.chart"), "--base", "0,0,0", "--targets", chart("targets3.txt")],
+    ["reps", "--dim", "4", "--space", "torsion"],
+], "twistor": [["twistor", chart("sphere4.chart"), "--samples", "1"]]}
+seen = {}
+for stage, runs in stages.items():
+    codes = [cli.main(argv + ["--out", out]) for argv in runs]
+    seen[stage] = {"codes": codes, "scipy": "scipy" in sys.modules}
+print(json.dumps(seen))
+"""
+
+
+def test_only_twistor_loads_scipy(tmp_path):
+    """scipy costs every start that loads it; only the exp fibre chart needs it."""
+    seen = run_fresh_python(COLD_START, CHARTS, tmp_path)
+    assert seen == {"import": {"codes": [], "scipy": False},
+                    "jet commands": {"codes": [0, 0, 0, 0, 0], "scipy": False},
+                    "twistor": {"codes": [0], "scipy": True}}

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
 from projgeo.connection import (ChartError, ConnectionSpec, MissingJet,
-                                SingularMetric, curvature,
+                                SingularMetric, _singular_range, curvature,
                                 curvature_derivative, load_chart, parse_chart,
                                 ricci, second_bianchi_residual, torsion,
                                 trace2form)
@@ -57,6 +57,38 @@ def test_singular_metric_detected():
     spec = parse_chart("dim = 2\n[metric]\ng 1 1 = 1\ng 2 2 = 1\ng 1 2 = 1\n")
     with pytest.raises(SingularMetric, match=r"at x = \(0, 0\)"):
         spec.evaluate(np.zeros(2))
+
+
+def _random_symmetric(n, rng, definite):
+    a = rng.normal(size=(n, n))
+    if definite:
+        return a @ a.T + 0.1 * np.eye(n)
+    q, _ = np.linalg.qr(a)
+    lam = rng.uniform(0.5, 2.0, size=n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    g = (q * 10.0 ** rng.uniform(-4, 4, size=n) * lam) @ q.T
+    return np.triu(g) + np.triu(g, 1).T  # exactly symmetric, as a metric chart's g is
+
+
+def test_singular_range_gives_the_condition_number():
+    """The eigvalsh range reads the same 2-norm condition number as np.linalg.cond."""
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-0.4, 0.4, size=(5, 4))
+    metrics = []
+    for n in (2, 3, 4):
+        plan = load_chart(chart_path(f"sphere{n}.chart"))._plan()
+        metrics.extend(plan.entry_arrays(plan.tape.run(points[:, :n], 1))[0])
+    for k in range(6):
+        plan = _random_metric_spec(2 + k % 3, np.random.default_rng(60 + k))._plan()
+        metrics.extend(plan.entry_arrays(plan.tape.run(points[:, :2 + k % 3], 1))[0])
+    for n in range(2, 9):
+        metrics.extend(_random_symmetric(n, rng, definite) for definite in (True, False) * 3)
+    for g in metrics:
+        assert np.array_equal(g, g.T)
+        low, high = _singular_range(g)
+        # each reads the smallest singular value to about eps |g|, so the
+        # two agree to a relative eps * cond
+        cond = np.linalg.cond(g)
+        assert abs(high / low - cond) <= 50 * np.finfo(float).eps * cond * cond
 
 
 def _round_metric_christoffel(p):
