@@ -37,7 +37,7 @@ from .tensor import MAX_DIM, TensorValue
 
 __all__ = [
     "ConnectionSpec", "ConnectionValue", "load_chart", "parse_chart",
-    "POINT_BLOCK", "point_blocks",
+    "point_blocks",
     "torsion", "curvature", "ricci", "trace2form", "curvature_derivative",
     "second_bianchi_residual", "SingularMetric", "MissingJet", "ChartError",
 ]
@@ -51,18 +51,21 @@ class MissingJet(ValueError):
     """Operation needs a derivative level the ConnectionValue does not carry."""
 
 
-# Consumers that evaluate many points walk them in blocks of this many rows:
-# big enough to spread the per-instruction cost of a tape run, small enough
-# that the order-3 partials of a block stay a few hundred kilobytes.
-POINT_BLOCK = 8
+# Entries of the widest per-point array one block may hold, shared by every
+# caller of point_blocks: 256 KB of float64. A block's temporaries run to about
+# ten times that. check_weyl_invariance on the round metric peaks at 1.9 MB for
+# 128 rows at n = 4 and 2.5 MB for 25 rows at n = 6, where a point's dgamma is
+# 10 KB and its transients ~100 KB. Charts of n <= 3 run 160 points in one block.
+BLOCK_ENTRIES = 2 ** 15
 
 
-def point_blocks(points) -> "list[np.ndarray]":
-    """Consecutive blocks of at most POINT_BLOCK rows of a 2-D array: a (P, n)
-    point array, or any stack of flattened rows."""
+def point_blocks(points, width: int) -> "list[np.ndarray]":
+    """Consecutive blocks of the rows of a 2-D array (a (P, n) point array, or
+    any stack of flattened rows), each of max(1, BLOCK_ENTRIES // width) rows
+    for callers whose widest per-point array holds `width` entries."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return [points[start:start + POINT_BLOCK]
-            for start in range(0, points.shape[0], POINT_BLOCK)]
+    rows = max(1, BLOCK_ENTRIES // width)
+    return [points[start:start + rows] for start in range(0, points.shape[0], rows)]
 
 
 @dataclass
@@ -158,14 +161,17 @@ class ConnectionSpec:
         if points.ndim != 2 or points.shape[1] != self.n:
             raise ValueError(f"points have shape {points.shape}, chart dimension is {self.n}")
         plan = self._plan()
+        jets = plan.tape.run(points, derivs + (self.metric is not None))
+        # copied, so that a metric chart's jets can be released before Levi-Civita
+        alpha = [jet[..., plan.m + 1:].copy() for jet in jets[:derivs + 1]]
         if self.metric is not None:
-            jets = plan.tape.run(points, derivs + 1)
-            levels = _levi_civita(plan.entry_arrays(jets), points)
+            g, c = plan.entry_arrays(jets[:-1]), [plan.first_kind(j) for j in jets[1:]]
+            del jets
+            levels = _levi_civita(g, c, points)
         else:
-            jets = plan.tape.run(points, derivs)
             levels = plan.entry_arrays(jets)
         if self.alpha is not None:
-            _add_projective_term(levels, [jet[..., plan.m:] for jet in jets])
+            _add_projective_term(levels, alpha)
         return ConnectionValue(self.n, points, *levels)
 
 
@@ -173,36 +179,39 @@ class ConnectionSpec:
 class _Compiled:
     """A spec's tape plus where each output column lands in the stacked arrays.
 
-    Columns [0, m) are the base entries, in dict order; [m, m + n) are alpha.
-    `flat` holds the raveled index of each entry's slot(s) in an array of
-    `rank` (3 for Gamma, 2 for g) and `cols` the output column feeding it
-    (a metric entry fills g_ij and g_ji).
+    Columns [0, m) are the base entries, in dict order; column m is zero;
+    [m + 1, m + 1 + n) are alpha. `slot` holds, for every index of Gamma
+    (k, i, j) or g (i, j), the column of its entry, or m where it is absent (a
+    metric entry fills g_ij and g_ji). On a metric chart `c_index` holds the
+    three flat gathers of the symbols of the first kind.
     """
 
     n: int
-    rank: int
     tape: ex.Tape
     m: int
-    flat: np.ndarray
-    cols: np.ndarray
+    slot: np.ndarray
+    c_index: "np.ndarray | None"
 
     @classmethod
     def build(cls, spec: "ConnectionSpec") -> "_Compiled":
         n = spec.n
-        entries = spec.metric if spec.metric is not None else spec.christoffel
-        flat, cols = [], []
+        metric = spec.metric is not None
+        entries = spec.metric if metric else spec.christoffel
+        m = len(entries)
+        slot = np.full((n,) * (2 if metric else 3), m, dtype=np.intp)
         for col, key in enumerate(entries):
-            if spec.metric is not None:
-                i, j = key
-                places = [i * n + j] if i == j else [i * n + j, j * n + i]
-            else:
-                k, i, j = key
-                places = [(k * n + i) * n + j]
-            flat += places
-            cols += [col] * len(places)
-        exprs = list(entries.values()) + list(spec.alpha or ())
-        return cls(n, 2 if spec.metric is not None else 3, ex.compile_tape(exprs, n),
-                   len(entries), np.array(flat, dtype=np.intp), np.array(cols, dtype=np.intp))
+            slot[key] = col
+            if metric:
+                slot[key[::-1]] = col
+        c_index = None
+        if metric:
+            # c[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, each term a flat
+            # index (derivative slot, column) into an output level
+            l, i, j = np.indices((n, n, n))
+            c_index = np.stack([i * (m + 1) + slot[j, l], j * (m + 1) + slot[i, l],
+                                l * (m + 1) + slot[i, j]]).reshape(3, -1)
+        exprs = [*entries.values(), ex.Num(0.0), *(spec.alpha or ())]
+        return cls(n, ex.compile_tape(exprs, n), m, slot, c_index)
 
     def entry_arrays(self, jets) -> list:
         """Dense base-entry arrays, one per tape output level.
@@ -210,13 +219,20 @@ class _Compiled:
         For Gamma: gamma, dgamma[l, k, i, j], ddgamma[m, l, k, i, j]; for g:
         g, dg[a, i, j], ddg[a, b, i, j], dddg[a, b, c, i, j].
         """
-        out = []
-        for jet in jets:
-            lead = jet.shape[:-1]
-            dense = np.zeros(lead + (self.n ** self.rank,))
-            dense[..., self.flat] = jet[..., self.cols]
-            out.append(dense.reshape(lead + (self.n,) * self.rank))
-        return out
+        return [jet[..., self.slot] for jet in jets]
+
+    def first_kind(self, jet) -> np.ndarray:
+        """Symbols of the first kind c[..., l, i * n + j] one level below the
+        metric output level `jet`, read from its last derivative slot, so the
+        dense array of that metric level is never formed. The gathers take
+        whole rows of a (derivative slot, column) x point matrix."""
+        n, m, lead = self.n, self.m, jet.shape[:-2]
+        rows = np.ascontiguousarray(jet[..., :m + 1].reshape(-1, n * (m + 1)).T)
+        c = rows[self.c_index[0]]
+        c += rows[self.c_index[1]]
+        c -= rows[self.c_index[2]]
+        c *= 0.5
+        return np.ascontiguousarray(c.T).reshape(lead + (n, n * n))
 
 
 def _parse_entries(entries, n):
@@ -244,14 +260,16 @@ def _singular_range(g: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return lam.min(axis=-1), lam.max(axis=-1)
 
 
-def _levi_civita(metric_arrays, points) -> list:
-    """Levi-Civita gamma and its derivative levels, one fewer than the metric jets.
+def _levi_civita(g, c, points) -> list:
+    """Levi-Civita gamma and its derivative levels from metric levels g and
+    first-kind levels c (as from _Compiled), as many levels as c holds.
 
-    Solves g Gamma = c (c the symbols of the first kind) by the product rule,
-    level by level, with Gamma as (n, n^2) matrices. A row whose metric is not
-    invertible to working precision raises SingularMetric naming its point.
+    Solves g Gamma = c by the product rule, level by level, with Gamma as
+    (n, n^2) matrices. Empties both lists, so each level is released after its
+    last use. A row whose metric is not invertible to working precision raises
+    SingularMetric naming its point.
     """
-    g0, g1, *higher = metric_arrays
+    g0 = g.pop(0)
     low, high = _singular_range(g0)
     bad = high > 1e12 * low
     if np.any(bad):
@@ -262,21 +280,17 @@ def _levi_civita(metric_arrays, points) -> list:
                              f"{ex.at_point(points[r])}")
     ginv = np.linalg.inv(g0)
     n = g0.shape[-1]
-    # c[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2 as (n, n^2) matrices; the
-    # ellipsis takes the derivative slots, so level d of c comes from level d + 1 of g
-    c = []
-    for g in (g1, *higher):
-        t = np.einsum("...ijl->...lij", g)
-        c.append((0.5 * (t + np.swapaxes(t, -1, -2) - g)).reshape(g.shape[:-2] + (n * n,)))
-    levels = [ginv @ c[0]]
-    if len(c) > 1:  # g d_a Gamma = d_a c - d_a g Gamma
-        rhs = c[1]
+    levels = [ginv @ c.pop(0)]
+    if c:  # g d_a Gamma = d_a c - d_a g Gamma
+        g1, rhs = g.pop(0), c.pop(0)
         rhs -= g1 @ levels[0][:, None]
         levels.append(ginv[:, None] @ rhs)
-    if len(c) > 2:  # g d_a d_b Gamma = d_a d_b c minus the three products below
+        del rhs
+    if c:  # g d_a d_b Gamma = d_a d_b c minus the three products below
         gamma, dgamma = levels
-        rhs, tmp = c[2], np.empty_like(c[2])
-        rhs -= np.matmul(higher[0], gamma[:, None, None], out=tmp)  # d_a d_b g Gamma
+        rhs = c.pop(0)
+        tmp = np.empty_like(rhs)
+        rhs -= np.matmul(g.pop(0), gamma[:, None, None], out=tmp)  # d_a d_b g Gamma
         rhs -= np.matmul(g1[:, :, None], dgamma[:, None], out=tmp)  # d_a g d_b Gamma
         rhs -= np.matmul(g1[:, None], dgamma[:, :, None], out=tmp)  # d_b g d_a Gamma
         levels.append(np.matmul(ginv[:, None, None], rhs, out=tmp))

@@ -67,9 +67,9 @@ def model_metric(n: int) -> ConnectionSpec:
 
 
 # Nodes per evaluate_many + _hat_matrix call. A call costs 1-2 ms whatever its
-# size, but on metric charts holds ~12 KB of temporaries per node: blocks of
-# 256 nodes cost +3.1 MB of develop peak RSS, and raising the shared
-# POINT_BLOCK to 64 instead would cost the survey workload +5.9 MB.
+# size, but on metric charts holds ~7 KB of temporaries per node (round
+# 4-sphere): blocks of 256 nodes cost +3.1 MB of develop peak RSS. A count, not
+# connection.BLOCK_ENTRIES: transport asks for nodes as its steps double.
 NODE_BLOCK = 64
 MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 128
 

@@ -51,7 +51,7 @@ class OneFormField:
         """alpha at a point (n,), or at each row of points (P, n) as (P, n)."""
         tape = ex.compile_tape(self.entries, self.n)
         points = np.asarray(points, dtype=float)
-        values = np.concatenate([tape.run(block, 0)[0] for block in point_blocks(points)])
+        values = np.concatenate([tape.run(block, 0)[0] for block in point_blocks(points, self.n)])
         return values[0] if points.ndim == 1 else values
 
 
@@ -141,7 +141,7 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
     derivs = 2 if n == 2 else 1
     worst_w = 0.0
     worst_c: float | None = 0.0 if n == 2 else None
-    for block in point_blocks(points):
+    for block in point_blocks(points, n ** (3 + derivs)):
         cv_a, cv_b = (s.evaluate_many(block, derivs=derivs) for s in (spec, changed))
         w_a, w_b = (weyl(curvature(cv), tol=tol, points=block).W for cv in (cv_a, cv_b))
         worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
@@ -186,7 +186,7 @@ def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) ->
     n = spec_a.n
     return np.concatenate([np.zeros((0, n, n, n))] + [
         spec_b.evaluate_many(block, derivs=0).gamma - spec_a.evaluate_many(block, derivs=0).gamma
-        for block in point_blocks(points)])
+        for block in point_blocks(points, n ** 3)])
 
 
 @dataclass
@@ -247,7 +247,7 @@ def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> Tors
     fixed = ConnectionSpec(n, christoffel=entries, alpha=spec.alpha, name=spec.name)
 
     worst_t1 = 0.0
-    for block in point_blocks(points):
+    for block in point_blocks(points, n ** 3):
         t1, _ = torsion_split(torsion(spec.evaluate_many(block, derivs=0)))
         worst_t1 = max(worst_t1, norm(t1))
     if worst_t1 > tol:

@@ -222,13 +222,13 @@ def j0_census(space: str, n: int) -> "list[IrrepComponent]":
     # row i holds the image of basis row i in basis coordinates: the rows form A^T
     images = np.concatenate([
         _lie_action(j0, TensorValue(n, variance, b.reshape(shape))).data.reshape(len(b), -1)
-        @ basis.T for b in point_blocks(basis)])
+        @ basis.T for b in point_blocks(basis, n ** rank)])
     squares, vectors = np.linalg.eigh(images @ images.T)
     ks = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
     _require_near(squares, ks ** 2, "eigenvalue of A^T A")
 
     traces = []  # <v, P v> for each piece P and eigenvector v
-    for block in point_blocks(vectors.T):
+    for block in point_blocks(vectors.T, n ** rank):
         rows = block @ basis
         traces.append([np.sum(rows * p.data.reshape(len(rows), -1), axis=1)
                        for p in pieces(TensorValue(n, variance, rows.reshape(shape)))])

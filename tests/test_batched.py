@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import CHARTS, chart_path
+from conftest import CHARTS, chart_path, random_alpha, random_torsionfree_spec
 from projgeo.algebra import NotAntisymmetric, NotBianchi, cotton, torsion_split, weyl
-from projgeo.connection import (curvature, curvature_derivative, load_chart, ricci,
-                                second_bianchi_residual, torsion, trace2form)
-from projgeo.projective import sample_points
+from projgeo.connection import (BLOCK_ENTRIES, curvature, curvature_derivative, load_chart,
+                                point_blocks, ricci, second_bianchi_residual, torsion,
+                                trace2form)
+from projgeo.projective import (check_weyl_invariance, projective_change,
+                                projectively_equivalent, sample_points)
 from projgeo.tensor import TensorValue, contract, norm, swap
 
 
@@ -82,3 +84,57 @@ def test_slot_operations_address_trailing_axes():
     assert norm(t) == float(np.abs(data).max())
     with pytest.raises(ValueError):
         TensorValue(3, ("up", "down"), np.zeros((5, 3, 2)))
+
+
+@pytest.mark.parametrize("width", (1, 3, 81, 1296, BLOCK_ENTRIES - 1, BLOCK_ENTRIES,
+                                   BLOCK_ENTRIES + 1, 10 ** 6))
+@pytest.mark.parametrize("count", (1, 7, 161, 300, 40_000))
+def test_blocks_hold_the_entry_budget_and_cover_the_rows(width, count):
+    rows = np.arange(3.0 * count).reshape(count, 3)
+    blocks = point_blocks(rows, width)
+    assert all(len(b) * width <= BLOCK_ENTRIES or len(b) == 1 for b in blocks)
+    assert all(len(b) == len(blocks[0]) for b in blocks[:-1])
+    assert np.array_equal(np.concatenate(blocks), rows)
+
+
+def _block_rule_cases():
+    rng = np.random.default_rng(4)
+    cases = [load_chart(chart_path(name)) for name in
+             ("sphere2.chart", "sphere3.chart", "witness4.chart")]
+    cases.append(random_torsionfree_spec(3, rng, name="christoffel3"))
+    return [pytest.param(spec, random_alpha(spec.n, rng), id=spec.name) for spec in cases]
+
+
+def _per_point_residuals(spec, changed, points):
+    """The invariance and equivalence residuals of each point on its own, and the
+    recovered alphas: the oracle for the blocked walks."""
+    n = spec.n
+    derivs = 2 if n == 2 else 1
+    weyls, cottons, diffs = [], [], []
+    for p in points:
+        cv_a, cv_b = (s.evaluate_many(p[None], derivs) for s in (spec, changed))
+        weyls.append(np.max(np.abs(weyl(curvature(cv_a)).W.data - weyl(curvature(cv_b)).W.data)))
+        if n == 2:
+            cottons.append(np.max(np.abs(cotton(cv_a).data - cotton(cv_b).data)))
+        diffs.append(cv_b.gamma - cv_a.gamma)
+    d = np.concatenate(diffs)
+    alphas = np.einsum("...kik->...i", d) / (n + 1)
+    eye = np.eye(n)
+    recon = np.einsum("...i,kj->...kij", alphas, eye) + np.einsum("...j,ki->...kij", alphas, eye)
+    return (np.array(weyls), np.array(cottons),
+            np.max(np.abs(d - recon), axis=(1, 2, 3)), alphas)
+
+
+@pytest.mark.parametrize("spec, alpha", _block_rule_cases())
+def test_blocked_residuals_are_the_per_point_ones_bit_for_bit(spec, alpha):
+    changed = projective_change(spec, alpha)
+    points = sample_points(spec.n, 300, seed=5)
+    weyls, cottons, equivalence, alphas = _per_point_residuals(spec, changed, points)
+    for count in (1, 7, 161, 300):
+        inv = check_weyl_invariance(spec, alpha, points[:count])
+        eq = projectively_equivalent(spec, changed, points[:count])
+        assert inv.weyl_residual == np.max(weyls[:count])
+        if spec.n == 2:
+            assert inv.cotton_residual == np.max(cottons[:count])
+        assert eq.residual == np.max(equivalence[:count])
+        assert np.array_equal(eq.alphas, alphas[:count])

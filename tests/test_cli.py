@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CHARTS, chart_path, run_fresh_python
+from projgeo import cli
 from projgeo.cli import main
 
 
@@ -226,6 +227,28 @@ def test_negative_leading_coordinates(capsys):
                        str(chart_path("targets3.txt")), "--json")
     assert code == 0
     assert json.loads(out)["base"] == [-0.1, 0.0, 0.0]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, monkeypatch):
+    """main parses with one parser per process: a call sees no value, default
+    or error state left by an earlier one."""
+    sphere3, alpha3 = str(chart_path("sphere3.chart")), str(chart_path("alpha3.alpha"))
+    calls = [["analyze", sphere3, "--samples", "3"], ["analyze", sphere3, "--samples", "3"],
+             ["--help"],
+             ["invariance", sphere3, "--alpha", alpha3, "--samples", "5", "--json"],
+             ["invariance", sphere3, "--alpha", alpha3, "--json"],
+             ["analyze", sphere3, "--point=-0.1,0.2,0.3", "--json"]]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0]
+    assert shared[0] == shared[1] and "required: --point" in shared[0][2]
+    assert shared[2][1].startswith("usage: projgeo") and shared[2][2] == ""
+    assert [json.loads(shared[i][1])["samples"] for i in (3, 4)] == [5, 10]
+    assert json.loads(shared[5][1])["point"] == [-0.1, 0.2, 0.3]
 
 
 NESTED = "(" * 1000 + "x1" + ")" * 1000

@@ -158,7 +158,7 @@ def _reference_matrix_of(linear, basis, n, rank):
     variance = ("up",) + ("down",) * (rank - 1)
     out = np.empty((len(basis), len(basis)))
     start = 0
-    for block in point_blocks(basis):
+    for block in point_blocks(basis, n ** rank):
         image = linear(TensorValue(n, variance, block.reshape((-1,) + (n,) * rank))).data
         out[:, start:start + len(block)] = basis @ image.reshape(len(block), -1).T
         start += len(block)
