@@ -205,7 +205,7 @@ def _normalized(ric: np.ndarray, n: int) -> np.ndarray:
     return (ric + t) / (2 * (n - 1)) + (ric - t) / (2 * (n + 1))
 
 
-def torsion_split(t: TensorValue, tol: float = 1e-12) -> tuple[TensorValue, TensorValue]:
+def torsion_split(t: TensorValue) -> tuple[TensorValue, TensorValue]:
     """Split torsion into (trace-free part T1, trace part T2).
 
     T2 is alpha(X) Y - alpha(Y) X for the recovered alpha_j = T^k_{jk} / (n-1);
@@ -216,7 +216,7 @@ def torsion_split(t: TensorValue, tol: float = 1e-12) -> tuple[TensorValue, Tens
     n, d = t.n, t.data
     if n < 2:
         raise ValueError("torsion split needs dimension >= 2")
-    if np.any(_exceeds(d + np.swapaxes(d, -1, -2), t, tol)):
+    if np.any(_exceeds(d + np.swapaxes(d, -1, -2), t, 1e-12)):
         raise NotAntisymmetric("torsion must be antisymmetric in its form slots")
     alpha = np.einsum("...kjk->...j", d) / (n - 1)
     eye = np.eye(n)

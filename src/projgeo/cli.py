@@ -84,12 +84,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_text(payload, indent: int = 0, skip=("schema",)) -> "list[str]":
+def _render_text(payload, indent: int = 0) -> "list[str]":
     lines = []
     pad = "  " * indent
     if isinstance(payload, dict):
         for key, value in payload.items():
-            if indent == 0 and key in skip:
+            if indent == 0 and key == "schema":
                 continue
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}{key}:")

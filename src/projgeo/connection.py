@@ -271,11 +271,10 @@ def _levi_civita(g, c, points) -> list:
     """
     g0 = g.pop(0)
     low, high = _singular_range(g0)
-    bad = high > 1e12 * low
+    bad = (high > 1e12 * low) | (high == 0.0)  # 0 > 1e12 * 0: refuse an all-zero metric too
     if np.any(bad):
         r = int(np.argmax(bad))
-        with np.errstate(divide="ignore"):
-            cond = high[r] / low[r]
+        cond = high[r] / low[r] if low[r] else np.inf
         raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds 1e12 "
                              f"{ex.at_point(points[r])}")
     ginv = np.linalg.inv(g0)

@@ -22,7 +22,7 @@ from .connection import ConnectionSpec, ConnectionValue, curvature, ricci
 from .expr import at_point
 
 __all__ = [
-    "NotFlat", "StepFailure", "PathOutsideDomain", "LeftDomain",
+    "NotFlat", "StepFailure",
     "CartanFrame", "ProjectivePoint", "DevelopedPoint",
     "model_connection", "model_metric",
     "cartan_transport", "transport_many", "holonomy_loops", "flatness_defect",
@@ -43,14 +43,6 @@ class NotFlat(RuntimeError):
 
 class StepFailure(RuntimeError):
     """A transport frame is not finite, or its segment needs more than MAX_STEPS steps."""
-
-
-class PathOutsideDomain(ValueError):
-    """A path vertex left the declared chart box."""
-
-
-class LeftDomain(RuntimeError):
-    """A geodesic left the declared chart box."""
 
 
 def model_connection(n: int) -> ConnectionSpec:
@@ -136,8 +128,7 @@ def _hat_nodes(spec: ConnectionSpec, starts, dirs, t) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10,
-                   domain: float | None = None) -> "list[CartanFrame]":
+def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> "list[CartanFrame]":
     """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`.
 
     Each segment of nonzero length takes K uniform RK4 steps, nodes t = i/(2K),
@@ -151,8 +142,6 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10,
     paths = [np.atleast_2d(np.asarray(path, dtype=float)) for path in paths]
     if any(path.shape[1] != n for path in paths):
         raise ValueError("path vertices do not match the chart dimension")
-    if domain is not None and any(np.any(np.abs(path) > domain) for path in paths):
-        raise PathOutsideDomain(f"path leaves the box of half-width {domain}")
     starts = np.concatenate([np.empty((0, n))] + [path[:-1] for path in paths])
     dirs = np.concatenate([np.empty((0, n))] + [np.diff(path, axis=0) for path in paths])
     lengths = np.linalg.norm(dirs, axis=1)
@@ -184,10 +173,9 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10,
             for path, i, j in zip(paths, ends, ends[1:])]
 
 
-def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10,
-                     domain: float | None = None) -> CartanFrame:
+def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10) -> CartanFrame:
     """The frame along one polyline: transport_many with a single path."""
-    return transport_many(spec, [path], tol=tol, domain=domain)[0]
+    return transport_many(spec, [path], tol=tol)[0]
 
 
 def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
@@ -210,12 +198,11 @@ def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
     return loops
 
 
-def flatness_defect(spec: ConnectionSpec, x0, seed: int = 0,
-                    tol: float = 1e-10) -> float:
+def flatness_defect(spec: ConnectionSpec, x0, seed: int = 0) -> float:
     """Worst holonomy deviation from the identity over the seeded loop family."""
     loops = holonomy_loops(np.asarray(x0, dtype=float), seed=seed)
     return max(float(np.max(np.abs(frame.phi - np.eye(spec.n + 1))))
-               for frame in transport_many(spec, loops, tol=tol))
+               for frame in transport_many(spec, loops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +221,6 @@ class ProjectivePoint:
         if lead < 0.0:
             v = -v
         object.__setattr__(self, "homogeneous", v)
-
-    def approx_equal(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
-        return float(np.max(np.abs(self.homogeneous - other.homogeneous))) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +274,7 @@ def collinearity_defect(points: "list[ProjectivePoint]") -> float:
     return worst
 
 
-def geodesic_trace(spec: ConnectionSpec, x0, v0, t_end: float, steps: int,
-                   domain: float | None = None) -> np.ndarray:
+def geodesic_trace(spec: ConnectionSpec, x0, v0, t_end: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 trace of the geodesic equation; rows are points.
 
     Integrates xdot = v, vdot^k = -Gamma^k_{ij} v^i v^j from (x0, v0).
@@ -312,7 +295,5 @@ def geodesic_trace(spec: ConnectionSpec, x0, v0, t_end: float, steps: int,
         k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if domain is not None and np.any(np.abs(x) > domain):
-            raise LeftDomain(f"geodesic left the box of half-width {domain}")
         out.append(x.copy())
     return np.array(out)

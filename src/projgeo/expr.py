@@ -30,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "Jet3", "Tape", "parse", "to_text", "compile_tape", "eval_jet", "jet_partial",
+    "Jet3", "Tape", "parse", "to_text", "compile_tape", "eval_jet",
     "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point", "refuse_where",
 ]
 
@@ -592,9 +592,3 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet3:
     partials = [out[k][0, ..., 0].copy() for k in range(1, order + 1)]
     return Jet3(order, float(out[0][0, 0]), *partials)
 
-
-def jet_partial(j: Jet3, i: int) -> Jet3:
-    """Jet of the i-th partial derivative (0-based direction), one order lower."""
-    if j.order < 2:
-        raise ValueError("need at least an order-2 jet to shift")
-    return Jet3(j.order - 1, float(j.d1[i]), j.d2[i].copy(), j.d3[i].copy())

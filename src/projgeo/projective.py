@@ -47,13 +47,6 @@ class OneFormField:
     def zero(cls, n: int) -> "OneFormField":
         return cls(n, tuple(ex.Num(0.0) for _ in range(n)))
 
-    def values_at(self, points) -> np.ndarray:
-        """alpha at a point (n,), or at each row of points (P, n) as (P, n)."""
-        tape = ex.compile_tape(self.entries, self.n)
-        points = np.asarray(points, dtype=float)
-        values = np.concatenate([tape.run(block, 0)[0] for block in point_blocks(points, self.n)])
-        return values[0] if points.ndim == 1 else values
-
 
 def load_alpha(path: "str | Path", n: int | None = None) -> OneFormField:
     """Read an alpha-field file (see parse_alpha)."""
@@ -199,18 +192,15 @@ class TorsionRemoval:
     spec: ConnectionSpec | None
 
 
-def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> TorsionRemoval:
+def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
     """Remove trace-type torsion in closed form, if that is all there is.
 
     Builds alpha_j = (Gamma^k_{jk} - Gamma^k_{kj}) / (n-1) as expressions and
     returns the corrected chart; fails (ok=False) when the trace-free torsion
-    part T1 exceeds `tol` at the sampled points, since only the T2 component
-    can be removed canonically.
+    part T1 exceeds 1e-9 at 5 seeded sample points, since only the T2
+    component can be removed canonically.
     """
     n = spec.n
-    if points is None:
-        points = sample_points(n, 5, seed=3)
-
     if spec.source == "metric":
         # Levi-Civita (plus a projective term) is already symmetric
         return TorsionRemoval(True, 0.0, OneFormField.zero(n), spec)
@@ -247,10 +237,10 @@ def remove_torsion(spec: ConnectionSpec, points=None, tol: float = 1e-9) -> Tors
     fixed = ConnectionSpec(n, christoffel=entries, alpha=spec.alpha, name=spec.name)
 
     worst_t1 = 0.0
-    for block in point_blocks(points, n ** 3):
+    for block in point_blocks(sample_points(n, 5, seed=3), n ** 3):
         t1, _ = torsion_split(torsion(spec.evaluate_many(block, derivs=0)))
         worst_t1 = max(worst_t1, norm(t1))
-    if worst_t1 > tol:
+    if worst_t1 > 1e-9:
         return TorsionRemoval(False, worst_t1, None, None)
     return TorsionRemoval(True, worst_t1,
                           OneFormField(n, tuple(alpha_exprs)), fixed)

@@ -3,12 +3,12 @@
 Torsion-type tensors (T^l_{ij}, antisymmetric in ij) and curvature-type
 tensors (A^l_{kij}, antisymmetric in ij) decompose into irreducible pieces
 under sl(n). The decompositions are driven by one fact: tensoring an
-irreducible with the defining representation V (or its dual) splits with
-multiplicity one, the components being indexed by the dominant sums of the
-highest weight with the weights of the factor. Dimensions come from the
-classical product formula. The census reads the standard complex structure's
-eigenvalues on each component as traces of its equivariant projector over the
-eigenspaces of one eigendecomposition. The projectors are those of
+irreducible with the defining representation V splits with multiplicity
+one, the components being indexed by the dominant sums of the highest weight
+with the weights of V. Dimensions come from the classical product formula.
+The census reads the standard complex structure's eigenvalues on each
+component as traces of its equivariant projector over the eigenspaces of one
+eigendecomposition. The projectors are those of
 projgeo.algebra (torsion_split, bianchi_project, weyl, wedge_id), the ones the
 verdicts use, so the census is also an equivariance and dimension check on them.
 """
@@ -27,7 +27,7 @@ from .twistor import standard_complex_structure
 
 __all__ = [
     "NotDominant", "WeightVector", "IrrepComponent",
-    "weights_of_V", "weights_of_dual", "decompose_with", "weyl_dim",
+    "weights_of_V", "decompose_with", "weyl_dim",
     "fundamental", "torsion_component_weights", "curvature_component_weights",
     "j0_census",
 ]
@@ -86,26 +86,15 @@ def weights_of_V(n: int) -> "list[WeightVector]":
     return out
 
 
-def weights_of_dual(n: int) -> "list[WeightVector]":
-    """The weights of V*, the negatives of the weights of V."""
-    return [-w for w in weights_of_V(n)]
+def decompose_with(hw: WeightVector, n: int) -> "list[WeightVector]":
+    """Highest weights of (irreducible with highest weight hw) tensor V.
 
-
-def decompose_with(hw: WeightVector, factor: str, n: int) -> "list[WeightVector]":
-    """Highest weights of (irreducible with highest weight hw) tensor V or V*.
-
-    Valid because V and V* have multiplicity-one weights: the components are
-    exactly the dominant elements among hw + (weight of factor), each once.
+    Valid because V has multiplicity-one weights: the components are exactly
+    the dominant elements among hw + (weight of V), each once.
     """
     if not hw.dominant:
         raise NotDominant(f"{hw} is not dominant")
-    if factor == "V":
-        mu = weights_of_V(n)
-    elif factor in ("V*", "dual"):
-        mu = weights_of_dual(n)
-    else:
-        raise ValueError(f"factor must be 'V' or 'V*', got {factor!r}")
-    return [hw + m for m in mu if (hw + m).dominant]
+    return [hw + m for m in weights_of_V(n) if (hw + m).dominant]
 
 
 def weyl_dim(hw: WeightVector, n: int) -> int:
@@ -129,7 +118,7 @@ def weyl_dim(hw: WeightVector, n: int) -> int:
 
 def torsion_component_weights(n: int) -> "list[WeightVector]":
     """Components of the torsion space (vector-valued 2-forms): trace-free, trace."""
-    return decompose_with(fundamental(n - 2, n), "V", n)
+    return decompose_with(fundamental(n - 2, n), n)
 
 
 def curvature_component_weights(n: int) -> "list[WeightVector]":
@@ -138,8 +127,8 @@ def curvature_component_weights(n: int) -> "list[WeightVector]":
     branch (Weyl, symmetric-Ricci, skew-Ricci images)."""
     if n < 3:
         raise ValueError("the curvature component list needs n >= 3")
-    lam3 = decompose_with(fundamental(n - 3, n), "V", n)
-    bianchi = decompose_with(fundamental(n - 2, n) + fundamental(n - 1, n), "V", n)
+    lam3 = decompose_with(fundamental(n - 3, n), n)
+    bianchi = decompose_with(fundamental(n - 2, n) + fundamental(n - 1, n), n)
     return lam3 + bianchi
 
 

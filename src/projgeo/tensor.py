@@ -10,14 +10,13 @@ of tensors, and slot operations address slots counted from the end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TensorValue", "contract", "swap", "sym2", "alt2", "norm",
-    "to_json", "from_json", "VarianceMismatch", "SlotOutOfRange", "OddDimension",
+    "VarianceMismatch", "SlotOutOfRange", "OddDimension",
 ]
 
 MAX_DIM = 8
@@ -103,23 +102,3 @@ def norm(t: TensorValue) -> float:
     """Max-abs entry norm; for a stack, that of its worst point."""
     return float(np.max(np.abs(t.data))) if t.data.size else 0.0
 
-
-def to_json(t: TensorValue) -> str:
-    """Serialize to the interchange form {"variance": [...], "n": ..., "data": [...]}."""
-    payload = {
-        "variance": list(t.variance),
-        "n": t.n,
-        "data": [float(x) for x in t.data.ravel(order="C")],
-    }
-    return json.dumps(payload, separators=(", ", ": "))
-
-
-def from_json(text: str) -> TensorValue:
-    payload = json.loads(text)
-    n = int(payload["n"])
-    variance = tuple(payload["variance"])
-    data = np.asarray(payload["data"], dtype=float)
-    expected = n ** len(variance)
-    if data.size != expected:
-        raise ValueError(f"expected {expected} entries, got {data.size}")
-    return TensorValue(n, variance, data.reshape((n,) * len(variance), order="C"))

@@ -127,11 +127,10 @@ class TwistorChart:
     """
 
     anchor: TwistorPoint
-    basis: np.ndarray = field(default=None)  # type: ignore[assignment]
+    basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.basis is None:
-            object.__setattr__(self, "basis", anticommutant_basis(self.anchor.j))
+        object.__setattr__(self, "basis", anticommutant_basis(self.anchor.j))
 
     @property
     def n(self) -> int:
@@ -147,12 +146,6 @@ class TwistorChart:
 
     def fibre_matrix(self, m_coords: np.ndarray) -> np.ndarray:
         return np.einsum("a,aij->ij", m_coords, self.basis)
-
-    def point(self, x: np.ndarray, m_coords: np.ndarray) -> TwistorPoint:
-        from scipy.linalg import expm
-
-        j = expm(2.0 * self.fibre_matrix(m_coords)) @ self.anchor.j
-        return TwistorPoint(np.asarray(x, dtype=float), _polish(j))
 
 
 def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:

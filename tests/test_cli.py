@@ -369,6 +369,12 @@ MALFORMED = {
                      "--tol", "1e-3"], {}, "unrecognized arguments: --tol 1e-3"),
     "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
                      "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
+    "metric-zero": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],
+                    {"a.chart": b"dim = 2\n[metric]\n"},
+                    "metric condition estimate inf exceeds 1e12 at x = (0.1, 0.2)"),
+    "metric-singular": (["analyze", "{tmp}/a.chart", "--point", "0,0.2"],
+                        {"a.chart": b"dim = 2\n[metric]\ng 1 1 = x1\ng 2 2 = 1\n"},
+                        "metric condition estimate inf exceeds 1e12 at x = (0, 0.2)"),
 }
 
 
@@ -416,3 +422,16 @@ def test_only_twistor_loads_scipy(tmp_path):
     assert seen == {"import": {"codes": [], "scipy": False},
                     "jet commands": {"codes": [0, 0, 0, 0, 0], "scipy": False},
                     "twistor": {"codes": [0], "scipy": True}}
+
+
+BARE_IMPORT = """
+import json, sys
+import projgeo
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("projgeo.") or m.split(".")[0] == "numpy")))
+"""
+
+
+def test_importing_the_package_root_loads_nothing_else():
+    """Names are imported from their modules; the root holds only __version__."""
+    assert run_fresh_python(BARE_IMPORT) == []

@@ -7,8 +7,7 @@ import pytest
 
 from conftest import chart_path
 from projgeo.connection import ConnectionSpec, load_chart
-from projgeo.develop import (LeftDomain, NotFlat, PathOutsideDomain,
-                             ProjectivePoint, StepFailure, _hat_matrix, _rk4_frame,
+from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix, _rk4_frame,
                              cartan_transport, collinearity_defect, develop_map,
                              flatness_defect, geodesic_trace, holonomy_loops,
                              model_connection, model_metric, transport_many)
@@ -70,7 +69,7 @@ def test_affine_chart_develops_to_homogeneous_coordinates():
     out = develop_map(flat, np.zeros(3), targets)
     for target, dev in zip(targets, out):
         expect = ProjectivePoint(np.concatenate([[1.0], target]))
-        assert dev.point.approx_equal(expect, tol=1e-9)
+        assert np.max(np.abs(dev.point.homogeneous - expect.homogeneous)) <= 1e-9
         assert dev.path_error < 1e-9
 
 
@@ -88,7 +87,8 @@ def test_projective_point_normalization():
     assert np.max(np.abs(p.homogeneous)) == 1.0
     nz = p.homogeneous[np.nonzero(p.homogeneous)[0][0]]
     assert nz > 0
-    assert p.approx_equal(ProjectivePoint(np.array([1.0, -2.0, -0.5])))
+    same = ProjectivePoint(np.array([1.0, -2.0, -0.5]))
+    assert np.max(np.abs(p.homogeneous - same.homogeneous)) <= 1e-9
     with pytest.raises(ValueError):
         ProjectivePoint(np.zeros(3))
 
@@ -135,15 +135,6 @@ def test_reparametrized_connections_share_geodesic_traces():
         return best
 
     assert max(dist_to_polyline(p) for p in other) < 1e-6
-
-
-def test_domain_guards():
-    sph = load_chart(chart_path("sphere2.chart"))
-    with pytest.raises(PathOutsideDomain):
-        cartan_transport(sph, [np.zeros(2), np.array([5.0, 0.0])], domain=1.0)
-    with pytest.raises(LeftDomain):
-        geodesic_trace(sph, np.zeros(2), np.array([1.0, 0.0]), 10.0, 50,
-                       domain=0.8)
 
 
 def test_unreachable_tolerance_fails_loudly():

@@ -11,7 +11,7 @@ from conftest import CHARTS
 from projgeo.connection import ConnectionSpec, load_chart
 from projgeo.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Pow,
                           UnknownFunction, UnknownVariable, Var, compile_tape,
-                          eval_jet, jet_partial, parse, to_text)
+                          eval_jet, parse, to_text)
 from projgeo.projective import OneFormField, projective_change, sample_points
 
 
@@ -125,17 +125,6 @@ def test_jets_are_symmetric_in_derivative_slots():
     assert np.allclose(jet.d2, jet.d2.T)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         assert np.allclose(jet.d3, jet.d3.transpose(perm))
-
-
-def test_jet_partial_shifts_the_jet():
-    e = parse("x1^3 * x2 + cos(x2)", 2)
-    jet = eval_jet(e, np.array([0.5, 1.1]), order=3)
-    for i in range(2):
-        sub = jet_partial(jet, i)
-        assert sub.order == 2
-        assert sub.value == jet.d1[i]
-        assert np.array_equal(sub.d1, jet.d2[i])
-        assert np.array_equal(sub.d2, jet.d3[i])
 
 
 def test_round_trip_through_to_text():

@@ -8,8 +8,7 @@ from projgeo.algebra import torsion_split
 from projgeo.connection import point_blocks
 from projgeo.reps import (NotDominant, WeightVector, curvature_component_weights,
                           decompose_with, fundamental, j0_census,
-                          torsion_component_weights, weights_of_V,
-                          weights_of_dual, weyl_dim)
+                          torsion_component_weights, weights_of_V, weyl_dim)
 from projgeo.tensor import OddDimension, TensorValue
 from projgeo.twistor import standard_complex_structure
 
@@ -34,29 +33,21 @@ def test_fundamental_bounds():
 
 def test_standard_weights_and_duals():
     assert [str(w) for w in weights_of_V(3)] == ["w1", "-w1+w2", "-w2"]
-    assert [str(w) for w in weights_of_dual(3)] == ["-w1", "w1-w2", "w2"]
     for n in (2, 3, 4, 5):
         total = weights_of_V(n)[0]
         for w in weights_of_V(n)[1:]:
             total = total + w
         assert str(total) == "0"
-        duals = weights_of_dual(n)
-        assert all(str(-v) == str(d) for v, d in zip(weights_of_V(n), duals))
 
 
 def test_tensor_decomposition_requires_dominant_weight():
     with pytest.raises(NotDominant):
-        decompose_with(-fundamental(1, 4), "V", 4)
-    with pytest.raises(ValueError):
-        decompose_with(fundamental(1, 4), "W", 4)
+        decompose_with(-fundamental(1, 4), 4)
 
 
 def test_decompose_reproduces_known_products():
-    # adjoint appears in V tensor V*
-    got = decompose_with(fundamental(1, 5), "V*", 5)
-    assert sorted(str(w) for w in got) == ["0", "w1+w4"]
     # symmetric plus alternating split of V tensor V
-    got = decompose_with(fundamental(1, 5), "V", 5)
+    got = decompose_with(fundamental(1, 5), 5)
     assert sorted(str(w) for w in got) == ["2*w1", "w2"]
 
 

