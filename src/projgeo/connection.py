@@ -296,9 +296,11 @@ def _levi_civita(g, c, points) -> list:
     return [level.reshape(level.shape[:-2] + (n, n, n)) for level in levels]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _add_projective_term(levels, alpha) -> None:
     """Add alpha_i delta^k_j + alpha_j delta^k_i to every level in place; levels[d]
-    and alpha[d] carry d derivative slots ahead of their index slots."""
+    and alpha[d] carry d derivative slots ahead of their index slots. An entry
+    that overflows is left infinite for the curvature check to refuse."""
     eye = np.eye(levels[0].shape[-1])
     for level, a in zip(levels, alpha):
         level += np.einsum("...i,kj->...kij", a, eye) + np.einsum("...j,ki->...kij", a, eye)

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "Jet3", "Tape", "parse", "to_text", "compile_tape", "eval_jet",
+    "Tape", "parse", "to_text", "compile_tape", "eval_jet",
     "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point", "refuse_where",
 ]
 
@@ -257,31 +257,6 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Call):
         return f"{e.func}({to_text(e.arg)})"
     raise TypeError(f"not an Expr node: {e!r}")
-
-
-@dataclass
-class Jet3:
-    """Taylor data at a point: value and symmetric partials up to `order` (1..3).
-
-    Slots beyond `order` are zero-filled; `order` flags which are meaningful.
-    """
-
-    order: int
-    value: float
-    d1: np.ndarray
-    d2: np.ndarray = field(default=None)  # type: ignore[assignment]
-    d3: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        n = self.n
-        if self.d2 is None:
-            self.d2 = np.zeros((n, n))
-        if self.d3 is None:
-            self.d3 = np.zeros((n, n, n))
-
-    @property
-    def n(self) -> int:
-        return self.d1.shape[0]
 
 
 def at_point(p) -> str:
@@ -580,15 +555,14 @@ def compile_tape(exprs, n: int) -> Tape:
     return Tape(n, builder.code, outputs)
 
 
-def eval_jet(e: Expr, p, order: int = 3) -> Jet3:
+def eval_jet(e: Expr, p, order: int = 3) -> "list[np.ndarray]":
     """Evaluate `e` at point `p`, carrying exact partials up to `order` (1..3).
 
-    This is the one-point case of the tape: `e` is compiled and run on p[None].
+    This is the one-point case of the tape: `e` is compiled and run on p[None],
+    and the result is its levels at that point, [value, d1, ..., d_order], of
+    shapes (), (n,), (n, n) and (n, n, n).
     """
     if order not in (1, 2, 3):
         raise ValueError(f"jet order must be 1, 2 or 3, got {order}")
     p = np.asarray(p, dtype=float)
-    out = compile_tape([e], p.shape[0]).run(p[None], order)
-    partials = [out[k][0, ..., 0].copy() for k in range(1, order + 1)]
-    return Jet3(order, float(out[0][0, 0]), *partials)
-
+    return [level[0, ..., 0] for level in compile_tape([e], p.shape[0]).run(p[None], order)]

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import cotton, torsion_split, weyl
-from .connection import ConnectionSpec, curvature, point_blocks, torsion
+from .connection import (ConnectionSpec, ConnectionValue, _add_projective_term, curvature,
+                         point_blocks, torsion)
 from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
 from .tensor import OddDimension, norm
 from .twistor import mild_complex_structure, vertical_motion
@@ -126,16 +127,27 @@ class WeylInvariance:
 
 def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
                           points=None, tol: float = 1e-10) -> WeylInvariance:
-    """Max difference of W (and of C when n = 2) between spec and its alpha-change."""
+    """Max difference of W (and of C when n = 2) between spec and its alpha-change.
+
+    The chart is evaluated once per block of points. The changed connection
+    is a copy of those levels plus alpha's projective term, which is what
+    evaluating projective_change(spec, alpha) adds to them; alpha's
+    expressions run on a tape of their own.
+    """
     n = spec.n
+    if alpha.n != n:
+        raise ValueError("alpha dimension does not match the chart")
     if points is None:
         points = sample_points(n, 10, seed=7)
-    changed = projective_change(spec, alpha)
+    alpha_tape = ex.compile_tape(alpha.entries, n)
     derivs = 2 if n == 2 else 1
     worst_w = 0.0
     worst_c: float | None = 0.0 if n == 2 else None
     for block in point_blocks(points, n ** (3 + derivs)):
-        cv_a, cv_b = (s.evaluate_many(block, derivs=derivs) for s in (spec, changed))
+        cv_a = spec.evaluate_many(block, derivs=derivs)
+        levels = [a.copy() for a in (cv_a.gamma, cv_a.dgamma, cv_a.ddgamma)[:derivs + 1]]
+        _add_projective_term(levels, alpha_tape.run(block, derivs))
+        cv_b = ConnectionValue(n, cv_a.point, *levels)
         w_a, w_b = (weyl(curvature(cv), tol=tol, points=block).W for cv in (cv_a, cv_b))
         worst_w = max(worst_w, float(np.max(np.abs(w_a.data - w_b.data))))
         if n == 2:

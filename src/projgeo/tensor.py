@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TensorValue", "contract", "swap", "sym2", "alt2", "norm",
+    "TensorValue", "swap", "sym2", "alt2", "norm",
     "VarianceMismatch", "SlotOutOfRange", "OddDimension",
 ]
 
@@ -64,18 +64,6 @@ def _check_slots(t: TensorValue, a: int, b: int) -> None:
         raise SlotOutOfRange(f"slots ({a}, {b}) out of range for rank {t.rank}")
     if a == b:
         raise SlotOutOfRange("slots must be distinct")
-
-
-def contract(t: TensorValue, a: int, b: int) -> TensorValue:
-    """Trace slots a and b (0-based); one must be up and the other down."""
-    _check_slots(t, a, b)
-    if {t.variance[a], t.variance[b]} != {UP, DOWN}:
-        raise VarianceMismatch(
-            f"contract needs one up and one down slot, got "
-            f"({t.variance[a]}, {t.variance[b]})")
-    data = np.trace(t.data, axis1=a - t.rank, axis2=b - t.rank)
-    variance = tuple(v for i, v in enumerate(t.variance) if i not in (a, b))
-    return TensorValue(t.n, variance, data)
 
 
 def swap(t: TensorValue, a: int, b: int) -> TensorValue:

@@ -26,8 +26,7 @@ from .tensor import OddDimension, norm
 __all__ = [
     "NotAlmostComplex", "StepTooSmall", "OddDimension", "TwistorPoint", "TwistorChart",
     "standard_complex_structure", "mild_complex_structure", "anticommutant_basis",
-    "vertical_motion", "twistor_acs",
-    "acs_field_matrix", "nijenhuis",
+    "vertical_motion", "acs_field_matrix", "nijenhuis",
     "integrability_verdict", "sample_twistor_points", "coordinate_pairs",
 ]
 
@@ -169,16 +168,18 @@ def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
     return -(gy @ ji - ji @ gy) + ji @ (gx @ ji - ji @ gx)
 
 
-def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
-                      m_coords: np.ndarray) -> np.ndarray:
+def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
+                     m_coords: np.ndarray) -> np.ndarray:
     """Matrix of the almost complex structure at chart coordinates (cv.point, m).
 
     Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
     exponential supplying the chart-to-intrinsic conversion, and a least
-    squares solve inverting it again after j acts. Gamma enters only the
-    horizontal-to-vertical block, through vertical_motion. A fibre point that
-    overflows raises DomainError.
+    squares solve inverting it again after j acts. Gamma at cv.point, and
+    nothing else of the connection, enters: only the horizontal-to-vertical
+    block, through vertical_motion. At m = 0 horizontal directions map through
+    j on the base and vertical ones by left multiplication by j. A fibre point
+    that overflows raises DomainError.
     """
     from scipy.linalg import expm
 
@@ -202,23 +203,9 @@ def _structure_matrix(cv: ConnectionValue, chart: TwistorChart,
     return out
 
 
-def twistor_acs(cv: ConnectionValue, tp: TwistorPoint) -> np.ndarray:
-    """Matrix of the almost complex structure at tp, in (x, m) chart coordinates.
-
-    The chart is anchored at tp itself, so only Gamma at the point enters:
-    horizontal directions map through j on the base, vertical ones by left
-    multiplication by j. The result squares to -I.
-    """
-    if tp.x.size != cv.n:
-        raise ValueError("twistor point dimension does not match the connection")
-    chart = TwistorChart(tp)
-    return _structure_matrix(cv, chart, np.zeros(chart.fibre_dim))
-
-
-def acs_field_matrix(spec: ConnectionSpec, chart: TwistorChart,
-                     x: np.ndarray, m_coords: np.ndarray) -> np.ndarray:
-    """The structure matrix at displaced chart coordinates (x, m)."""
-    return _structure_matrix(spec.evaluate(x, derivs=0), chart, m_coords)
+def _rows(cv: ConnectionValue) -> "list[ConnectionValue]":
+    """Each point of a stacked derivs-0 ConnectionValue as a value of its own."""
+    return [ConnectionValue(cv.n, p, gamma) for p, gamma in zip(cv.point, cv.gamma)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -231,12 +218,15 @@ def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
     is the Nijenhuis tensor of the structure matrix J over the (x, m) chart
     anchored at tp. J is built at tp and at tp +- h along each of the
     n + n^2/2 chart coordinates, and each d_l J is their central difference.
+    Gamma is evaluated at tp, which also gives the torsion check, and then
+    once for the 2n base points x +- h e_l; the fibre steps reuse tp's value.
     A step h too small to move every chart coordinate raises StepTooSmall; a
     tensor that is not finite raises DomainError naming the point.
     """
     from .algebra import HasTorsion
 
-    if norm(torsion(spec.evaluate(tp.x, derivs=0))) > 1e-10:
+    (sample,) = _rows(spec.evaluate_many(tp.x[None], derivs=0))
+    if norm(torsion(sample)) > 1e-10:
         raise HasTorsion("integrability test expects a torsion-free connection")
     chart = TwistorChart(tp)
     n = chart.n
@@ -246,12 +236,17 @@ def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
         raise StepTooSmall(f"step h = {h:.3g} leaves a chart coordinate "
                            f"unchanged {at_point(tp.x)}")
 
-    def j_at(z: np.ndarray) -> np.ndarray:
-        return acs_field_matrix(spec, chart, z[:n], z[n:])
+    shifts = h * np.eye(chart.dim)
+    ends = np.stack([z0 + shifts, z0 - shifts], axis=1)  # ends[l] = z0 +- h e_l
+    moved = _rows(spec.evaluate_many(ends[:n, :, :n].reshape(2 * n, n), derivs=0))
 
-    j = j_at(z0)
-    dj = np.array([j_at(z0 + s) - j_at(z0 - s)  # dj[l] = d_l J
-                   for s in h * np.eye(chart.dim)]) / (2.0 * h)
+    def j_at(l: int, side: int) -> np.ndarray:
+        return acs_field_matrix(moved[2 * l + side] if l < n else sample, chart,
+                                ends[l, side, n:])
+
+    j = acs_field_matrix(sample, chart, z0[n:])
+    dj = np.array([j_at(l, 0) - j_at(l, 1)  # dj[l] = d_l J
+                   for l in range(chart.dim)]) / (2.0 * h)
     half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
     tensor = half - np.swapaxes(half, 1, 2)
     if not np.isfinite(tensor).all():

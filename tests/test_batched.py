@@ -10,7 +10,7 @@ from projgeo.connection import (BLOCK_ENTRIES, curvature, curvature_derivative, 
                                 trace2form)
 from projgeo.projective import (check_weyl_invariance, projective_change,
                                 projectively_equivalent, sample_points)
-from projgeo.tensor import TensorValue, contract, norm, swap
+from projgeo.tensor import TensorValue, norm, swap
 
 
 def _assert_row_matches(stacked, single):
@@ -79,7 +79,6 @@ def test_slot_operations_address_trailing_axes():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((5, 3, 3, 3))
     t = TensorValue(3, ("up", "down", "down"), data)
-    np.testing.assert_array_equal(contract(t, 0, 2).data, np.einsum("pkik->pi", data))
     np.testing.assert_array_equal(swap(t, 1, 2).data, data.transpose(0, 1, 3, 2))
     assert norm(t) == float(np.abs(data).max())
     with pytest.raises(ValueError):

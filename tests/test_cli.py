@@ -337,6 +337,10 @@ MALFORMED = {
                                        "--alpha", "{tmp}/zero.alpha"],
                                       {"a.chart": OVERFLOW_CURVATURE, "zero.alpha": b"dim = 3\n"},
                                       "curvature is not finite at x = ("),
+    "alpha-overflow-invariance": (["invariance", str(chart_path("sphere2.chart")),
+                                   "--alpha", "{tmp}/a.alpha"],
+                                  {"a.alpha": b"a 1 = 1e308*x1\na 2 = 1e308\n"},
+                                  "curvature is not finite at x = ("),
     "curvature-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "0.39,0.1,0.1"],
                                    {"a.chart": OVERFLOW_CURVATURE},
                                    "curvature is not finite at x = (0.39, 0.1, 0.1)"),

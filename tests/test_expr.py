@@ -16,7 +16,7 @@ from projgeo.projective import OneFormField, projective_change, sample_points
 
 
 def _value(text, n, p):
-    return eval_jet(parse(text, n), p, order=1).value
+    return eval_jet(parse(text, n), p, order=1)[0]
 
 
 def test_literals_and_precedence():
@@ -82,8 +82,8 @@ def _fd_gradient(text, n, p, h=1e-6):
         lo, hi = p.copy(), p.copy()
         lo[i] -= h
         hi[i] += h
-        grad[i] = (eval_jet(e, hi, order=1).value
-                   - eval_jet(e, lo, order=1).value) / (2 * h)
+        grad[i] = (eval_jet(e, hi, order=1)[0]
+                   - eval_jet(e, lo, order=1)[0]) / (2 * h)
     return grad
 
 
@@ -102,7 +102,7 @@ def test_first_derivatives_match_finite_differences(text):
     for _ in range(5):
         p = rng.uniform(0.2, 0.9, size=2)
         jet = eval_jet(parse(text, 2), p)
-        assert np.allclose(jet.d1, _fd_gradient(text, 2, p), atol=1e-8)
+        assert np.allclose(jet[1], _fd_gradient(text, 2, p), atol=1e-8)
 
 
 @pytest.mark.parametrize("text", SAMPLE_EXPRS)
@@ -114,17 +114,17 @@ def test_higher_jets_differentiate_lower_ones(text):
     hi = eval_jet(e, p + [h, 0], order=3)
     lo = eval_jet(e, p - [h, 0], order=3)
     mid = eval_jet(e, p, order=3)
-    assert np.allclose((hi.d1 - lo.d1) / (2 * h), mid.d2[0], atol=1e-6)
-    assert np.allclose((hi.d2 - lo.d2) / (2 * h), mid.d3[0], atol=2e-5,
+    assert np.allclose((hi[1] - lo[1]) / (2 * h), mid[2][0], atol=1e-6)
+    assert np.allclose((hi[2] - lo[2]) / (2 * h), mid[3][0], atol=2e-5,
                        rtol=1e-4)
 
 
 def test_jets_are_symmetric_in_derivative_slots():
     e = parse("sin(x1*x2) * exp(x2 - x1^2)", 2)
     jet = eval_jet(e, np.array([0.3, -0.6]), order=3)
-    assert np.allclose(jet.d2, jet.d2.T)
+    assert np.allclose(jet[2], jet[2].T)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-        assert np.allclose(jet.d3, jet.d3.transpose(perm))
+        assert np.allclose(jet[3], jet[3].transpose(perm))
 
 
 def test_round_trip_through_to_text():
@@ -134,8 +134,8 @@ def test_round_trip_through_to_text():
         again = parse(to_text(e), 2)
         for _ in range(4):
             p = rng.uniform(0.3, 0.8, size=2)
-            assert eval_jet(e, p).value == pytest.approx(
-                eval_jet(again, p).value, abs=1e-15)
+            assert eval_jet(e, p)[0] == pytest.approx(
+                eval_jet(again, p)[0], abs=1e-15)
 
 
 @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
@@ -146,23 +146,22 @@ def test_polynomial_jets_are_exact(coeffs, a, b):
     c0, c1, c2, c3 = coeffs
     text = f"{c0} + {c1}*x1 + {c2}*x1*x2 + {c3}*x1^3"
     jet = eval_jet(parse(text, 2), np.array([a, b]), order=3)
-    assert jet.value == pytest.approx(c0 + c1 * a + c2 * a * b + c3 * a**3,
-                                      abs=1e-9)
-    assert jet.d1[0] == pytest.approx(c1 + c2 * b + 3 * c3 * a**2, abs=1e-9)
-    assert jet.d1[1] == pytest.approx(c2 * a, abs=1e-12)
-    assert jet.d2[0, 1] == pytest.approx(c2, abs=1e-12)
-    assert jet.d3[0, 0, 0] == pytest.approx(6 * c3, abs=1e-12)
+    assert jet[0] == pytest.approx(c0 + c1 * a + c2 * a * b + c3 * a**3, abs=1e-9)
+    assert jet[1][0] == pytest.approx(c1 + c2 * b + 3 * c3 * a**2, abs=1e-9)
+    assert jet[1][1] == pytest.approx(c2 * a, abs=1e-12)
+    assert jet[2][0, 1] == pytest.approx(c2, abs=1e-12)
+    assert jet[3][0, 0, 0] == pytest.approx(6 * c3, abs=1e-12)
 
 
 @given(st.floats(0.1, 1.4))
 @settings(max_examples=40, deadline=None)
 def test_function_jets_match_closed_forms(x):
     jet = eval_jet(parse("ln(x1)", 1), np.array([x]), order=3)
-    assert jet.d1[0] == pytest.approx(1 / x, rel=1e-12)
-    assert jet.d2[0, 0] == pytest.approx(-1 / x**2, rel=1e-12)
-    assert jet.d3[0, 0, 0] == pytest.approx(2 / x**3, rel=1e-12)
+    assert jet[1][0] == pytest.approx(1 / x, rel=1e-12)
+    assert jet[2][0, 0] == pytest.approx(-1 / x**2, rel=1e-12)
+    assert jet[3][0, 0, 0] == pytest.approx(2 / x**3, rel=1e-12)
     jet = eval_jet(parse("sin(x1)", 1), np.array([x]), order=3)
-    assert jet.d3[0, 0, 0] == pytest.approx(-math.cos(x), rel=1e-12)
+    assert jet[3][0, 0, 0] == pytest.approx(-math.cos(x), rel=1e-12)
 
 
 def test_domain_errors_name_the_first_offending_point():
@@ -245,8 +244,8 @@ def test_batched_rows_equal_single_point_runs(exprs, rows, order):
                 np.testing.assert_array_equal(level_batched[r], level_single[0])
             if order:
                 jet = eval_jet(exprs[0], points[r], order)
-                np.testing.assert_array_equal(jet.value, batched[0][r, 0])
-                np.testing.assert_array_equal(jet.d1, batched[1][r, :, 0])
+                np.testing.assert_array_equal(jet[0], batched[0][r, 0])
+                np.testing.assert_array_equal(jet[1], batched[1][r, :, 0])
 
 
 # (b) jets against symbolic derivatives
@@ -269,7 +268,7 @@ def test_jets_match_symbolic_derivatives(text):
     for p in rng.uniform(0.55, 0.9, size=(3, 2)):
         subs = {xs[0]: sympy.Float(p[0], 30), xs[1]: sympy.Float(p[1], 30)}
         jet = eval_jet(e, p, order=3)
-        for order, got in ((0, jet.value), (1, jet.d1), (2, jet.d2), (3, jet.d3)):
+        for order, got in enumerate(jet):
             want = np.empty((2,) * order)
             for idx in np.ndindex(*want.shape):
                 d = sympy.diff(sym, *(xs[i] for i in idx)) if idx else sym

@@ -14,7 +14,7 @@ from projgeo.projective import (OddDimension, OneFormField,
                                 remove_torsion, same_twistor_structure,
                                 sample_points)
 from projgeo.tensor import norm
-from projgeo.twistor import sample_twistor_points, twistor_acs
+from projgeo.twistor import TwistorChart, acs_field_matrix, sample_twistor_points
 
 FLAT2 = "dim = 2\n[christoffel]\n"
 
@@ -88,6 +88,27 @@ def test_planar_invariant_is_the_cotton_tensor():
     assert res.weyl_residual < 1e-12
     assert res.cotton_residual is not None
     assert res.cotton_residual < 1e-9
+
+
+@pytest.mark.parametrize("name", ["sphere3.chart", "witness3.chart", "random"])
+def test_invariance_lowers_each_entry_once(monkeypatch, name):
+    """One tape for the chart's m entries and its zero column, one for alpha's n."""
+    from projgeo import expr
+
+    rng = np.random.default_rng(41)
+    spec = (random_torsionfree_spec(3, rng) if name == "random"
+            else load_chart(chart_path(name)))
+    m = len(spec.metric if spec.source == "metric" else spec.christoffel)
+    lowered = []
+    compile_tape = expr.compile_tape
+
+    def counted(exprs, n):
+        lowered.append(len(exprs))
+        return compile_tape(exprs, n)
+
+    monkeypatch.setattr(expr, "compile_tape", counted)
+    check_weyl_invariance(spec, load_alpha(chart_path("alpha3.alpha"), 3))
+    assert sum(lowered) == m + 1 + 3
 
 
 def test_equivalence_recovers_the_one_form():
@@ -187,7 +208,7 @@ def test_twistor_comparison_agrees_with_equivalence():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_twistor_comparison_matches_the_structure_matrices(n):
-    """The verdict agrees with J itself: twistor_acs of the two connections
+    """The verdict agrees with J itself: the structure matrices of the two connections
     agree at seeded twistor points exactly when the comparison says same, and
     differ only in the horizontal-to-vertical block."""
     rng = np.random.default_rng(30 + n)
@@ -197,8 +218,9 @@ def test_twistor_comparison_matches_the_structure_matrices(n):
                  else random_torsionfree_spec(n, rng, name="generic"))
         worst = 0.0
         for tp in sample_twistor_points(n, 2, rng):
-            gap = (twistor_acs(spec.evaluate(tp.x, derivs=0), tp)
-                   - twistor_acs(other.evaluate(tp.x, derivs=0), tp))
+            chart, zeros = TwistorChart(tp), np.zeros(n * n // 2)
+            gap = (acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, zeros)
+                   - acs_field_matrix(other.evaluate(tp.x, derivs=0), chart, zeros))
             assert not np.any(gap[:n]) and not np.any(gap[n:, n:])
             worst = max(worst, float(np.max(np.abs(gap))))
         same = same_twistor_structure(spec, other, seed=k).same

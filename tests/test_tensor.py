@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projgeo.tensor import (SlotOutOfRange, TensorValue, VarianceMismatch,
-                            alt2, contract, norm, swap, sym2)
+                            alt2, norm, swap, sym2)
 
 
 def _rand(n, variance, seed=0):
@@ -29,26 +29,10 @@ def test_variance_labels_checked():
         TensorValue(2, ("up", "sideways"), np.zeros((2, 2)))
 
 
-def test_contract_matches_einsum():
-    t = _rand(4, ("up", "down", "down", "down"), seed=1)
-    got = contract(t, 0, 2)
-    assert got.variance == ("down", "down")
-    assert np.allclose(got.data, np.einsum("kikj->ij", t.data))
-    # and for a non-adjacent pair
-    got = contract(t, 0, 3)
-    assert np.allclose(got.data, np.einsum("kijk->ij", t.data))
-
-
-def test_contract_rejects_equal_variance():
-    t = _rand(3, ("down", "down"))
-    with pytest.raises(VarianceMismatch):
-        contract(t, 0, 1)
-
-
 def test_slot_checks():
     t = _rand(3, ("up", "down"))
     with pytest.raises(SlotOutOfRange):
-        contract(t, 0, 2)
+        swap(t, 0, 2)
     with pytest.raises(SlotOutOfRange):
         swap(t, 1, 1)
 

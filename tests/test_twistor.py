@@ -6,7 +6,8 @@ from scipy.linalg import expm, expm_frechet
 
 from conftest import chart_path, random_alpha, random_torsionfree_spec
 from projgeo.algebra import HasTorsion
-from projgeo.connection import load_chart, parse_chart
+from projgeo.connection import ConnectionSpec, load_chart, parse_chart
+from projgeo.expr import DomainError
 from projgeo.projective import projective_change
 import projgeo.twistor as twistor
 from projgeo.tensor import OddDimension
@@ -15,7 +16,7 @@ from projgeo.twistor import (NotAlmostComplex, StepTooSmall, TwistorChart, Twist
                              coordinate_pairs, integrability_verdict,
                              mild_complex_structure, nijenhuis,
                              sample_twistor_points,
-                             standard_complex_structure, twistor_acs)
+                             standard_complex_structure)
 
 FLAT2 = "dim = 2\n[christoffel]\n"
 FLAT4 = "dim = 4\n[christoffel]\n"
@@ -60,7 +61,7 @@ def test_flat_structure_matrix_is_block_diagonal():
     flat = parse_chart(FLAT2)
     j0 = standard_complex_structure(2)
     tp = TwistorPoint(np.zeros(2), j0)
-    big = twistor_acs(flat.evaluate(np.zeros(2), derivs=0), tp)
+    big = acs_field_matrix(flat.evaluate(np.zeros(2), derivs=0), TwistorChart(tp), np.zeros(2))
     assert big.shape == (4, 4)
     assert np.allclose(big[:2, :2], j0, atol=1e-13)
     assert np.max(np.abs(big[:2, 2:])) < 1e-13
@@ -77,7 +78,7 @@ def test_structure_matrix_squares_to_minus_identity(n):
     spec = random_torsionfree_spec(n, rng)
     for tp in sample_twistor_points(n, 3, rng):
         cv = spec.evaluate(tp.x, derivs=0)
-        big = twistor_acs(cv, tp)
+        big = acs_field_matrix(cv, TwistorChart(tp), np.zeros(n * n // 2))
         m = n + n * n // 2
         assert np.max(np.abs(big @ big + np.eye(m))) < 1e-10
 
@@ -87,8 +88,9 @@ def test_structure_matrix_ignores_derivative_jets():
     rng = np.random.default_rng(60)
     spec = random_torsionfree_spec(2, rng)
     tp = sample_twistor_points(2, 1, rng)[0]
-    a = twistor_acs(spec.evaluate(tp.x, derivs=0), tp)
-    b = twistor_acs(spec.evaluate(tp.x, derivs=2), tp)
+    chart = TwistorChart(tp)
+    a = acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, np.zeros(2))
+    b = acs_field_matrix(spec.evaluate(tp.x, derivs=2), chart, np.zeros(2))
     assert np.array_equal(a, b)
 
 
@@ -97,8 +99,9 @@ def test_structure_matrix_is_projectively_invariant():
     spec = random_torsionfree_spec(4, rng)
     twin = projective_change(spec, random_alpha(4, rng))
     for tp in sample_twistor_points(4, 2, rng):
-        a = twistor_acs(spec.evaluate(tp.x, derivs=0), tp)
-        b = twistor_acs(twin.evaluate(tp.x, derivs=0), tp)
+        chart = TwistorChart(tp)
+        a = acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, np.zeros(8))
+        b = acs_field_matrix(twin.evaluate(tp.x, derivs=0), chart, np.zeros(8))
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -114,16 +117,6 @@ def test_chart_round_trip_through_fibre_coordinates():
     # so the fibre point exp(2m) j squares to -I
     moved = expm(2.0 * mm) @ j
     assert np.max(np.abs(moved @ moved + np.eye(4))) < 1e-12
-
-
-def test_acs_field_matrix_matches_pointwise_builder():
-    rng = np.random.default_rng(63)
-    spec = random_torsionfree_spec(2, rng)
-    tp = sample_twistor_points(2, 1, rng)[0]
-    chart = TwistorChart(tp)
-    via_field = acs_field_matrix(spec, chart, tp.x, np.zeros(2))
-    direct = twistor_acs(spec.evaluate(tp.x, derivs=0), tp)
-    assert np.allclose(via_field, direct, atol=1e-11)
 
 
 def column_loop_structure(spec, chart, x, m_coords):
@@ -165,17 +158,55 @@ def test_stacked_builders_match_their_loops(n):
     u = np.linalg.svd(np.array(projections).T, full_matrices=False)[0]
     assert np.array_equal(chart.basis, u[:, :n * n // 2].T.reshape(-1, n, n))
     m = 0.05 * rng.standard_normal(chart.fibre_dim)
-    stacked = acs_field_matrix(spec, chart, tp.x, m)
+    stacked = acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, m)
     loop = column_loop_structure(spec, chart, tp.x, m)
     assert np.max(np.abs(stacked - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
 
 
+def _origin4():
+    return TwistorPoint(np.zeros(4), standard_complex_structure(4))
+
+
 def test_nijenhuis_rejects_torsion():
-    from projgeo.connection import ConnectionSpec
     spec = ConnectionSpec.from_christoffel(4, {(0, 1, 2): "1"})
     with pytest.raises(HasTorsion):
-        nijenhuis(spec, TwistorPoint(np.zeros(4), standard_complex_structure(4)),
-                  coordinate_pairs(12, 2, np.random.default_rng(0)))
+        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)))
+
+
+def test_torsion_is_refused_before_any_neighbour_is_evaluated():
+    # the -e1 neighbour at h = 0.6 leaves the domain of ln
+    spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5)\nG 1 2 3 = 1\n")
+    with pytest.raises(HasTorsion):
+        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)), h=0.6)
+
+
+def test_domain_refusal_names_the_first_neighbour_in_order():
+    # -e1 and +e2 both leave the domain; -e1 comes first
+    spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5) + ln(0.5 - x2)\n")
+    with pytest.raises(DomainError, match=r"at x = \(-0\.6, 0, 0, 0\)$"):
+        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)), h=0.6)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_one_sample_evaluates_the_chart_at_most_twice(monkeypatch, n):
+    """Gamma at the sample, then at its 2n base neighbours in one call."""
+    calls = []
+    evaluate_many = ConnectionSpec.evaluate_many
+
+    def counted(self, points, derivs=1):
+        calls.append((len(points), derivs))
+        return evaluate_many(self, points, derivs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("nijenhuis evaluates one point at a time")
+
+    monkeypatch.setattr(ConnectionSpec, "evaluate_many", counted)
+    monkeypatch.setattr(ConnectionSpec, "evaluate", refused)
+    rng = np.random.default_rng(72)
+    spec = random_torsionfree_spec(n, rng)
+    tp = sample_twistor_points(n, 1, rng)[0]
+    nijenhuis(spec, tp, coordinate_pairs(n + n * n // 2, 2, rng))
+    assert calls == [(1, 0), (2 * n, 0)]
 
 
 def test_flat_bundle_structure_is_integrable():
@@ -255,7 +286,7 @@ def bracket_residuals(spec, tp, pairs, h):
     z0 = np.concatenate([tp.x, np.zeros(chart.fibre_dim)])
 
     def j_at(z):
-        return acs_field_matrix(spec, chart, z[:n], z[n:])
+        return acs_field_matrix(spec.evaluate(z[:n], derivs=0), chart, z[n:])
 
     def along(w, f):  # the derivative of z -> J(z) f along w
         return (j_at(z0 + h * w) @ f - j_at(z0 - h * w) @ f) / (2.0 * h)
