@@ -9,8 +9,9 @@ Nijenhuis tensor, built here from the structure matrix J over a chart of the
 bundle and the central differences of J along each chart coordinate, measures
 integrability.
 
-scipy supplies the matrix exponential of the exp fibre chart and is imported
-on first use, so the rest of projgeo starts without it.
+scipy supplies `expm`, the matrix exponential of the exp fibre chart, and is
+imported on first use, so the rest of projgeo starts without it. The Frechet
+derivative of exp is a block of one exponential of a doubled matrix.
 """
 
 from __future__ import annotations
@@ -148,10 +149,19 @@ class TwistorChart:
 
 
 def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The Frechet derivative of the matrix exponential at a along e (scipy's)."""
-    from scipy.linalg import expm_frechet
+    """The Frechet derivative of the matrix exponential at a along e.
 
-    return expm_frechet(a, e, compute_expm=False)
+    It is the upper-right block of exp([[a, e], [0, a]]) (Van Loan, IEEE TAC
+    23 (1978) 395; Mathias, SIAM J. Matrix Anal. Appl. 17 (1996) 610), taken
+    here from one scipy `expm` of that 2n x 2n matrix.
+    """
+    from scipy.linalg import expm
+
+    n = a.shape[0]
+    big = np.zeros((2 * n, 2 * n))
+    big[:n, :n] = big[n:, n:] = a
+    big[:n, n:] = e
+    return expm(big)[:n, n:]
 
 
 def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -174,8 +184,9 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
 
     Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
-    exponential supplying the chart-to-intrinsic conversion, and a least
-    squares solve inverting it again after j acts. Gamma at cv.point, and
+    exponential (a block of one doubled exponential, see expm_frechet)
+    supplying the chart-to-intrinsic conversion, and a least squares solve
+    inverting it again after j acts. Gamma at cv.point, and
     nothing else of the connection, enters: only the horizontal-to-vertical
     block, through vertical_motion. At m = 0 horizontal directions map through
     j on the base and vertical ones by left multiplication by j. A fibre point

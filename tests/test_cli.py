@@ -371,6 +371,8 @@ MALFORMED = {
                         {}, "unrecognized arguments: --samples 5"),
     "twistor-tol": (["twistor", str(chart_path("sphere4.chart")), "--samples", "1",
                      "--tol", "1e-3"], {}, "unrecognized arguments: --tol 1e-3"),
+    "frechet-overflow": (["twistor", str(chart_path("sphere4.chart")), "--h", "300",
+                          "--samples", "1"], {}, "Nijenhuis tensor is not finite at x = ("),
     "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
                      "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
     "metric-zero": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],

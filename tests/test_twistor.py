@@ -163,6 +163,19 @@ def test_stacked_builders_match_their_loops(n):
     assert np.max(np.abs(stacked - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("size", [0.0, 1e-4, 0.1, 1.0, 4.0])
+def test_frechet_kernel_matches_scipys(n, size):
+    """The block of one doubled exponential against scipy's expm_frechet."""
+    rng = np.random.default_rng(76)
+    a = rng.standard_normal((n, n))
+    a *= size / np.linalg.norm(a)
+    b = rng.standard_normal((n, n))
+    e = 2.0 * b / np.linalg.norm(b)
+    ref = expm_frechet(a, e, compute_expm=False)
+    assert np.max(np.abs(twistor.expm_frechet(a, e) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _origin4():
     return TwistorPoint(np.zeros(4), standard_complex_structure(4))
 
@@ -301,17 +314,21 @@ def bracket_residuals(spec, tp, pairs, h):
     return np.array(out)
 
 
+def named_spec(name, rng):
+    """flat4, random2 (a random torsion-free n = 2 chart) or a fixture chart."""
+    if name == "flat4":
+        return parse_chart(FLAT4)
+    if name == "random2":
+        return random_torsionfree_spec(2, rng)
+    return load_chart(chart_path(f"{name}.chart"))
+
+
 @pytest.mark.parametrize("name", ["witness4", "sphere4", "flat4", "random2"])
 def test_tensor_agrees_with_the_bracket_formula(name):
     """The two routes differ by O(h^2): at most 1e-7 at h = 1e-4, and about
     100x less per decade of h wherever the gap is above rounding."""
     rng = np.random.default_rng(69)
-    if name == "flat4":
-        spec = parse_chart(FLAT4)
-    elif name == "random2":
-        spec = random_torsionfree_spec(2, rng)
-    else:
-        spec = load_chart(chart_path(f"{name}.chart"))
+    spec = named_spec(name, rng)
     n = spec.n
     tp = sample_twistor_points(n, 1, rng)[0]
     pairs = coordinate_pairs(n + n * n // 2, 2, rng)
@@ -346,6 +363,28 @@ def test_one_sample_builds_two_per_coordinate_plus_one(monkeypatch, n, calls):
     tp = sample_twistor_points(n, 1, rng)[0]
     nijenhuis(spec, tp, coordinate_pairs(n + n * n // 2, 6, rng))
     assert counts == {"acs": calls, "frechet": calls * n * n // 2}
+
+
+@pytest.mark.parametrize("name", ["flat4", "sphere4", "witness4", "random2"])
+def test_residuals_match_scipys_frechet_kernel(monkeypatch, name):
+    """nijenhuis with the doubled-exponential kernel and with scipy's
+    expm_frechet: the same verdict, and residuals within 1e-10 where
+    integrable and 1e-9 relative where obstructed."""
+    rng = np.random.default_rng(77)
+    spec = named_spec(name, rng)
+    n = spec.n
+    pairs = coordinate_pairs(n + n * n // 2, 4, rng)
+    tps = sample_twistor_points(n, 2, rng)
+    new = np.array([nijenhuis(spec, tp, pairs) for tp in tps])
+    monkeypatch.setattr(twistor, "expm_frechet",
+                        lambda a, e: expm_frechet(a, e, compute_expm=False))
+    old = np.array([nijenhuis(spec, tp, pairs) for tp in tps])
+    assert [integrability_verdict(r) for r in new] == [integrability_verdict(r) for r in old]
+    gap = np.abs(new - old)
+    small, large = old <= 1e-5, old >= 1e-2
+    assert np.all(small | large)
+    assert np.all(gap[small] <= 1e-10)
+    assert np.all(gap[large] <= 1e-9 * old[large])
 
 
 def test_verdict_bands():
