@@ -94,8 +94,9 @@ class ConnectionSpec:
     """A connection given in closed form on a chart of dimension n.
 
     Exactly one of `christoffel` (0-based (k, i, j) -> Expr) or `metric`
-    (0-based (i, j), i <= j -> Expr) is set; absent entries are zero. `alpha`
-    optionally holds n expressions adding the projective perturbation
+    (0-based (i, j), i <= j -> Expr) is set, as parse_chart reads them from
+    chart text; absent entries are zero. `alpha` optionally holds n
+    expressions adding the projective perturbation
     alpha_i delta^k_j + alpha_j delta^k_i on top of the base connection.
     The entries and alpha are compiled into one tape on first evaluation.
     """
@@ -104,7 +105,6 @@ class ConnectionSpec:
     christoffel: dict[tuple[int, int, int], ex.Expr] | None = None
     metric: dict[tuple[int, int], ex.Expr] | None = None
     alpha: tuple[ex.Expr, ...] | None = None
-    name: str = ""
     _compiled: "_Compiled | None" = field(default=None, init=False, repr=False,
                                           compare=False)
 
@@ -117,20 +117,6 @@ class ConnectionSpec:
     @property
     def source(self) -> str:
         return "metric" if self.metric is not None else "christoffel"
-
-    @classmethod
-    def from_christoffel(cls, n: int, entries: dict[tuple[int, int, int], "ex.Expr | str"],
-                         name: str = "") -> "ConnectionSpec":
-        return cls(n, christoffel=_parse_entries(entries, n), name=name)
-
-    @classmethod
-    def from_metric(cls, n: int, entries: dict[tuple[int, int], "ex.Expr | str"],
-                    name: str = "") -> "ConnectionSpec":
-        parsed = _parse_entries(entries, n)
-        for (i, j) in parsed:
-            if i > j:
-                raise ValueError(f"metric entries use i <= j, got ({i}, {j})")
-        return cls(n, metric=parsed, name=name)
 
     @property
     def tape(self) -> ex.Tape:
@@ -233,21 +219,6 @@ class _Compiled:
         c -= rows[self.c_index[2]]
         c *= 0.5
         return np.ascontiguousarray(c.T).reshape(lead + (n, n * n))
-
-
-def _parse_entries(entries, n):
-    parsed = {}
-    interned: dict[str, ex.Expr] = {}
-    for key, value in entries.items():
-        if isinstance(value, str):
-            if value not in interned:
-                interned[value] = ex.parse(value, n)
-            value = interned[value]
-        for idx in key:
-            if not 0 <= idx < n:
-                raise ValueError(f"index {idx} out of range for dimension {n}")
-        parsed[key] = value
-    return parsed
 
 
 def _singular_range(g: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -375,12 +346,12 @@ def second_bianchi_residual(cv: ConnectionValue) -> TensorValue:
     return TensorValue(cv.n, ("up",) + ("down",) * 4, total)
 
 
-def load_chart(path: "str | Path", name: str | None = None) -> ConnectionSpec:
-    """Read a chart file (see parse_chart); the chart is named after the file."""
-    return parse_chart(read_text(path), Path(path).name if name is None else name)
+def load_chart(path: "str | Path") -> ConnectionSpec:
+    """Read a chart file (see parse_chart)."""
+    return parse_chart(read_text(path))
 
 
-def parse_chart(text: str, name: str = "") -> ConnectionSpec:
+def parse_chart(text: str) -> ConnectionSpec:
     """A chart from its text: a dim header plus one [metric]/[christoffel] section.
 
     File indices are 1-based (`g 1 2 = ...`, `G 1 2 3 = ...`); missing entries
@@ -437,4 +408,4 @@ def parse_chart(text: str, name: str = "") -> ConnectionSpec:
         raise ChartError("missing dim header")
     if section is None:
         raise ChartError("missing [metric] or [christoffel] section")
-    return ConnectionSpec(n, **{section: entries}, name=name)
+    return ConnectionSpec(n, **{section: entries})

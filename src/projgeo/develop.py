@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import _normalized, _require_bianchi
-from .connection import ConnectionSpec, ConnectionValue, curvature, ricci
+from .connection import ConnectionSpec, ConnectionValue, curvature, parse_chart, ricci
 from .expr import at_point
 
 __all__ = [
@@ -47,15 +47,14 @@ class StepFailure(RuntimeError):
 
 def model_connection(n: int) -> ConnectionSpec:
     """The flat affine chart of projective space: all Christoffel entries zero."""
-    return ConnectionSpec.from_christoffel(n, {}, name="model-flat")
+    return ConnectionSpec(n, christoffel={})
 
 
 def model_metric(n: int) -> ConnectionSpec:
     """Round metric of constant curvature one: g_ij = 4 delta_ij / (1+|x|^2)^2."""
     ball = " + ".join(f"x{i}^2" for i in range(1, n + 1))
-    entry = f"4 / (1 + {ball})^2"
-    entries = {(i, i): entry for i in range(n)}
-    return ConnectionSpec.from_metric(n, entries, name="round-sphere")
+    return parse_chart(f"dim = {n}\n[metric]\n"
+                       + "".join(f"g {i} {i} = 4 / (1 + {ball})^2\n" for i in range(1, n + 1)))
 
 
 # Nodes per evaluate_many + _hat_matrix call. A call costs 1-2 ms whatever its
@@ -71,8 +70,6 @@ class CartanFrame:
     """Parallel frame of the induced bundle along a path."""
 
     phi: np.ndarray  # (n+1) x (n+1), line column first
-    start: np.ndarray
-    end: np.ndarray
     error_estimate: float
     steps: tuple  # RK4 steps accepted on each segment, 0 for a zero-length one
 
@@ -168,9 +165,9 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> "list[Car
         todo, a, coarse = todo[~done], a[~done], phi[~done]
 
     ends = np.cumsum([0] + [len(path) - 1 for path in paths])
-    return [CartanFrame(reduce(np.matmul, frames[i:j], np.eye(n + 1)), path[0].copy(),
-                        path[-1].copy(), float(np.sum(errs[i:j])), tuple(steps[i:j].tolist()))
-            for path, i, j in zip(paths, ends, ends[1:])]
+    return [CartanFrame(reduce(np.matmul, frames[i:j], np.eye(n + 1)),
+                        float(np.sum(errs[i:j])), tuple(steps[i:j].tolist()))
+            for i, j in zip(ends, ends[1:])]
 
 
 def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10) -> CartanFrame:

@@ -10,7 +10,7 @@ Grammar (coordinates are x1..xn):
     FUNC   := sin | cos | exp | ln | sqrt
 
 The exponent of '^' must be a numeric literal; integer exponents are evaluated
-by repeated multiplication, non-integer exponents require a positive base.
+by square-and-multiply, non-integer exponents require a positive base.
 Unary minus binds looser than '^', so "-x1^2" is -(x1^2).
 
 Evaluation produces jets: value and partial derivatives up to order 3, exact to
@@ -500,44 +500,57 @@ class _TapeBuilder:
         return slot
 
     def visit(self, e) -> int:
-        slot = self.seen.get(id(e))
+        seen, emit = self.seen, self.emit
+        slot = seen.get(id(e))
         if slot is not None:
             return slot
-        emit, visit = self.emit, self.visit
-        if isinstance(e, Num):
-            slot = emit("num", lit=float(e.value))
-        elif isinstance(e, Var):
-            if not 1 <= e.index <= self.n:
-                raise ValueError(f"variable x{e.index} outside chart of dimension {self.n}")
-            slot = emit("var", lit=e.index)
-        elif isinstance(e, Neg):
-            slot = emit("neg", visit(e.arg))
-        elif isinstance(e, BinOp):
-            left, right = visit(e.left), visit(e.right)
-            if e.op == "/":
-                slot = emit("mul", left, emit("inv", right))
+        # sums and products parse left-deep: walk the left spine in this loop and
+        # recurse only into right operands and arguments, whose depth the parser bounds
+        spine = []
+        while isinstance(e, BinOp):
+            spine.append(e)
+            e = e.left
+            slot = seen.get(id(e))
+            if slot is not None:
+                break
+        if slot is None:
+            if isinstance(e, Num):
+                slot = emit("num", lit=float(e.value))
+            elif isinstance(e, Var):
+                if not 1 <= e.index <= self.n:
+                    raise ValueError(f"variable x{e.index} outside chart of dimension {self.n}")
+                slot = emit("var", lit=e.index)
+            elif isinstance(e, Neg):
+                slot = emit("neg", self.visit(e.arg))
+            elif isinstance(e, Pow):
+                slot = self.visit(e.base)
+                k = e.exponent
+                if not float(k).is_integer():
+                    slot = emit("pow", slot, lit=float(k))
+                elif k == 0:
+                    slot = emit("num", lit=1.0)
+                else:  # square-and-multiply: exact at zeros of the base, O(log |k|) products
+                    base = slot
+                    for bit in bin(int(abs(k)))[3:]:
+                        slot = emit("mul", slot, slot)
+                        if bit == "1":
+                            slot = emit("mul", slot, base)
+                    if k < 0:
+                        slot = emit("inv", slot)
+            elif isinstance(e, Call):
+                if e.func not in FUNCTIONS:
+                    raise ValueError(f"no such function {e.func!r}")
+                slot = emit(e.func, self.visit(e.arg))
             else:
-                slot = emit(_BINARY[e.op], left, right)
-        elif isinstance(e, Pow):
-            base = visit(e.base)
-            if not float(e.exponent).is_integer():
-                slot = emit("pow", base, lit=float(e.exponent))
-            elif e.exponent == 0:
-                slot = emit("num", lit=1.0)
+                raise TypeError(f"not an Expr node: {e!r}")
+            seen[id(e)] = slot
+        for node in reversed(spine):
+            right = self.visit(node.right)
+            if node.op == "/":
+                slot = emit("mul", slot, emit("inv", right))
             else:
-                # repeated multiplication keeps integer powers exact at zeros of the base
-                slot = base
-                for _ in range(int(abs(e.exponent)) - 1):
-                    slot = emit("mul", slot, base)
-                if e.exponent < 0:
-                    slot = emit("inv", slot)
-        elif isinstance(e, Call):
-            if e.func not in FUNCTIONS:
-                raise ValueError(f"no such function {e.func!r}")
-            slot = emit(e.func, visit(e.arg))
-        else:
-            raise TypeError(f"not an Expr node: {e!r}")
-        self.seen[id(e)] = slot
+                slot = emit(_BINARY[node.op], slot, right)
+            seen[id(node)] = slot
         return slot
 
 
@@ -547,8 +560,8 @@ def compile_tape(exprs, n: int) -> Tape:
     Each node is keyed on (operation, argument slots, literal), so equal
     subtrees share one slot whether or not they are the same object, and no
     deep node is ever hashed. A division becomes a product with a reciprocal
-    and an integer power repeated multiplication, the jet rules the tape runs.
-    Output slots follow the order of `exprs`.
+    and an integer power square-and-multiply products, the jet rules the tape
+    runs. Output slots follow the order of `exprs`.
     """
     builder = _TapeBuilder(n)
     outputs = [builder.visit(e) for e in exprs]

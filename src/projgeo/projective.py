@@ -24,7 +24,7 @@ from .tensor import OddDimension, norm
 from .twistor import mild_complex_structure, vertical_motion
 
 __all__ = [
-    "OneFormField", "load_alpha", "parse_alpha", "sample_points", "projective_change",
+    "load_alpha", "parse_alpha", "sample_points", "projective_change",
     "WeylInvariance", "check_weyl_invariance",
     "Equivalence", "projectively_equivalent",
     "TorsionRemoval", "remove_torsion",
@@ -32,47 +32,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OneFormField:
-    """Closed-form 1-form on a chart: n expressions alpha_1 .. alpha_n."""
-
-    n: int
-    entries: tuple[ex.Expr, ...]
-
-    @classmethod
-    def from_strings(cls, texts: "list[str]") -> "OneFormField":
-        n = len(texts)
-        return cls(n, tuple(ex.parse(t, n) for t in texts))
-
-    @classmethod
-    def zero(cls, n: int) -> "OneFormField":
-        return cls(n, tuple(ex.Num(0.0) for _ in range(n)))
-
-
-def load_alpha(path: "str | Path", n: int | None = None) -> OneFormField:
+def load_alpha(path: "str | Path", n: int) -> tuple[ex.Expr, ...]:
     """Read an alpha-field file (see parse_alpha)."""
     return parse_alpha(read_text(path), n)
 
 
-def parse_alpha(text: str, n: int | None = None) -> OneFormField:
-    """An alpha field from its text: optional `dim = n` plus lines `a <i> = <expr>`.
+def parse_alpha(text: str, n: int) -> tuple[ex.Expr, ...]:
+    """The 1-form alpha_1 .. alpha_n on a chart of dimension n from its text:
+    lines `a <i> = <expr>`, after an optional `dim = n` header that must agree.
 
     Indices are 1-based; missing entries are zero. Every malformed line raises
     ChartError("line N: ...").
     """
-    entries: dict[int, tuple[int, str]] = {}
-    dim = n
-    has_header = False
+    exprs = [ex.Num(0.0)] * n
+    seen, has_header = set(), False
     for lineno, line in content_lines(text):
         words, rhs = split_entry(lineno, line, "a i = expression")
         if words == ["dim"]:
             if has_header:
                 raise ChartError(f"line {lineno}: duplicate dim")
             header = read_dim(lineno, rhs)
-            if n is not None and header != n:
+            if header != n:
                 raise ChartError(
                     f"line {lineno}: alpha file has dim = {header}, expected {n}")
-            dim, has_header = header, True
+            has_header = True
             continue
         if len(words) != 2 or words[0] != "a":
             raise ChartError(f"line {lineno}: expected 'a i = expression'")
@@ -80,17 +63,13 @@ def parse_alpha(text: str, n: int | None = None) -> OneFormField:
             i = int(words[1])
         except ValueError:
             raise ChartError(f"line {lineno}: bad index in {' '.join(words)!r}") from None
-        if i in entries:
+        if i in seen:
             raise ChartError(f"line {lineno}: duplicate entry a {i}")
-        entries[i] = (lineno, rhs)
-    if dim is None:
-        raise ChartError("alpha field needs a dim header or an explicit dimension")
-    exprs = [ex.Num(0.0)] * dim
-    for i, (lineno, rhs) in entries.items():
-        if not 1 <= i <= dim:
-            raise ChartError(f"line {lineno}: alpha index out of range 1..{dim}")
-        exprs[i - 1] = parse_expr(lineno, rhs, dim)
-    return OneFormField(dim, tuple(exprs))
+        if not 1 <= i <= n:
+            raise ChartError(f"line {lineno}: alpha index out of range 1..{n}")
+        seen.add(i)
+        exprs[i - 1] = parse_expr(lineno, rhs, n)
+    return tuple(exprs)
 
 
 def sample_points(n: int, count: int, seed: int = 0, half_width: float = 0.4) -> np.ndarray:
@@ -103,16 +82,16 @@ def _add(a: ex.Expr | None, b: ex.Expr) -> ex.Expr:
     return b if a is None else ex.BinOp("+", a, b)
 
 
-def projective_change(spec: ConnectionSpec, alpha: OneFormField) -> ConnectionSpec:
+def projective_change(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]") -> ConnectionSpec:
     """The connection with Gamma^k_{ij} + alpha_i delta^k_j + alpha_j delta^k_i.
 
     The chart keeps its own entries, metric or Christoffel, and alpha is added
     to the spec's projective 1-form, which evaluation applies to every jet level.
     """
-    if alpha.n != spec.n:
+    if len(alpha) != spec.n:
         raise ValueError("alpha dimension does not match the chart")
-    combined = alpha.entries if spec.alpha is None else tuple(
-        ex.BinOp("+", old, new) for old, new in zip(spec.alpha, alpha.entries))
+    combined = tuple(alpha) if spec.alpha is None else tuple(
+        ex.BinOp("+", old, new) for old, new in zip(spec.alpha, alpha))
     return replace(spec, alpha=combined)
 
 
@@ -125,7 +104,7 @@ class WeylInvariance:
     cotton_residual: float | None  # n = 2 only, where W vanishes identically
 
 
-def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
+def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
                           points=None, tol: float = 1e-10) -> WeylInvariance:
     """Max difference of W (and of C when n = 2) between spec and its alpha-change.
 
@@ -135,11 +114,11 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: OneFormField,
     expressions run on a tape of their own.
     """
     n = spec.n
-    if alpha.n != n:
+    if len(alpha) != n:
         raise ValueError("alpha dimension does not match the chart")
     if points is None:
         points = sample_points(n, 10, seed=7)
-    alpha_tape = ex.compile_tape(alpha.entries, n)
+    alpha_tape = ex.compile_tape(alpha, n)
     derivs = 2 if n == 2 else 1
     worst_w = 0.0
     worst_c: float | None = 0.0 if n == 2 else None
@@ -200,7 +179,7 @@ class TorsionRemoval:
 
     ok: bool
     t1_residual: float
-    alpha: OneFormField | None
+    alpha: tuple[ex.Expr, ...] | None
     spec: ConnectionSpec | None
 
 
@@ -215,7 +194,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
     n = spec.n
     if spec.source == "metric":
         # Levi-Civita (plus a projective term) is already symmetric
-        return TorsionRemoval(True, 0.0, OneFormField.zero(n), spec)
+        return TorsionRemoval(True, 0.0, (ex.Num(0.0),) * n, spec)
 
     half = ex.Num(0.5)
     scale = ex.Num(1.0 / (n - 1))
@@ -246,7 +225,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
                 elif k == i and not _is_zero(alpha_exprs[j]):
                     entries[(k, i, j)] = _add(
                         entries.get((k, i, j)), ex.BinOp("*", half, alpha_exprs[j]))
-    fixed = ConnectionSpec(n, christoffel=entries, alpha=spec.alpha, name=spec.name)
+    fixed = ConnectionSpec(n, christoffel=entries, alpha=spec.alpha)
 
     worst_t1 = 0.0
     for block in point_blocks(sample_points(n, 5, seed=3), n ** 3):
@@ -254,8 +233,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
         worst_t1 = max(worst_t1, norm(t1))
     if worst_t1 > 1e-9:
         return TorsionRemoval(False, worst_t1, None, None)
-    return TorsionRemoval(True, worst_t1,
-                          OneFormField(n, tuple(alpha_exprs)), fixed)
+    return TorsionRemoval(True, worst_t1, tuple(alpha_exprs), fixed)
 
 
 def _is_zero(e: ex.Expr) -> bool:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from projgeo.connection import ConnectionSpec
-from projgeo.projective import OneFormField
+from projgeo.connection import parse_chart
+from projgeo.projective import parse_alpha
 
 CHARTS = Path(__file__).parent / "charts"
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,13 +31,22 @@ def run_fresh_python(script, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def chart_spec(n, entries, section="christoffel"):
+    """The chart whose 0-based entries {(k, i, j) or (i, j): text} are written as
+    `G k i j = text` (or `g i j = text`) lines of chart text."""
+    key = "G" if section == "christoffel" else "g"
+    lines = "".join(f"{key} {' '.join(str(i + 1) for i in idx)} = {text}\n"
+                    for idx, text in entries.items())
+    return parse_chart(f"dim = {n}\n[{section}]\n{lines}")
+
+
 def poly_entry(rng, n, scale):
     u, v, w = rng.integers(1, n + 1, size=3)
     c = scale * rng.uniform(-1.0, 1.0, size=3)
     return f"{c[0]:.4f} + {c[1]:.4f}*x{u} + {c[2]:.4f}*x{v}*x{w}"
 
 
-def random_torsionfree_spec(n, rng, scale=0.3, name="random-symmetric"):
+def random_torsionfree_spec(n, rng, scale=0.3):
     """Symmetric polynomial Christoffel data, entries of degree <= 2."""
     entries = {}
     for k in range(n):
@@ -47,16 +56,16 @@ def random_torsionfree_spec(n, rng, scale=0.3, name="random-symmetric"):
                 entries[(k, i, j)] = text
                 if i != j:
                     entries[(k, j, i)] = text
-    return ConnectionSpec.from_christoffel(n, entries, name=name)
+    return chart_spec(n, entries)
 
 
-def random_spec_with_torsion(n, rng, scale=0.3, name="random-general"):
+def random_spec_with_torsion(n, rng, scale=0.3):
     entries = {}
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 entries[(k, i, j)] = poly_entry(rng, n, scale)
-    return ConnectionSpec.from_christoffel(n, entries, name=name)
+    return chart_spec(n, entries)
 
 
 def random_alpha(n, rng, scale=0.3):
@@ -65,7 +74,7 @@ def random_alpha(n, rng, scale=0.3):
         u = rng.integers(1, n + 1)
         c = scale * rng.uniform(-1.0, 1.0, size=2)
         texts.append(f"{c[0]:.4f} + {c[1]:.4f}*x{u}")
-    return OneFormField.from_strings(texts)
+    return parse_alpha("".join(f"a {i} = {t}\n" for i, t in enumerate(texts, 1)), n)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

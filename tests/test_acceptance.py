@@ -7,12 +7,12 @@ contractual, do not loosen them to make a failure go away.
 
 import numpy as np
 
-from conftest import chart_path, poly_entry, random_alpha, random_torsionfree_spec
+from conftest import chart_path, chart_spec, poly_entry, random_alpha, random_torsionfree_spec
 from projgeo.algebra import (AlgebraElement, bracket, cartan_curvature, cotton,
                              first_bianchi_residual, three_form_split,
                              torsion_split, wedge_id, wedge_id3, weyl)
-from projgeo.connection import (ConnectionSpec, curvature, load_chart, ricci,
-                                second_bianchi_residual, torsion, trace2form)
+from projgeo.connection import (curvature, load_chart, ricci, second_bianchi_residual,
+                                torsion, trace2form)
 from projgeo.develop import NotFlat, ProjectivePoint, collinearity_defect, \
     develop_map, flatness_defect, geodesic_trace, model_connection
 from projgeo.projective import (projective_change, projectively_equivalent,
@@ -134,7 +134,7 @@ def test_criterion_06_flatness_converse():
 
 def test_criterion_07_twistor_integrability():
     pass_tol, fail_tol = 1e-5, 1e-2
-    flat4 = ConnectionSpec.from_christoffel(4, {}, name="flat4")
+    flat4 = model_connection(4)
     tps = sample_twistor_points(4, 5, np.random.default_rng(11))
     pairs = coordinate_pairs(12, 6, np.random.default_rng(12))
     worst_flat = max(nijenhuis(flat4, tp, pairs) for tp in tps)
@@ -166,7 +166,7 @@ def test_criterion_08_twistor_detects_equivalence():
             if k % 2 == 0:
                 other = projective_change(base, random_alpha(n, rng))
             else:
-                other = random_torsionfree_spec(n, rng, name="generic")
+                other = random_torsionfree_spec(n, rng)
             seed = int(rng.integers(1 << 30))
             eq = projectively_equivalent(base, other,
                                          sample_points(n, 3, seed=seed))
@@ -196,7 +196,7 @@ def test_criterion_09_torsion_removal():
             trace = f"{rng.uniform(-0.5, 0.5):.4f}"
             for k in range(n):
                 texts[(k, i, k)] = f"({texts[(k, i, k)]}) + {trace}"
-        spec = ConnectionSpec.from_christoffel(n, texts)
+        spec = chart_spec(n, texts)
         out = remove_torsion(spec)
         all_ok = all_ok and out.ok
         if not out.ok:

@@ -98,10 +98,11 @@ def test_blocks_hold_the_entry_budget_and_cover_the_rows(width, count):
 
 def _block_rule_cases():
     rng = np.random.default_rng(4)
-    cases = [load_chart(chart_path(name)) for name in
-             ("sphere2.chart", "sphere3.chart", "witness4.chart")]
-    cases.append(random_torsionfree_spec(3, rng, name="christoffel3"))
-    return [pytest.param(spec, random_alpha(spec.n, rng), id=spec.name) for spec in cases]
+    cases = {name: load_chart(chart_path(name)) for name in
+             ("sphere2.chart", "sphere3.chart", "witness4.chart")}
+    cases["christoffel3"] = random_torsionfree_spec(3, rng)
+    return [pytest.param(spec, random_alpha(spec.n, rng), id=name)
+            for name, spec in cases.items()]
 
 
 def _per_point_residuals(spec, changed, points):

@@ -375,6 +375,9 @@ MALFORMED = {
                           "--samples", "1"], {}, "Nijenhuis tensor is not finite at x = ("),
     "h-too-small": (["twistor", str(chart_path("witness4.chart")), "--h", "1e-300",
                      "--samples", "1"], {}, "step h = 1e-300 leaves a chart coordinate unchanged"),
+    "power-overflow-analyze": (["analyze", "{tmp}/a.chart", "--point", "1.5,0.1"],
+                               {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 1 = x1^1000000000\n"},
+                               "not finite at x = (1.5, 0.1)"),
     "metric-zero": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],
                     {"a.chart": b"dim = 2\n[metric]\n"},
                     "metric condition estimate inf exceeds 1e12 at x = (0.1, 0.2)"),
@@ -396,6 +399,25 @@ def test_malformed_input_exits_2_with_a_message(tmp_path, capsys, name):
     assert "error:" in err
     assert fragment in err
     assert "Traceback" not in err
+
+
+# Entries that used to end in a RecursionError (a long left-deep sum or
+# product) or in hours of repeated products (a large integer power).
+LONG_ENTRIES = {
+    "sum": " + ".join(["x1"] * 5000),
+    "product": " * ".join(["x1"] * 5000),
+    "power": "x1^1000000000",
+    "power-1e20": "x2 * x1^1e20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_ENTRIES))
+def test_long_entries_and_large_powers_are_analyzed(tmp_path, capsys, name):
+    chart = tmp_path / "a.chart"
+    chart.write_text(f"dim = 2\n[christoffel]\nG 1 1 1 = {LONG_ENTRIES[name]}\n")
+    code, out, err = run(capsys, "analyze", str(chart), "--point", "0.1,0.2", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["norms"]["torsion"] == 0.0
 
 
 # Runs every subcommand but twistor, then twistor, in one process, printing

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
+from conftest import chart_path, chart_spec, random_spec_with_torsion, random_torsionfree_spec
 from projgeo.connection import (ChartError, ConnectionSpec, MissingJet,
                                 SingularMetric, _singular_range, curvature,
                                 curvature_derivative, load_chart, parse_chart,
                                 ricci, second_bianchi_residual, torsion,
                                 trace2form)
+from projgeo.expr import Var
 from projgeo.tensor import MAX_DIM, alt2, norm
 
 
@@ -149,7 +150,7 @@ def _random_metric_spec(n, rng):
             u, v = rng.integers(1, n + 1, size=2)
             entries[(i, j)] = (f"{(2.0 if i == j else 0.0) + c[0]:.4f} + {c[1]:.4f}*x{u}"
                                f" + {c[2]:.4f}*x{u}*sin(x{v})")
-    return ConnectionSpec.from_metric(n, entries)
+    return chart_spec(n, entries, "metric")
 
 
 LEVI_CIVITA_CASES = (
@@ -284,21 +285,21 @@ def test_jet_guards():
         curvature_derivative(spec.evaluate(np.zeros(2), derivs=1))
 
 
-def test_from_christoffel_accepts_strings_and_exprs():
-    spec = ConnectionSpec.from_christoffel(2, {(0, 0, 1): "x2", (1, 1, 1): "0.5"})
+def test_christoffel_lines_set_their_entries():
+    spec = parse_chart("dim = 2\n[christoffel]\nG 1 1 2 = x2\nG 2 2 2 = 0.5\n")
     cv = spec.evaluate(np.array([0.0, 3.0]), derivs=0)
     assert cv.gamma[0, 0, 1] == 3.0
     assert cv.gamma[1, 1, 1] == 0.5
 
 
-@pytest.mark.parametrize("n,entries", [(0, {}), (1, {(0, 0, 0): "x1"}),
+@pytest.mark.parametrize("n,entries", [(0, {}), (1, {(0, 0, 0): Var(1)}),
                                        (MAX_DIM + 1, {})])
 def test_spec_refuses_dimension_outside_chart_range(n, entries):
     """The library takes the dimensions a chart file may declare, 2..MAX_DIM;
     a one-dimensional spec used to build and then fail deep in develop or
     curvature_report."""
     with pytest.raises(ValueError, match=f"2..{MAX_DIM}"):
-        ConnectionSpec.from_christoffel(n, entries)
+        ConnectionSpec(n, christoffel=entries)
 
 def test_evaluate_rejects_wrong_point_length():
     spec = load_chart(chart_path("flat3.chart"))

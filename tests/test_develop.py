@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chart_path
+from conftest import chart_path, chart_spec
 from projgeo.connection import ConnectionSpec, load_chart
 from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix, _rk4_frame,
                              cartan_transport, collinearity_defect, develop_map,
                              flatness_defect, geodesic_trace, holonomy_loops,
                              model_connection, model_metric, transport_many)
-from projgeo.projective import OneFormField, load_alpha, projective_change
+from projgeo.projective import load_alpha, parse_alpha, projective_change
 from projgeo.algebra import NotBianchi, cotton, weyl
 from projgeo.connection import curvature
 from projgeo.tensor import norm
@@ -121,7 +121,7 @@ def test_geodesic_integrator_is_fourth_order():
 def test_reparametrized_connections_share_geodesic_traces():
     """A projective change bends parametrizations, never the curves."""
     sph = load_chart(chart_path("sphere2.chart"))
-    twin = projective_change(sph, OneFormField.from_strings(["0.4", "-0.2*x1"]))
+    twin = projective_change(sph, parse_alpha("a 1 = 0.4\na 2 = -0.2*x1\n", 2))
     x0, v0 = np.array([0.05, -0.1]), np.array([0.8, 0.5])
     dense = geodesic_trace(sph, x0, v0, 0.6, 600)
     other = geodesic_trace(twin, x0, v0, 0.45, 40)
@@ -144,7 +144,7 @@ def test_unreachable_tolerance_fails_loudly():
 
 
 def test_torsion_is_refused_at_the_first_failing_node():
-    spec = ConnectionSpec.from_christoffel(3, {(0, 1, 2): "x1"})
+    spec = chart_spec(3, {(0, 1, 2): "x1"})
     with pytest.raises(NotBianchi, match=r"Bianchi identity fails.* at x = \(0\.1, 0\.2, 0\.3\)"):
         cartan_transport(spec, [[0.1, 0.2, 0.3], [0.2, 0.2, 0.3]])
 
@@ -193,7 +193,7 @@ def _reference_transport(spec, path, tol=1e-10):
 
 def _changed_flat3():
     return projective_change(load_chart(chart_path("flat3.chart")),
-                             load_alpha(chart_path("alpha3.alpha")))
+                             load_alpha(chart_path("alpha3.alpha"), 3))
 
 
 @pytest.mark.parametrize("make", [

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHARTS
-from projgeo.connection import ConnectionSpec, load_chart
+from conftest import CHARTS, chart_spec
+from projgeo.connection import load_chart
 from projgeo.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Pow,
                           UnknownFunction, UnknownVariable, Var, compile_tape,
                           eval_jet, parse, to_text)
-from projgeo.projective import OneFormField, projective_change, sample_points
+from projgeo.projective import parse_alpha, projective_change, sample_points
 
 
 def _value(text, n, p):
@@ -320,7 +320,100 @@ def test_tape_merges_shared_subexpressions():
                 terms += [f"-{dphi[k]}"] if i == j else []
                 if terms:
                     entries[(k, i, j)] = " + ".join(terms)
-    alpha = OneFormField.from_strings([f"0.1*x{i % n + 1} - 0.2" for i in range(n)])
-    spec = projective_change(ConnectionSpec.from_christoffel(n, entries), alpha)
+    alpha = parse_alpha("".join(f"a {i + 1} = 0.1*x{i % n + 1} - 0.2\n" for i in range(n)), n)
+    spec = projective_change(chart_spec(n, entries), alpha)
     tree_total = sum(_tree_size(e) for e in (*spec.christoffel.values(), *spec.alpha))
     assert len(spec.tape) < tree_total / 10
+
+
+# (e) the builder's loop over left spines, and integer powers by square-and-multiply
+
+def _recursive_code(exprs, n):
+    """Code and outputs of a plain recursive lowering with integer powers as
+    repeated products: the reference the builder's loop must reproduce, exactly
+    for exponents |k| <= 3."""
+    code, index, seen = [], {}, {}
+
+    def emit(op, a=-1, b=-1, lit=None):
+        key = (op, a, b, lit)
+        if key not in index:
+            index[key] = len(code)
+            code.append(key)
+        return index[key]
+
+    def visit(e):
+        if id(e) in seen:
+            return seen[id(e)]
+        if isinstance(e, Num):
+            slot = emit("num", lit=float(e.value))
+        elif isinstance(e, Var):
+            slot = emit("var", lit=e.index)
+        elif isinstance(e, Neg):
+            slot = emit("neg", visit(e.arg))
+        elif isinstance(e, BinOp):
+            left, right = visit(e.left), visit(e.right)
+            slot = (emit("mul", left, emit("inv", right)) if e.op == "/"
+                    else emit({"+": "add", "-": "sub", "*": "mul"}[e.op], left, right))
+        elif isinstance(e, Pow):
+            slot = base = visit(e.base)
+            if not float(e.exponent).is_integer():
+                slot = emit("pow", base, lit=float(e.exponent))
+            elif e.exponent == 0:
+                slot = emit("num", lit=1.0)
+            else:
+                for _ in range(int(abs(e.exponent)) - 1):
+                    slot = emit("mul", slot, base)
+                if e.exponent < 0:
+                    slot = emit("inv", slot)
+        else:
+            slot = emit(e.func, visit(e.arg))
+        seen[id(e)] = slot
+        return slot
+
+    outputs = [visit(e) for e in exprs]
+    return tuple(code), tuple(outputs)
+
+
+@pytest.mark.parametrize("path", sorted(CHARTS.glob("*.chart")), ids=lambda p: p.name)
+def test_tape_code_is_the_recursive_lowering(path):
+    spec = load_chart(path)
+    alpha = parse_alpha("a 1 = x1 / (2 - x2)^-3\na 2 = -(x1 - x2)^2 * sin(x1 / 3)\n", spec.n)
+    spec = projective_change(spec, alpha)
+    entries = spec.metric if spec.metric is not None else spec.christoffel
+    exprs = [*entries.values(), Num(0.0), *spec.alpha]
+    assert (spec.tape.code, spec.tape.outputs) == _recursive_code(exprs, spec.n)
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_long_sums_and_products_compile_and_evaluate(op):
+    """The parser builds a 5,000-term sum or product left-deep; lowering it
+    recursively overflowed the interpreter's stack."""
+    terms, x = 5000, 1.0001
+    tape = compile_tape([parse(f" {op} ".join(["x1"] * terms), 1)], 1)
+    assert len(tape) == terms
+    value, d1 = tape.run(np.array([[x]]), 1)
+    if op == "+":
+        expect = (terms * x, terms)
+    else:
+        expect = (x ** terms, terms * x ** (terms - 1))
+    assert value[0, 0] == pytest.approx(expect[0], rel=1e-11)
+    assert d1[0, 0, 0] == pytest.approx(expect[1], rel=1e-11)
+
+
+@pytest.mark.parametrize("k", [*range(-12, -3), *range(4, 13)])
+def test_integer_powers_match_the_power_function(k):
+    v = np.array([0.7, 1.3, -1.1])
+    levels = compile_tape([parse(f"x1^{k}", 1)], 1).run(v[:, None], 3)
+    expect = [v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2),
+              k * (k - 1) * (k - 2) * v ** (k - 3)]
+    for level, e in zip(levels, expect):
+        np.testing.assert_allclose(level.reshape(v.shape), e, rtol=1e-13)
+
+
+def test_integer_power_tapes_grow_with_the_bits_of_the_exponent():
+    for k in ("1000", "1000000000", "1e20", "-1000000000", "1e300"):
+        bits = int(abs(float(k))).bit_length()
+        assert len(compile_tape([parse(f"x1^{k}", 1)], 1)) <= 2 * bits + 1
+    assert compile_tape([parse("x1^3", 1)], 1).code == (
+        ("var", -1, -1, 1), ("mul", 0, 0, None), ("mul", 1, 0, None))
+    assert eval_jet(parse("x1^1000000000", 1), np.array([0.0]))[0] == 0.0

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import chart_path, random_alpha, random_torsionfree_spec
-from projgeo.expr import compile_tape
-from projgeo.connection import (ChartError, ConnectionSpec, curvature,
-                                load_chart, parse_chart, torsion)
+from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
+from projgeo.expr import Num, Var, compile_tape
+from projgeo.connection import ChartError, curvature, load_chart, parse_chart, torsion
 from projgeo.develop import model_connection, model_metric
-from projgeo.projective import (OddDimension, OneFormField,
-                                check_weyl_invariance, load_alpha, parse_alpha,
+from projgeo.projective import (OddDimension, check_weyl_invariance, load_alpha, parse_alpha,
                                 projective_change, projectively_equivalent,
                                 remove_torsion, same_twistor_structure,
                                 sample_points)
@@ -21,31 +19,31 @@ FLAT2 = "dim = 2\n[christoffel]\n"
 
 def alpha_at(a, p):
     """The value of the 1-form a at the point p, read off the tape of its entries."""
-    return compile_tape(a.entries, a.n).run(p[None], 0)[0][0]
+    return compile_tape(a, len(a)).run(p[None], 0)[0][0]
 
 
 def test_one_form_parsing_and_values():
-    a = OneFormField.from_strings(["x2", "0.5 - x1"])
+    a = parse_alpha("a 1 = x2\na 2 = 0.5 - x1\n", 2)
     vals = alpha_at(a, np.array([2.0, 3.0]))
     assert np.allclose(vals, [3.0, -1.5])
-    z = OneFormField.zero(3)
+    z = parse_alpha("dim = 3\n", 3)
+    assert z == (Num(0.0),) * 3
     assert np.array_equal(alpha_at(z, np.ones(3)), np.zeros(3))
 
 
 def test_load_alpha_file_and_errors():
-    a = load_alpha(chart_path("alpha3.alpha"))
-    assert a.n == 3
+    a = load_alpha(chart_path("alpha3.alpha"), 3)
+    assert len(a) == 3
     vals = alpha_at(a, np.array([1.0, 2.0, 3.0]))
     assert vals[0] == pytest.approx(0.3 * 2.0)
     with pytest.raises(ChartError):
         parse_alpha("dim = 2\na 1 = x1\n", n=3)
-    with pytest.raises(ChartError):
-        parse_alpha("a 1 = x1\n")  # no dimension from any source
+    assert parse_alpha("a 2 = x1\n", 3) == (Num(0.0), Var(1), Num(0.0))  # n sets the length
 
 
 def test_zero_change_is_identity():
     spec = load_chart(chart_path("sphere3.chart"))
-    changed = projective_change(spec, OneFormField.zero(3))
+    changed = projective_change(spec, parse_alpha("", 3))
     p = np.array([0.2, -0.3, 0.1])
     assert np.allclose(changed.evaluate(p, derivs=0).gamma,
                        spec.evaluate(p, derivs=0).gamma, atol=1e-14)
@@ -53,7 +51,7 @@ def test_zero_change_is_identity():
 
 def test_change_closed_form_constant_alpha():
     # flat plus alpha = dx1 pins every modified entry
-    changed = projective_change(parse_chart(FLAT2), OneFormField.from_strings(["1", "0"]))
+    changed = projective_change(parse_chart(FLAT2), parse_alpha("a 1 = 1\na 2 = 0\n", 2))
     g = changed.evaluate(np.array([0.7, -0.4]), derivs=0).gamma
     expect = np.zeros((2, 2, 2))
     expect[0, 0, 0] = 2.0
@@ -63,7 +61,7 @@ def test_change_closed_form_constant_alpha():
 
 def test_change_preserves_torsion_exactly():
     rng = np.random.default_rng(1)
-    base = ConnectionSpec.from_christoffel(3, {(0, 1, 2): "x3", (0, 2, 1): "-x3 + x1"})
+    base = chart_spec(3, {(0, 1, 2): "x3", (0, 2, 1): "-x3 + x1"})
     changed = projective_change(base, random_alpha(3, rng))
     for p in sample_points(3, 3, seed=5):
         t0 = torsion(base.evaluate(p, derivs=0))
@@ -114,7 +112,7 @@ def test_invariance_lowers_each_entry_once(monkeypatch, name):
 def test_equivalence_recovers_the_one_form():
     rng = np.random.default_rng(2)
     spec = random_torsionfree_spec(3, rng)
-    alpha = OneFormField.from_strings(["0.2", "x1 * 0.1", "-0.3"])
+    alpha = parse_alpha("a 1 = 0.2\na 2 = x1 * 0.1\na 3 = -0.3\n", 3)
     other = projective_change(spec, alpha)
     pts = sample_points(3, 4, seed=1)
     eq = projectively_equivalent(spec, other, points=pts)
@@ -133,7 +131,7 @@ def test_same_connection_gives_zero_one_form():
 
 def test_unstraightenable_difference_is_rejected():
     flat = parse_chart(FLAT2)
-    bump = ConnectionSpec.from_christoffel(2, {(0, 1, 1): "1"})
+    bump = chart_spec(2, {(0, 1, 1): "1"})
     eq = projectively_equivalent(flat, bump)
     assert not eq.equivalent
     assert eq.residual > 0.3
@@ -162,7 +160,7 @@ def test_remove_trace_torsion():
     for i in range(n):
         for k in range(n):
             entries[(k, i, k)] = texts[i]
-    spec = ConnectionSpec.from_christoffel(n, entries)
+    spec = chart_spec(n, entries)
     assert norm(torsion(spec.evaluate(np.zeros(n), derivs=0))) > 0.1
     out = remove_torsion(spec)
     assert out.ok
@@ -178,7 +176,7 @@ def test_torsion_removal_keeps_the_projective_term():
     texts = ["0.4 + 0.2*x2", "-0.1*x1", "0.25 - x3*x1"]
     entries = {(k, i, k): texts[i] for i in range(n) for k in range(n)}
     entries[(0, 1, 2)] = entries[(0, 2, 1)] = "0.3*x1 - 0.2"
-    spec = ConnectionSpec.from_christoffel(n, entries)
+    spec = chart_spec(n, entries)
     alpha = random_alpha(n, np.random.default_rng(14))
     removed_after = remove_torsion(projective_change(spec, alpha)).spec
     removed_before = projective_change(remove_torsion(spec).spec, alpha)
@@ -199,7 +197,7 @@ def test_twistor_comparison_agrees_with_equivalence():
     rng = np.random.default_rng(6)
     spec = random_torsionfree_spec(4, rng)
     twin = projective_change(spec, random_alpha(4, rng))
-    stranger = random_torsionfree_spec(4, rng, name="other")
+    stranger = random_torsionfree_spec(4, rng)
     good = same_twistor_structure(spec, twin)
     bad = same_twistor_structure(spec, stranger)
     assert good.same and good.residual < 1e-10
@@ -215,7 +213,7 @@ def test_twistor_comparison_matches_the_structure_matrices(n):
     for k in range(20):
         spec = random_torsionfree_spec(n, rng)
         other = (projective_change(spec, random_alpha(n, rng)) if k % 2 == 0
-                 else random_torsionfree_spec(n, rng, name="generic"))
+                 else random_torsionfree_spec(n, rng))
         worst = 0.0
         for tp in sample_twistor_points(n, 2, rng):
             chart, zeros = TwistorChart(tp), np.zeros(n * n // 2)
@@ -242,7 +240,7 @@ def test_trace_torsion_correction_is_twistor_invisible():
     for i in range(n):
         for k in range(n):
             entries[(k, i, k)] = vals[i]
-    spec = ConnectionSpec.from_christoffel(n, entries)
+    spec = chart_spec(n, entries)
     out = remove_torsion(spec)
     assert out.ok
     cmp = same_twistor_structure(spec, out.spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from conftest import chart_path, random_alpha, random_torsionfree_spec
+from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
 from projgeo.algebra import HasTorsion
 from projgeo.connection import ConnectionSpec, load_chart, parse_chart
 from projgeo.expr import DomainError
@@ -181,7 +181,7 @@ def _origin4():
 
 
 def test_nijenhuis_rejects_torsion():
-    spec = ConnectionSpec.from_christoffel(4, {(0, 1, 2): "1"})
+    spec = chart_spec(4, {(0, 1, 2): "1"})
     with pytest.raises(HasTorsion):
         nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)))
 
