@@ -229,10 +229,13 @@ def cotton(cv: ConnectionValue, tol: float = 1e-10) -> TensorValue:
     """Projective Cotton tensor C = d^nabla Q, C_{ijk} antisymmetric in (i, j).
 
     Needs two derivative levels of Gamma and a torsion-free connection; raises
-    DomainError naming the first point whose C is not finite.
+    HasTorsion naming the first point with torsion, and DomainError naming the
+    first point whose C is not finite.
     """
-    if norm(torsion(cv)) > tol:
-        raise HasTorsion("cotton is defined for torsion-free connections")
+    twisted = np.reshape(np.max(np.abs(torsion(cv).data), axis=(-3, -2, -1)) > tol, -1)
+    if np.any(twisted):
+        raise HasTorsion("cotton is defined for torsion-free connections "
+                         + at_point(np.reshape(cv.point, (-1, cv.n))[np.argmax(twisted)]))
     g = cv.gamma
     # the normalized Ricci Q and its coordinate derivatives d_m Q_ij
     q0 = _normalized(ricci(curvature(cv)).data, cv.n)

@@ -207,11 +207,13 @@ class _Compiled:
         """
         return [jet[..., self.slot] for jet in jets]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def first_kind(self, jet) -> np.ndarray:
         """Symbols of the first kind c[..., l, i * n + j] one level below the
         metric output level `jet`, read from its last derivative slot, so the
         dense array of that metric level is never formed. The gathers take
-        whole rows of a (derivative slot, column) x point matrix."""
+        whole rows of a (derivative slot, column) x point matrix. A sum that
+        overflows is left infinite."""
         n, m, lead = self.n, self.m, jet.shape[:-2]
         rows = np.ascontiguousarray(jet[..., :m + 1].reshape(-1, n * (m + 1)).T)
         c = rows[self.c_index[0]]
@@ -231,6 +233,7 @@ def _singular_range(g: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return lam.min(axis=-1), lam.max(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _levi_civita(g, c, points) -> list:
     """Levi-Civita gamma and its derivative levels from metric levels g and
     first-kind levels c (as from _Compiled), as many levels as c holds.
@@ -238,11 +241,13 @@ def _levi_civita(g, c, points) -> list:
     Solves g Gamma = c by the product rule, level by level, with Gamma as
     (n, n^2) matrices. Empties both lists, so each level is released after its
     last use. A row whose metric is not invertible to working precision raises
-    SingularMetric naming its point.
+    SingularMetric naming its point. An entry that overflows is left infinite
+    for the curvature check to refuse.
     """
     g0 = g.pop(0)
     low, high = _singular_range(g0)
-    bad = (high > 1e12 * low) | (high == 0.0)  # 0 > 1e12 * 0: refuse an all-zero metric too
+    # high > 1e12 * low, which overflows for low > 1.8e296; 0 > 0 refuses an all-zero metric too
+    bad = (low < 1e-12 * high) | (high == 0.0)
     if np.any(bad):
         r = int(np.argmax(bad))
         cond = high[r] / low[r] if low[r] else np.inf
@@ -277,8 +282,10 @@ def _add_projective_term(levels, alpha) -> None:
         level += np.einsum("...i,kj->...kij", a, eye) + np.einsum("...j,ki->...kij", a, eye)
 
 
+@np.errstate(invalid="ignore")
 def torsion(cv: ConnectionValue) -> TensorValue:
-    """Torsion T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, variance (up, down, down)."""
+    """Torsion T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, variance (up, down, down);
+    NaN where infinite entries cancel."""
     return TensorValue(cv.n, ("up", "down", "down"), cv.gamma - np.swapaxes(cv.gamma, -1, -2))
 
 

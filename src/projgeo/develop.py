@@ -3,10 +3,10 @@
 A torsion-free connection induces a connection on the rank-(n+1) bundle
 whose blocks (in the line-plus-tangent splitting) are the trace adjustment,
 the normalized Ricci form Q, the identity, and Gamma itself. Its parallel
-frames along polylines come from uniform RK4 refined by doubling, all paths
-at once; flat inputs (zero Weyl tensor, zero Cotton tensor for n = 2) then
-admit a developing map into projective space whose first column gives
-homogeneous image coordinates.
+frames along polylines come from uniform RK4 refined by doubling and
+extrapolated across the doublings, many segments at once; flat inputs (zero
+Weyl tensor, zero Cotton tensor for n = 2) then admit a developing map into
+projective space whose first column gives homogeneous image coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import _normalized, _require_bianchi
-from .connection import ConnectionSpec, ConnectionValue, curvature, parse_chart, ricci
+from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, parse_chart,
+                         ricci)
 from .expr import at_point
 
 __all__ = [
@@ -62,7 +63,11 @@ def model_metric(n: int) -> ConnectionSpec:
 # 4-sphere): blocks of 256 nodes cost +3.1 MB of develop peak RSS. A count, not
 # connection.BLOCK_ENTRIES: transport asks for nodes as its steps double.
 NODE_BLOCK = 64
-MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 128
+MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 32
+# Entries of the node array of one block of segments at MAX_STEPS (16 MB of
+# float64): 40 segments at n = 4, so a flatness certificate (32 segments) is
+# one block for n <= 4.
+SEGMENT_ENTRIES = 64 * BLOCK_ENTRIES
 
 
 @dataclass(eq=False)
@@ -71,7 +76,7 @@ class CartanFrame:
 
     phi: np.ndarray  # (n+1) x (n+1), line column first
     error_estimate: float
-    steps: tuple  # RK4 steps accepted on each segment, 0 for a zero-length one
+    steps: tuple  # K of each segment's kept frame, 0 for a zero-length one
 
 
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
@@ -124,14 +129,49 @@ def _hat_nodes(spec: ConnectionSpec, starts, dirs, t) -> np.ndarray:
     return out
 
 
+def _romberg_frames(spec: ConnectionSpec, starts, dirs, budget):
+    """Frames, error estimates and step counts of the segments starts + t dirs,
+    t in [0, 1], all of nonzero length, as transport_many describes them;
+    budget holds each segment's tol * length."""
+    frames = np.empty((len(dirs), spec.n + 1, spec.n + 1))
+    errs, steps = np.empty(len(dirs)), np.empty(len(dirs), dtype=int)
+    todo = np.arange(len(dirs))  # unfinished segments
+    a = _hat_nodes(spec, starts, dirs, np.linspace(0.0, 1.0, 3))
+    row, k = [_rk4_frame(a)], 1  # the Romberg row at K: Phi_K, then E1_K and E2_K once defined
+    while todo.size:
+        k *= 2
+        t = (2 * np.arange(k) + 1) / (2 * k)  # the new odd nodes
+        a = np.insert(a, range(1, k + 1), _hat_nodes(spec, starts[todo], dirs[todo], t), axis=1)
+        prev, row = row, [_rk4_frame(a)]
+        bad = todo[~np.isfinite(row[0]).all(axis=(-2, -1))]
+        if bad.size:
+            raise StepFailure(f"transport frame is not finite {at_point(starts[bad[0]])}")
+        for j, coarse in enumerate(prev[:2]):  # E1 cancels the h^4 error term, E2 the h^5 one
+            row.append(row[j] + (row[j] - coarse) / (2 ** (j + 4) - 1))
+        if len(prev) < 3:
+            continue
+        diff = np.abs(row[2] - prev[2]).max(axis=(-2, -1))
+        done = diff <= budget[todo]
+        frames[todo[done]], errs[todo[done]], steps[todo[done]] = row[2][done], diff[done], k
+        if k == MAX_STEPS and not done.all():
+            raise StepFailure(f"transport needs more than {MAX_STEPS} steps per segment "
+                              f"{at_point(starts[todo[np.argmin(done)]])}")
+        todo, a, row = todo[~done], a[~done], [r[~done] for r in row]
+    return frames, errs, steps
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> "list[CartanFrame]":
     """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`.
 
     Each segment of nonzero length takes K uniform RK4 steps, nodes t = i/(2K),
     from K = 1; doubling K keeps the nodes evaluated and adds the odd ones, for
-    all unfinished segments together. A segment is done when max|Phi_K - Phi_2K|
-    <= tol * length: it keeps Phi_2K and adds diff/15 to the error estimate.
+    all unfinished segments of a block together. The RK4 frames Phi_K are
+    extrapolated across the doublings (Romberg): E1_K = Phi_K + (Phi_K -
+    Phi_K/2)/15 and E2_K = E1_K + (E1_K - E1_K/2)/31. A segment is done when
+    max|E2_K - E2_K/2| <= tol * length: it keeps E2_K and adds that difference
+    to the error estimate. Blocks of segments are transported one after
+    another, so the node arrays held do not grow with the number of paths.
     StepFailure names the start of a segment whose frame is not finite or that
     needs more than MAX_STEPS steps.
     """
@@ -141,28 +181,15 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> "list[Car
         raise ValueError("path vertices do not match the chart dimension")
     starts = np.concatenate([np.empty((0, n))] + [path[:-1] for path in paths])
     dirs = np.concatenate([np.empty((0, n))] + [np.diff(path, axis=0) for path in paths])
-    lengths = np.linalg.norm(dirs, axis=1)
     frames = np.tile(np.eye(n + 1), (len(dirs), 1, 1))
     errs, steps = np.zeros(len(dirs)), np.zeros(len(dirs), dtype=int)
-
-    todo = np.flatnonzero(lengths)  # unfinished segments, in path order
-    a = _hat_nodes(spec, starts[todo], dirs[todo], np.linspace(0.0, 1.0, 3))
-    coarse, k = _rk4_frame(a), 1
-    while todo.size:
-        k *= 2
-        t = (2 * np.arange(k) + 1) / (2 * k)  # the new odd nodes
-        a = np.insert(a, range(1, k + 1), _hat_nodes(spec, starts[todo], dirs[todo], t), axis=1)
-        phi = _rk4_frame(a)
-        bad = todo[~np.isfinite(phi).all(axis=(-2, -1))]
-        if bad.size:
-            raise StepFailure(f"transport frame is not finite {at_point(starts[bad[0]])}")
-        diff = np.abs(phi - coarse).max(axis=(-2, -1))
-        done = diff <= tol * lengths[todo]
-        frames[todo[done]], errs[todo[done]], steps[todo[done]] = phi[done], diff[done] / 15.0, k
-        if k == MAX_STEPS and not done.all():
-            raise StepFailure(f"transport needs more than {MAX_STEPS} steps per segment "
-                              f"{at_point(starts[todo[np.argmin(done)]])}")
-        todo, a, coarse = todo[~done], a[~done], phi[~done]
+    lengths = np.linalg.norm(dirs, axis=1)
+    moving = np.flatnonzero(lengths)
+    per_block = max(1, SEGMENT_ENTRIES // ((2 * MAX_STEPS + 1) * (n + 1) ** 2))
+    for i in range(0, moving.size, per_block):
+        block = moving[i:i + per_block]
+        frames[block], errs[block], steps[block] = _romberg_frames(
+            spec, starts[block], dirs[block], tol * lengths[block])
 
     ends = np.cumsum([0] + [len(path) - 1 for path in paths])
     return [CartanFrame(reduce(np.matmul, frames[i:j], np.eye(n + 1)),

@@ -238,7 +238,8 @@ def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
 
     (sample,) = _rows(spec.evaluate_many(tp.x[None], derivs=0))
     if norm(torsion(sample)) > 1e-10:
-        raise HasTorsion("integrability test expects a torsion-free connection")
+        raise HasTorsion("integrability test expects a torsion-free connection "
+                         + at_point(tp.x))
     chart = TwistorChart(tp)
     n = chart.n
     z0 = np.zeros(chart.dim)

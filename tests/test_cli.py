@@ -384,6 +384,25 @@ MALFORMED = {
     "metric-singular": (["analyze", "{tmp}/a.chart", "--point", "0,0.2"],
                         {"a.chart": b"dim = 2\n[metric]\ng 1 1 = x1\ng 2 2 = 1\n"},
                         "metric condition estimate inf exceeds 1e12 at x = (0, 0.2)"),
+    "metric-overflow-levi-civita": (
+        ["analyze", "{tmp}/a.chart", "--point", "0.3,0"],
+        {"a.chart": b"dim = 2\n[metric]\ng 1 1 = 1e300 * x2 - 1e154\ng 2 2 = 1e154\n"},
+        "curvature is not finite at x = (0.3, 0)"),
+    "metric-overflow-first-kind": (
+        ["analyze", "{tmp}/a.chart", "--point", "0.3,0"],
+        {"a.chart": b"dim = 2\n[metric]\ng 1 1 = 1e308 * x1 + 1e300\ng 2 2 = 1e300\n"},
+        "curvature is not finite at x = (0.3, 0)"),
+    "torsion-twistor": (
+        ["twistor", "{tmp}/a.chart", "--samples", "1"],
+        {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 2 = x1\n"},
+        "integrability test expects a torsion-free connection "
+        "at x = (0.109569349857, -0.184170628989)"),
+    # torsion only where x2 > 0, which the first two sample points are not
+    "torsion-invariance-cotton": (
+        ["invariance", "{tmp}/a.chart", "--alpha", "{tmp}/a.alpha"],
+        {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 2 = x2 + sqrt(x2^2)\n",
+         "a.alpha": b"a 1 = 0.1\na 2 = 0\n"},
+        "cotton is defined for torsion-free connections at x = (0.25061619136, 0.330204461822)"),
 }
 
 

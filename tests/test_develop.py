@@ -1,11 +1,13 @@
 """Frame transport, flatness certification and the developing map."""
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import chart_path, chart_spec
+from projgeo import develop
 from projgeo.connection import ConnectionSpec, load_chart
 from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix, _rk4_frame,
                              cartan_transport, collinearity_defect, develop_map,
@@ -80,6 +82,31 @@ def test_development_straightens_round_geodesics():
     out = develop_map(sph, x0, list(trace))
     assert max(d.path_error for d in out) < 1e-7
     assert collinearity_defect([d.point for d in out]) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_round_metric_develops_by_central_projection(n):
+    """The round metric is the stereographic chart of the n-sphere, and central
+    projection sends its great circles to lines, so the developed image of x is
+    [2x : 1 - |x|^2] up to one projective map H. Each target gives the linear
+    equations p_a (H q)_b - p_b (H q)_a = 0 on the entries of H; the smallest
+    singular value of their unit-row system is the misfit of the best H."""
+    rng = np.random.default_rng(10 + n)
+    x0 = rng.uniform(-0.1, 0.1, n)
+    targets = rng.uniform(-0.4, 0.4, (12, n))
+    images = [d.point.homogeneous for d in develop_map(model_metric(n), x0, targets)]
+    rows = []
+    for x, p in zip(targets, images):
+        q = np.concatenate([2.0 * x, [1.0 - x @ x]])
+        p, q = p / np.linalg.norm(p), q / np.linalg.norm(q)
+        for a, b in combinations(range(n + 1), 2):
+            row = np.zeros((n + 1, n + 1))
+            row[b] += p[a] * q
+            row[a] -= p[b] * q
+            rows.append(row.ravel() / np.linalg.norm(row))
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    assert sv[-1] <= 1e-10
+    assert sv[-2] >= 1e-3  # the fitted map is unique
 
 
 def test_projective_point_normalization():
@@ -217,29 +244,56 @@ def test_batched_transport_matches_node_by_node_reference(make):
         assert frame.error_estimate <= 1e-10 * length
 
 
+def _segment_frame(spec, p0, u, k):
+    """The plain RK4 frame of K steps along p0 + t u, t in [0, 1]."""
+    t = np.linspace(0.0, 1.0, 2 * k + 1)
+    return _rk4_frame(_hat_matrix(spec.evaluate_many(p0 + t[:, None] * u), u))
+
+
+def _romberg_frame(frame, k):
+    """E2 at K from the RK4 frames frame(K/4), frame(K/2) and frame(K)."""
+    quarter, half, full = frame(k // 4), frame(k // 2), frame(k)
+    e1_half = half + (half - quarter) / 15.0
+    e1 = full + (full - half) / 15.0
+    return e1 + (e1 - e1_half) / 31.0
+
+
+_SEGMENT = np.array([0.1, -0.2, 0.05]), np.array([0.3, 0.25, -0.2])
+
+
 def test_rk4_frame_is_fourth_order():
     """|Phi_K - Phi_2K| on one sphere3 segment falls ~16x per doubling of K."""
     spec = load_chart(chart_path("sphere3.chart"))
-    p0, u = np.array([0.1, -0.2, 0.05]), np.array([0.3, 0.25, -0.2])
-
-    def frame(k):
-        t = np.linspace(0.0, 1.0, 2 * k + 1)
-        return _rk4_frame(_hat_matrix(spec.evaluate_many(p0 + t[:, None] * u), u))
-
-    frames = {k: frame(k) for k in (2, 4, 8, 16, 32)}
+    frames = {k: _segment_frame(spec, *_SEGMENT, k) for k in (2, 4, 8, 16, 32)}
     diffs = [np.max(np.abs(frames[k] - frames[2 * k])) for k in (2, 4, 8, 16)]
     assert all(coarse / fine >= 12 for coarse, fine in zip(diffs, diffs[1:]))
 
 
+def test_romberg_frame_is_sixth_order():
+    """On the same segment the E2 error against a K = 2048 E2 falls >= 48x per
+    doubling of K (64 for an exact sixth-order law; plain RK4 gives ~15)."""
+    spec = load_chart(chart_path("sphere3.chart"))
+    p0, u = _SEGMENT
+    t = np.linspace(0.0, 1.0, 4097)
+    nodes = _hat_matrix(spec.evaluate_many(p0 + t[:, None] * u), u)
+
+    def frame(k):  # the nodes of K steps are every (2048 / K)-th of 2048's
+        return _rk4_frame(nodes[::2048 // k])
+
+    reference = _romberg_frame(frame, 2048)
+    errors = [np.max(np.abs(_romberg_frame(frame, k) - reference)) for k in (8, 16, 32, 64)]
+    assert all(coarse / fine >= 48 for coarse, fine in zip(errors, errors[1:]))
+
+
 def test_frames_report_steps_per_segment():
-    """steps holds the K of each kept segment frame, 0 for a zero-length segment."""
+    """steps holds the K of each kept segment frame, 0 for a zero-length segment;
+    the kept frame is E2 at that K."""
     spec = load_chart(chart_path("sphere3.chart"))
     a, b = np.zeros(3), np.array([0.2, 0.1, -0.1])
     frame = cartan_transport(spec, [a, a, b, b])
     assert len(frame.steps) == 3
     assert frame.steps[0] == frame.steps[2] == 0
-    t = np.linspace(0.0, 1.0, 2 * frame.steps[1] + 1)
-    kept = _rk4_frame(_hat_matrix(spec.evaluate_many(a + t[:, None] * (b - a)), b - a))
+    kept = _romberg_frame(lambda k: _segment_frame(spec, a, b - a, k), frame.steps[1])
     assert np.max(np.abs(frame.phi - kept)) <= 1e-14
     assert cartan_transport(spec, [a]).steps == ()
 
@@ -259,6 +313,40 @@ def test_batching_does_not_change_a_path():
         assert np.max(np.abs(frame.phi - alone.phi)) <= 1e-13 * scale
         assert abs(frame.error_estimate - alone.error_estimate) <= 1e-13 * scale
         assert frame.steps == alone.steps
+
+
+def test_segment_blocks_do_not_change_a_frame(monkeypatch):
+    """Frames from segment blocks of four are bit for bit those of one block."""
+    spec = load_chart(chart_path("sphere3.chart"))
+    x0 = np.zeros(3)
+    paths = holonomy_loops(x0, seed=1)[:2] + [
+        [x0, np.array([0.3, -0.2, 0.25])], [x0, x0], [x0, np.array([0.01, 0.0, 0.0])]]
+    unblocked = transport_many(spec, paths)
+    monkeypatch.setattr(develop, "SEGMENT_ENTRIES", 4 * (2 * develop.MAX_STEPS + 1) * 16)
+    blocked = transport_many(spec, paths)  # 10 moving segments: blocks of 4, 4 and 2
+    for one, other in zip(unblocked, blocked):
+        assert np.array_equal(one.phi, other.phi)
+        assert one.error_estimate == other.error_estimate
+        assert one.steps == other.steps
+
+
+def test_transport_memory_does_not_grow_with_the_paths():
+    """Past one block of segments (113 at n = 2), more paths take no more memory."""
+    spec = load_chart(chart_path("sphere2.chart"))
+    rng = np.random.default_rng(0)
+
+    def peak(count):
+        paths = [[np.zeros(2), x] for x in rng.uniform(-0.3, 0.3, (count, 2))]
+        tracemalloc.start()
+        try:
+            transport_many(spec, paths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak(120)
+    assert one_block <= 3e6
+    assert peak(360) <= 1.1 * one_block
 
 
 def _evaluation_record(monkeypatch, run):
