@@ -31,8 +31,7 @@ from .projective import (check_weyl_invariance, load_alpha, projectively_equival
 from .readers import ChartError, parse_points, read_numbers, read_text
 from .reps import j0_census
 from .tensor import OddDimension, norm
-from .twistor import (StepTooSmall, integrability_verdict, coordinate_pairs, nijenhuis,
-                      sample_twistor_points)
+from .twistor import integrability_verdict, coordinate_pairs, nijenhuis, sample_twistor_points
 
 __all__ = ["main", "entry"]
 
@@ -212,7 +211,7 @@ def _run_twistor(args: argparse.Namespace) -> tuple[dict, bool]:
     reports = []
     obstructed = False
     for tp in tps:
-        residual = nijenhuis(spec, tp, pairs, h=args.h)
+        residual = nijenhuis(spec, tp, pairs)
         verdict = integrability_verdict(residual)
         obstructed = obstructed or verdict == "obstruction detected"
         reports.append({
@@ -225,7 +224,6 @@ def _run_twistor(args: argparse.Namespace) -> tuple[dict, bool]:
         "chart": args.chart,
         "samples": args.samples,
         "seed": args.seed,
-        "h": args.h,
         "reports": reports,
         "verdict": ("obstruction detected" if obstructed
                     else "no obstruction at samples"),
@@ -303,13 +301,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def tol(p, default):
         p.add_argument("--tol", type=_POSITIVE, default=default)
 
-    p = sub.add_parser("analyze", help="curvature report and flatness verdict at a point")
+    def command(name, summary):
+        # flags are spelt in full: with abbreviations allowed, `--h` would be `--help`
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("analyze", "curvature report and flatness verdict at a point")
     p.add_argument("chart")
     p.add_argument("--point", type=_POINT, required=True)
     output(p, _run_analyze)
     tol(p, 1e-10)
 
-    p = sub.add_parser("invariance", help="projective invariance residual of the Weyl tensor")
+    p = command("invariance", "projective invariance residual of the Weyl tensor")
     p.add_argument("chart")
     p.add_argument("--alpha", required=True, help="1-form file: lines 'a i = expr'")
     output(p, _run_invariance)
@@ -317,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     samples(p, 10)
     tol(p, 1e-9)
 
-    p = sub.add_parser("equivalent", help="pointwise projective equivalence of two charts")
+    p = command("equivalent", "pointwise projective equivalence of two charts")
     p.add_argument("chartA")
     p.add_argument("chartB")
     output(p, _run_equivalent)
@@ -325,19 +327,18 @@ def _build_parser() -> argparse.ArgumentParser:
     samples(p, 10)
     tol(p, 1e-8)
 
-    p = sub.add_parser("twistor", help="Nijenhuis integrability test at twistor samples")
+    p = command("twistor", "Nijenhuis integrability test at twistor samples")
     p.add_argument("chart")
-    p.add_argument("--h", type=_POSITIVE, default=1e-4, help="finite-difference step")
     output(p, _run_twistor)
     seed(p)
     samples(p, 3)
 
-    p = sub.add_parser("reps", help="component table with structure eigenvalues")
+    p = command("reps", "component table with structure eigenvalues")
     p.add_argument("--dim", type=_numbers(1, int), choices=(4, 6), required=True)
     p.add_argument("--space", choices=("torsion", "curvature"), required=True)
     output(p, _run_reps)
 
-    p = sub.add_parser("develop", help="develop targets into projective space")
+    p = command("develop", "develop targets into projective space")
     p.add_argument("chart")
     p.add_argument("--base", type=_POINT, required=True)
     p.add_argument("--targets", required=True, help="file of comma-separated points")
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
         payload, ok = args.run(args)
         _emit({"schema": SCHEMA, "command": args.command, **payload}, args)
     except (_UsageError, ChartError, ParseError, DomainError, SingularMetric,
-            OddDimension, HasTorsion, NotBianchi, StepFailure, StepTooSmall, OSError) as err:
+            OddDimension, HasTorsion, NotBianchi, StepFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NotFlat as err:

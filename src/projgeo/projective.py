@@ -165,12 +165,23 @@ def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     return Equivalence(worst <= tol, worst, alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) -> np.ndarray:
-    """Gamma_B - Gamma_A at each row of points (P, n), as (P, n, n, n)."""
+    """Gamma_B - Gamma_A at each row of points (P, n), as (P, n, n, n).
+
+    A difference that is not finite (an entry of either chart overflowed)
+    raises DomainError naming the first such point.
+    """
     n = spec_a.n
-    return np.concatenate([np.zeros((0, n, n, n))] + [
+    blocks = point_blocks(points, n ** 3)
+    d = np.concatenate([np.zeros((0, n, n, n))] + [
         spec_b.evaluate_many(block, derivs=0).gamma - spec_a.evaluate_many(block, derivs=0).gamma
-        for block in point_blocks(points, n ** 3)])
+        for block in blocks])
+    bad = ~np.isfinite(d).all(axis=(1, 2, 3))
+    if np.any(bad):
+        point = np.concatenate(blocks)[np.argmax(bad)]
+        raise ex.DomainError(f"Gamma difference is not finite {ex.at_point(point)}")
+    return d
 
 
 @dataclass

@@ -6,8 +6,10 @@ dj = -[Gamma(xdot), j]) and vertical ones (endomorphisms anticommuting with j).
 The almost complex structure acts by j on the horizontal part, via the base
 projection, and by left multiplication by j on the vertical part. Its
 Nijenhuis tensor, built here from the structure matrix J over a chart of the
-bundle and the central differences of J along each chart coordinate, measures
-integrability.
+bundle and the exact partials of J at the chart's anchor, measures
+integrability. J is affine in Gamma, so its partials along the base come
+from the partials of Gamma; it is analytic in the fibre coordinates, so its
+partials along the fibre come from a complex step, exact to rounding.
 
 scipy supplies `expm`, the matrix exponential of the exp fibre chart, and is
 imported on first use, so the rest of projgeo starts without it. The Frechet
@@ -25,21 +27,20 @@ from .expr import DomainError, at_point
 from .tensor import OddDimension, norm
 
 __all__ = [
-    "NotAlmostComplex", "StepTooSmall", "OddDimension", "TwistorPoint", "TwistorChart",
+    "NotAlmostComplex", "OddDimension", "TwistorPoint", "TwistorChart",
     "standard_complex_structure", "mild_complex_structure", "anticommutant_basis",
-    "vertical_motion", "acs_field_matrix", "nijenhuis",
+    "vertical_motion", "acs_field_matrix", "nijenhuis_tensor", "nijenhuis",
     "integrability_verdict", "sample_twistor_points", "coordinate_pairs",
 ]
 
 ACS_SQUARE_TOL = 1e-12
+# The complex step along the fibre: J(i eps e_a) = J + i eps d_a J + O(eps^2),
+# and no difference is taken, so any eps far below rounding gives d_a J exactly.
+COMPLEX_STEP = 1e-30
 
 
 class NotAlmostComplex(ValueError):
     """The endomorphism does not square to minus the identity."""
-
-
-class StepTooSmall(ValueError):
-    """A finite-difference step leaves unchanged a coordinate its direction moves."""
 
 
 def standard_complex_structure(n: int) -> np.ndarray:
@@ -71,7 +72,8 @@ def mild_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Conjugating by an orthogonal q keeps |j| = 1; the extra (I + A/4)
     factor moves j off the orthogonal orbit while keeping the condition number
-    near 1, which is what finite-difference work on the fibre needs.
+    near 1, which the fibre chart's pull needs: it solves the normal
+    equations of the push, whose condition number is squared there.
     """
     j0 = standard_complex_structure(n)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -158,7 +160,7 @@ def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm
 
     n = a.shape[0]
-    big = np.zeros((2 * n, 2 * n))
+    big = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, e))
     big[:n, :n] = big[n:, n:] = a
     big[:n, n:] = e
     return expm(big)[:n, n:]
@@ -178,6 +180,7 @@ def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
     return -(gy @ ji - ji @ gy) + ji @ (gx @ ji - ji @ gx)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
                      m_coords: np.ndarray) -> np.ndarray:
     """Matrix of the almost complex structure at chart coordinates (cv.point, m).
@@ -185,12 +188,16 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
     Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
     exponential (a block of one doubled exponential, see expm_frechet)
-    supplying the chart-to-intrinsic conversion, and a least squares solve
-    inverting it again after j acts. Gamma at cv.point, and
+    supplying the chart-to-intrinsic conversion, and its left inverse
+    (P^T P)^-1 P^T converting back after j acts. Gamma at cv.point, and
     nothing else of the connection, enters: only the horizontal-to-vertical
-    block, through vertical_motion. At m = 0 horizontal directions map through
-    j on the base and vertical ones by left multiplication by j. A fibre point
-    that overflows raises DomainError.
+    block, through vertical_motion, linearly. cv.gamma may carry leading axes,
+    a stack of Gamma values at the one point, and the result then carries
+    them too; the fibre part is built once for the whole stack. At m = 0
+    horizontal directions map through j on the base and vertical ones by left
+    multiplication by j. m may be complex: no step conjugates, so J stays
+    analytic in m. A fibre point or fibre chart derivative that overflows raises
+    DomainError naming cv.point.
     """
     from scipy.linalg import expm
 
@@ -198,83 +205,82 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
     j0 = chart.anchor.j
     m = chart.fibre_matrix(m_coords)
     e2m = expm(2.0 * m)
-    if not np.isfinite(e2m).all():
-        raise DomainError(f"twistor fibre point exp(2m) j is not finite {at_point(cv.point)}")
-    jp = e2m @ j0
-
     # jdot matrices of the fibre coordinate directions, and the inverse map
     push = np.array([expm_frechet(2.0 * m, 2.0 * b) @ j0
                      for b in chart.basis])
-    pull = np.linalg.pinv(push.reshape(d, n * n).T)
+    p = push.reshape(d, n * n).T
+    gram = p.T @ p
+    if not (np.isfinite(e2m).all() and np.isfinite(gram).all()):
+        raise DomainError("twistor fibre point exp(2m) j or its chart derivative is not "
+                          f"finite {at_point(cv.point)}")
+    jp = e2m @ j0
+    pull = np.linalg.solve(gram, p.T)
 
-    out = np.zeros((n + d, n + d))
-    out[:n, :n] = jp
-    out[n:, :n] = pull @ vertical_motion(cv.gamma, jp).reshape(n, n * n).T
-    out[n:, n:] = pull @ (jp @ push).reshape(d, n * n).T
+    lead = cv.gamma.shape[:-3]
+    motion = vertical_motion(cv.gamma, jp).reshape(lead + (n, n * n))
+    out = np.zeros(lead + (n + d, n + d), dtype=np.result_type(jp, motion))
+    out[..., :n, :n] = jp
+    out[..., n:, :n] = pull @ np.swapaxes(motion, -1, -2)
+    out[..., n:, n:] = pull @ (jp @ push).reshape(d, n * n).T
     return out
 
 
-def _rows(cv: ConnectionValue) -> "list[ConnectionValue]":
-    """Each point of a stacked derivs-0 ConnectionValue as a value of its own."""
-    return [ConnectionValue(cv.n, p, gamma) for p, gamma in zip(cv.point, cv.gamma)]
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
-              pairs: "list[tuple[np.ndarray, np.ndarray]]",
-              h: float = 1e-4) -> float:
-    """Max over the tangent pairs (u, v) of |N(u, v)|, at the chart point of tp.
+def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
+    """N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i),
+    as an array [k, i, j] over the (x, m) chart anchored at tp, at its anchor.
 
-    N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i)
-    is the Nijenhuis tensor of the structure matrix J over the (x, m) chart
-    anchored at tp. J is built at tp and at tp +- h along each of the
-    n + n^2/2 chart coordinates, and each d_l J is their central difference.
-    Gamma is evaluated at tp, which also gives the torsion check, and then
-    once for the 2n base points x +- h e_l; the fibre steps reuse tp's value.
-    A step h too small to move every chart coordinate raises StepTooSmall; a
-    tensor that is not finite raises DomainError naming the point.
+    The chart is evaluated once, for Gamma and its first partials at tp.x,
+    which also gives the torsion check. The partials of J are exact:
+    - along x_l: J is affine in Gamma at fixed m, so d_l J is the structure
+      built from d_l Gamma less the one built from Gamma = 0; one
+      acs_field_matrix call builds J, those and the zero structure together;
+    - along m_a: Im J(i eps e_a) / eps with eps = COMPLEX_STEP, one build per
+      fibre coordinate.
+    So a sample builds 1 + n^2/2 structure matrices. A tensor that is not
+    finite raises DomainError naming the point.
     """
     from .algebra import HasTorsion
 
-    (sample,) = _rows(spec.evaluate_many(tp.x[None], derivs=0))
-    if norm(torsion(sample)) > 1e-10:
+    n = tp.x.size
+    cv = spec.evaluate_many(tp.x[None], derivs=1)
+    value = ConnectionValue(n, tp.x, cv.gamma[0])
+    if norm(torsion(value)) > 1e-10:
         raise HasTorsion("integrability test expects a torsion-free connection "
                          + at_point(tp.x))
     chart = TwistorChart(tp)
-    n = chart.n
-    z0 = np.zeros(chart.dim)
-    z0[:n] = tp.x
-    if np.any((z0 + h == z0) | (z0 - h == z0)):
-        raise StepTooSmall(f"step h = {h:.3g} leaves a chart coordinate "
-                           f"unchanged {at_point(tp.x)}")
-
-    shifts = h * np.eye(chart.dim)
-    ends = np.stack([z0 + shifts, z0 - shifts], axis=1)  # ends[l] = z0 +- h e_l
-    moved = _rows(spec.evaluate_many(ends[:n, :, :n].reshape(2 * n, n), derivs=0))
-
-    def j_at(l: int, side: int) -> np.ndarray:
-        return acs_field_matrix(moved[2 * l + side] if l < n else sample, chart,
-                                ends[l, side, n:])
-
-    j = acs_field_matrix(sample, chart, z0[n:])
-    dj = np.array([j_at(l, 0) - j_at(l, 1)  # dj[l] = d_l J
-                   for l in range(chart.dim)]) / (2.0 * h)
+    stack = np.concatenate([cv.gamma, cv.dgamma[0], np.zeros((1, n, n, n))])
+    built = acs_field_matrix(ConnectionValue(n, tp.x, stack), chart,
+                             np.zeros(chart.fibre_dim))
+    j = built[0]
+    steps = 1j * COMPLEX_STEP * np.eye(chart.fibre_dim)
+    dj = np.concatenate([built[1:n + 1] - built[n + 1],  # dj[l] = d_l J
+                         [acs_field_matrix(value, chart, step).imag / COMPLEX_STEP
+                          for step in steps]])
     half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
     tensor = half - np.swapaxes(half, 1, 2)
     if not np.isfinite(tensor).all():
         raise DomainError(f"Nijenhuis tensor is not finite {at_point(tp.x)}")
+    return tensor
+
+
+def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
+              pairs: "list[tuple[np.ndarray, np.ndarray]]") -> float:
+    """Max over the tangent pairs (u, v) of |N(u, v)|, at the chart point of tp
+    (see nijenhuis_tensor)."""
+    tensor = nijenhuis_tensor(spec, tp)
     return max((float(np.max(np.abs(tensor @ v @ u))) for u, v in pairs), default=0.0)
 
 
 def integrability_verdict(residual: float) -> str:
-    """Threshold reading of a Nijenhuis residual, whose partials of J carry an
-    O(h^2) error: at most 1e-5 passes, at least 1e-2 fails, and between the
-    two a smaller h decides."""
+    """Threshold reading of a Nijenhuis residual, which carries only rounding
+    error: at most 1e-5 passes, at least 1e-2 fails, and between the two the
+    sample is inconclusive."""
     if residual <= 1e-5:
         return "integrable at sample"
     if residual >= 1e-2:
         return "obstruction detected"
-    return "inconclusive - refine h"
+    return "inconclusive"
 
 
 def sample_twistor_points(n: int, count: int,

@@ -1,13 +1,15 @@
 """Rewrite the golden report corpus in this directory.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [CASE ...]
 
 Each case in CASES runs one CLI command in process, with tests/charts as the
 working directory, and is stored as <case>.json: its argv, exit code, stderr
 and report. A `--json` report is stored parsed; a text report as its list of
-lines. tests/test_golden.py reruns every case and compares. A change that
-regenerates the corpus lists every file and key that moved, with the old and
-new values.
+lines. tests/test_golden.py reruns every case and compares. With case names,
+only those files are rewritten, so a change that moves some reports leaves
+every other stored one as it was; with none, the whole corpus is rewritten
+and files of cases no longer listed are removed. A change that regenerates
+cases lists every file and key that moved, with the old and new values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -68,9 +71,19 @@ def run_case(argv: "list[str]") -> dict:
     return {"argv": argv, "exit": code, "stderr": err.getvalue(), "report": report}
 
 
-if __name__ == "__main__":
-    for stale in GOLDEN.glob("*.json"):
-        stale.unlink()
-    for name, argv in CASES.items():
+def regenerate(names: "list[str]") -> int:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if not names:
+        for stale in GOLDEN.glob("*.json"):
+            stale.unlink()
+    for name in names or CASES:
         (GOLDEN / f"{name}.json").write_text(
-            json.dumps(run_case(argv), indent=2, sort_keys=True) + "\n")
+            json.dumps(run_case(CASES[name]), indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projgeo"
-SETTABLE_VALUES = 51
+SETTABLE_VALUES = 50
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

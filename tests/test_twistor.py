@@ -1,20 +1,22 @@
 """Almost complex structures on the bundle of pointwise complex structures."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
 from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
-from projgeo.algebra import HasTorsion
-from projgeo.connection import ConnectionSpec, load_chart, parse_chart
+from projgeo.algebra import HasTorsion, weyl
+from projgeo.connection import ConnectionSpec, ConnectionValue, curvature, load_chart, parse_chart
 from projgeo.expr import DomainError
 from projgeo.projective import projective_change
 import projgeo.twistor as twistor
-from projgeo.tensor import OddDimension
-from projgeo.twistor import (NotAlmostComplex, StepTooSmall, TwistorChart, TwistorPoint,
+from projgeo.tensor import OddDimension, norm
+from projgeo.twistor import (NotAlmostComplex, TwistorChart, TwistorPoint,
                              acs_field_matrix, anticommutant_basis,
                              coordinate_pairs, integrability_verdict,
-                             mild_complex_structure, nijenhuis,
+                             mild_complex_structure, nijenhuis, nijenhuis_tensor,
                              sample_twistor_points,
                              standard_complex_structure)
 
@@ -92,6 +94,36 @@ def test_structure_matrix_ignores_derivative_jets():
     a = acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, np.zeros(2))
     b = acs_field_matrix(spec.evaluate(tp.x, derivs=2), chart, np.zeros(2))
     assert np.array_equal(a, b)
+
+
+def test_structure_matrix_broadcasts_over_a_gamma_stack():
+    """A stack of Gamma values gives the stack of structures, each as built
+    alone; J is affine in Gamma, so differences of structures are linear in it."""
+    rng = np.random.default_rng(63)
+    spec = random_torsionfree_spec(4, rng)
+    tp = sample_twistor_points(4, 1, rng)[0]
+    chart = TwistorChart(tp)
+    cv = spec.evaluate(tp.x, derivs=1)
+    stack = np.concatenate([cv.gamma[None], cv.dgamma, np.zeros((1, 4, 4, 4))])
+    m = 0.05 * rng.standard_normal(8)
+    built = acs_field_matrix(ConnectionValue(4, tp.x, stack), chart, m)
+    alone = [acs_field_matrix(ConnectionValue(4, tp.x, g), chart, m) for g in stack]
+    assert built.shape == (6, 12, 12)
+    assert np.max(np.abs(built - alone)) <= 1e-14
+    mixed = acs_field_matrix(ConnectionValue(4, tp.x, cv.gamma + 3.0 * cv.dgamma[1]), chart, m)
+    assert np.max(np.abs(mixed - built[0] - 3.0 * (built[2] - built[5]))) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [200.0, 1000.0])
+def test_large_fibre_coordinates_are_refused_naming_the_point(size):
+    """At 1000 the fibre point overflows; at 200 it is finite, but its chart
+    derivative is not."""
+    spec = load_chart(chart_path("witness4.chart"))
+    tp = sample_twistor_points(4, 1, np.random.default_rng(66))[0]
+    cv = spec.evaluate(tp.x, derivs=0)
+    with pytest.raises(DomainError, match=re.escape(
+            "its chart derivative is not finite at x = (0.338987102349, 0.154254504899, ")):
+        acs_field_matrix(cv, TwistorChart(tp), np.full(8, size))
 
 
 def test_structure_matrix_is_projectively_invariant():
@@ -186,23 +218,37 @@ def test_nijenhuis_rejects_torsion():
         nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)))
 
 
-def test_torsion_is_refused_before_any_neighbour_is_evaluated():
-    # the -e1 neighbour at h = 0.6 leaves the domain of ln
+def test_torsion_is_refused_before_any_neighbour_is_evaluated(monkeypatch):
+    """The sample is the one point evaluated, and torsion there is refused
+    before any structure matrix is built."""
+    calls = []
+    evaluate_many = ConnectionSpec.evaluate_many
+
+    def counted(self, points, derivs=1):
+        calls.append((len(points), derivs))
+        return evaluate_many(self, points, derivs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a structure matrix was built")
+
+    monkeypatch.setattr(ConnectionSpec, "evaluate_many", counted)
+    monkeypatch.setattr(twistor, "acs_field_matrix", refused)
     spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5)\nG 1 2 3 = 1\n")
-    with pytest.raises(HasTorsion):
-        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)), h=0.6)
+    with pytest.raises(HasTorsion, match=r"at x = \(0, 0, 0, 0\)$"):
+        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)))
+    assert calls == [(1, 1)]
 
 
-def test_domain_refusal_names_the_first_neighbour_in_order():
-    # -e1 and +e2 both leave the domain; -e1 comes first
-    spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5) + ln(0.5 - x2)\n")
+def test_domain_refusal_names_the_sample():
+    spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5)\n")
+    tp = TwistorPoint(np.array([-0.6, 0.0, 0.0, 0.0]), standard_complex_structure(4))
     with pytest.raises(DomainError, match=r"at x = \(-0\.6, 0, 0, 0\)$"):
-        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)), h=0.6)
+        nijenhuis(spec, tp, coordinate_pairs(12, 2, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_one_sample_evaluates_the_chart_at_most_twice(monkeypatch, n):
-    """Gamma at the sample, then at its 2n base neighbours in one call."""
+    """Once, in fact: Gamma and its first partials at the sample in one call."""
     calls = []
     evaluate_many = ConnectionSpec.evaluate_many
 
@@ -219,7 +265,7 @@ def test_one_sample_evaluates_the_chart_at_most_twice(monkeypatch, n):
     spec = random_torsionfree_spec(n, rng)
     tp = sample_twistor_points(n, 1, rng)[0]
     nijenhuis(spec, tp, coordinate_pairs(n + n * n // 2, 2, rng))
-    assert calls == [(1, 0), (2 * n, 0)]
+    assert calls == [(1, 1)]
 
 
 def test_flat_bundle_structure_is_integrable():
@@ -251,16 +297,6 @@ def test_curved_witness_obstructs():
     assert integrability_verdict(res) == "obstruction detected"
 
 
-def test_step_that_moves_no_coordinate_is_refused():
-    spec = load_chart(chart_path("witness4.chart"))
-    rng = np.random.default_rng(66)
-    tp = sample_twistor_points(4, 1, rng)[0]
-    pairs = coordinate_pairs(12, 4, rng)
-    assert integrability_verdict(nijenhuis(spec, tp, pairs)) == "obstruction detected"
-    with pytest.raises(StepTooSmall, match="step h = 1e-300"):
-        nijenhuis(spec, tp, pairs, h=1e-300)
-
-
 def test_antisymmetry_of_the_defect():
     rng = np.random.default_rng(67)
     spec = random_torsionfree_spec(2, rng)
@@ -274,20 +310,41 @@ def test_antisymmetry_of_the_defect():
     assert abs(r_uv - r_vu) < 1e-12
 
 
+def central_difference_tensor(spec, tp, h):
+    """The Nijenhuis tensor with each d_l J the central difference of J at
+    tp +- h along chart coordinate l: the finite-difference route that
+    nijenhuis_tensor's exact partials replaced, kept as a reference."""
+    chart = TwistorChart(tp)
+    n = chart.n
+    z0 = np.concatenate([tp.x, np.zeros(chart.fibre_dim)])
+
+    def j_at(z):
+        return acs_field_matrix(spec.evaluate(z[:n], derivs=0), chart, z[n:])
+
+    j = j_at(z0)
+    dj = np.array([j_at(z0 + s) - j_at(z0 - s) for s in h * np.eye(chart.dim)]) / (2.0 * h)
+    half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
+    return half - np.swapaxes(half, 1, 2)
+
+
+def pair_residuals(tensor, pairs):
+    """|N(u, v)| per pair, as nijenhuis reduces the tensor."""
+    return np.array([float(np.max(np.abs(tensor @ v @ u))) for u, v in pairs])
+
+
 def test_defect_shrinks_quadratically_in_step():
     spec = load_chart(chart_path("witness4.chart"))
     rng = np.random.default_rng(68)
     tp = sample_twistor_points(4, 1, rng)[0]
     pairs = coordinate_pairs(12, 2, rng)
+    exact = nijenhuis(spec, tp, pairs)
 
     def drift(h):
-        """Difference from the converged value measures the h^2 error term."""
-        return nijenhuis(spec, tp, pairs, h=h)
+        """The distance of the central-difference residual from the exact one
+        is its h^2 error term."""
+        return abs(pair_residuals(central_difference_tensor(spec, tp, h), pairs).max() - exact)
 
-    r0 = drift(1e-5)
-    gap_coarse = abs(drift(4e-3) - r0)
-    gap_fine = abs(drift(1e-3) - r0)
-    assert gap_coarse > 4 * gap_fine  # 16x expected for a clean h^2 law
+    assert drift(4e-3) > 4 * drift(1e-3)  # 16x expected for a clean h^2 law
 
 
 def bracket_residuals(spec, tp, pairs, h):
@@ -325,8 +382,9 @@ def named_spec(name, rng):
 
 @pytest.mark.parametrize("name", ["witness4", "sphere4", "flat4", "random2"])
 def test_tensor_agrees_with_the_bracket_formula(name):
-    """The two routes differ by O(h^2): at most 1e-7 at h = 1e-4, and about
-    100x less per decade of h wherever the gap is above rounding."""
+    """The central-difference tensor and the bracket formula at the same step
+    h differ by O(h^2): at most 1e-7 at h = 1e-4, and about 100x less per
+    decade of h wherever the gap is above rounding."""
     rng = np.random.default_rng(69)
     spec = named_spec(name, rng)
     n = spec.n
@@ -334,7 +392,7 @@ def test_tensor_agrees_with_the_bracket_formula(name):
     pairs = coordinate_pairs(n + n * n // 2, 2, rng)
 
     def gap(h):
-        tensor = np.array([nijenhuis(spec, tp, [pair], h=h) for pair in pairs])
+        tensor = pair_residuals(central_difference_tensor(spec, tp, h), pairs)
         return np.abs(tensor - bracket_residuals(spec, tp, pairs, h))
 
     coarse, fine = gap(1e-3), gap(1e-4)
@@ -343,10 +401,29 @@ def test_tensor_agrees_with_the_bracket_formula(name):
     assert np.all(coarse[above] >= 30.0 * fine[above])
 
 
-@pytest.mark.parametrize("n,calls", [(2, 9), (4, 25)])
-def test_one_sample_builds_two_per_coordinate_plus_one(monkeypatch, n, calls):
-    """2 dim + 1 structure matrices per nijenhuis call, dim = n + n^2/2, each
-    with one expm_frechet per fibre basis element."""
+@pytest.mark.parametrize("name", ["witness4", "sphere4", "flat4", "random2"])
+def test_central_differences_converge_to_the_exact_tensor(name):
+    """Entry by entry, the central-difference tensor approaches the exact one
+    at O(h^2): 30x or more closer from h = 1e-3 to 1e-4 wherever the gap is
+    above rounding, and within 1e-7 at h = 1e-4."""
+    rng = np.random.default_rng(78)
+    spec = named_spec(name, rng)
+    for tp in sample_twistor_points(spec.n, 2, rng):
+        exact = nijenhuis_tensor(spec, tp)
+
+        def gap(h):
+            return np.abs(central_difference_tensor(spec, tp, h) - exact)
+
+        coarse, fine = gap(1e-3), gap(1e-4)
+        assert np.all(fine <= 1e-7)
+        above = fine > 1e-10
+        assert np.all(coarse[above] >= 30.0 * fine[above])
+
+
+@pytest.mark.parametrize("n,calls", [(2, 3), (4, 9)])
+def test_one_sample_builds_one_plus_one_per_fibre_coordinate(monkeypatch, n, calls):
+    """1 + n^2/2 structure matrices per nijenhuis call, each with one
+    expm_frechet per fibre basis element."""
     counts = {"acs": 0, "frechet": 0}
 
     def counted(name, f):
@@ -390,4 +467,40 @@ def test_residuals_match_scipys_frechet_kernel(monkeypatch, name):
 def test_verdict_bands():
     assert integrability_verdict(1e-7) == "integrable at sample"
     assert integrability_verdict(0.5) == "obstruction detected"
-    assert "inconclusive" in integrability_verdict(1e-3)
+    assert integrability_verdict(1e-3) == "inconclusive"
+
+
+def test_nijenhuis_tensor_is_projectively_invariant():
+    """Paper claim 2: J, and so N, is the same for a connection and its
+    projective changes; the exact tensors agree to rounding."""
+    rng = np.random.default_rng(79)
+    worst = 0.0
+    for _ in range(12):
+        spec = random_torsionfree_spec(4, rng)
+        twin = projective_change(spec, random_alpha(4, rng))
+        for tp in sample_twistor_points(4, 3, rng):
+            gap = nijenhuis_tensor(spec, tp) - nijenhuis_tensor(twin, tp)
+            worst = max(worst, float(np.max(np.abs(gap))))
+    assert worst <= 1e-14
+
+
+def _weyl_and_nijenhuis(spec, tp):
+    w = weyl(curvature(spec.evaluate(tp.x, derivs=1))).W
+    return norm(w), float(np.max(np.abs(nijenhuis_tensor(spec, tp))))
+
+
+def test_nijenhuis_vanishes_exactly_where_weyl_does():
+    """Paper claim 3 at n = 4: projective changes of the flat chart have
+    W = 0 and an integrable J; generic charts have neither."""
+    rng = np.random.default_rng(80)
+    flat = parse_chart(FLAT4)
+    for _ in range(4):
+        changed = projective_change(flat, random_alpha(4, rng))
+        for tp in sample_twistor_points(4, 2, rng):
+            w, n = _weyl_and_nijenhuis(changed, tp)
+            assert w <= 1e-13 and n <= 1e-13
+    for _ in range(4):
+        spec = random_torsionfree_spec(4, rng)
+        for tp in sample_twistor_points(4, 2, rng):
+            w, n = _weyl_and_nijenhuis(spec, tp)
+            assert w >= 1e-2 and n >= 1e-2
