@@ -30,7 +30,7 @@ import numpy as np
 
 from .connection import (ConnectionValue, curvature, curvature_derivative,
                          ricci, torsion, trace2form)
-from .expr import at_point, refuse_where
+from .expr import DomainError, refuse_where
 from .tensor import TensorValue, alt2, norm
 
 __all__ = [
@@ -154,12 +154,8 @@ def _require_bianchi(r: TensorValue, tol: float, points) -> None:
     """Raise NotBianchi when the first Bianchi cyclic sum of r exceeds `tol`
     relative to its scale, naming the first such point of `points` (the chart
     points of r's leading axes) when they are given."""
-    bad = np.reshape(_exceeds(first_bianchi_residual(r).data, r, tol), -1)
-    if np.any(bad):
-        message = "first Bianchi identity fails; remove torsion first"
-        if points is not None:
-            message += " " + at_point(np.reshape(points, (-1, r.n))[np.argmax(bad)])
-        raise NotBianchi(message)
+    refuse_where(NotBianchi, _exceeds(first_bianchi_residual(r).data, r, tol),
+                 "first Bianchi identity fails; remove torsion first", None, points)
 
 
 def bianchi_project(r: TensorValue) -> TensorValue:
@@ -194,8 +190,8 @@ def weyl(r: TensorValue, tol: float = 1e-10, points=None) -> WeylParts:
     f = TensorValue(n, ("down", "down"), -2.0 / (n + 1) * alt2(ric).data)
     finite = (np.isfinite(w.data).all(axis=(-4, -3, -2, -1))
               & np.isfinite(q.data).all(axis=(-2, -1)) & np.isfinite(f.data).all(axis=(-2, -1)))
-    refuse_where(~finite, "projective decomposition (W, Q, F) is not finite", None,
-                 None if points is None else np.reshape(points, (-1, n)))
+    refuse_where(DomainError, ~finite, "projective decomposition (W, Q, F) is not finite", None,
+                 points)
     return WeylParts(w, q, f)
 
 
@@ -232,10 +228,8 @@ def cotton(cv: ConnectionValue, tol: float = 1e-10) -> TensorValue:
     HasTorsion naming the first point with torsion, and DomainError naming the
     first point whose C is not finite.
     """
-    twisted = np.reshape(np.max(np.abs(torsion(cv).data), axis=(-3, -2, -1)) > tol, -1)
-    if np.any(twisted):
-        raise HasTorsion("cotton is defined for torsion-free connections "
-                         + at_point(np.reshape(cv.point, (-1, cv.n))[np.argmax(twisted)]))
+    refuse_where(HasTorsion, np.max(np.abs(torsion(cv).data), axis=(-3, -2, -1)) > tol,
+                 "cotton is defined for torsion-free connections", None, cv.point)
     g = cv.gamma
     # the normalized Ricci Q and its coordinate derivatives d_m Q_ij
     q0 = _normalized(ricci(curvature(cv)).data, cv.n)
@@ -243,8 +237,8 @@ def cotton(cv: ConnectionValue, tol: float = 1e-10) -> TensorValue:
     nabla_q = (dq - np.einsum("...mij,...mk->...ijk", g, q0)
                - np.einsum("...mik,...jm->...ijk", g, q0))
     c = nabla_q - np.swapaxes(nabla_q, -3, -2)
-    refuse_where(~np.isfinite(c).all(axis=(-3, -2, -1)), "Cotton tensor is not finite", None,
-                 cv.point.reshape(-1, cv.n))
+    refuse_where(DomainError, ~np.isfinite(c).all(axis=(-3, -2, -1)),
+                 "Cotton tensor is not finite", None, cv.point)
     return TensorValue(cv.n, ("down", "down", "down"), c)
 
 
@@ -294,7 +288,8 @@ class CurvatureReport:
 
 
 def curvature_report(cv: ConnectionValue, tol: float = 1e-10) -> CurvatureReport:
-    """Evaluate every curvature quantity at cv.point and cross-check identities."""
+    """Evaluate every curvature quantity at cv.point and cross-check identities; raise
+    DomainError there if the torsion, Ricci trace, trace 2-form or a residual is not finite."""
     n = cv.n
     t = torsion(cv)
     r = curvature(cv)
@@ -310,4 +305,9 @@ def curvature_report(cv: ConnectionValue, tol: float = 1e-10) -> CurvatureReport
             TensorValue(n, ("down", "down"), report.s.data - 2.0 * alt2(report.ricci).data))
         if cv.ddgamma is not None:
             report.C = cotton(cv, tol=tol)
+    # weyl refuses a Ricci trace that is not finite, but torsion skips it
+    values = [norm(t), norm(report.ricci), norm(report.s), *report.residuals.values()]
+    refuse_where(DomainError, not np.isfinite(values).all(),
+                 "torsion, Ricci trace, trace 2-form or an identity residual is not finite",
+                 None, cv.point)
     return report

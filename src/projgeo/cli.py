@@ -266,16 +266,16 @@ def _run_develop(args: argparse.Namespace) -> tuple[dict, bool]:
     if defect > args.tol:
         payload["verdict"] = "not flat: developing map refused"
         return payload, False
-    images = develop_map(spec, base, targets, flat_tol=args.tol, seed=args.seed)
+    images, path_errors = develop_map(spec, base, targets, flat_tol=args.tol, seed=args.seed)
     payload["images"] = [
         {
-            "target": list(d.target),
-            "homogeneous": list(d.point.homogeneous),
-            "path_error": d.path_error,
+            "target": list(target),
+            "homogeneous": list(image.homogeneous),
+            "path_error": path_error,
         }
-        for d in images
+        for target, image, path_error in zip(targets, images, path_errors.tolist())
     ]
-    payload["collinearity_defect"] = collinearity_defect([d.point for d in images])
+    payload["collinearity_defect"] = collinearity_defect(images)
     payload["verdict"] = "developed"
     return payload, True
 

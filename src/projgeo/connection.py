@@ -246,8 +246,8 @@ def _levi_civita(g, c, points) -> list:
     """
     g0 = g.pop(0)
     low, high = _singular_range(g0)
-    # high > 1e12 * low, which overflows for low > 1.8e296; 0 > 0 refuses an all-zero metric too
-    bad = (low < 1e-12 * high) | (high == 0.0)
+    # not high >= 1e12 * low, which overflows; <= refuses a metric of scale 0 or < 1e-312 too
+    bad = low <= 1e-12 * high
     if np.any(bad):
         r = int(np.argmax(bad))
         cond = high[r] / low[r] if low[r] else np.inf
@@ -299,8 +299,8 @@ def curvature(cv: ConnectionValue) -> TensorValue:
     t1 = np.einsum("...iljk->...lkij", cv.dgamma)
     t3 = np.einsum("...lim,...mjk->...lkij", cv.gamma, cv.gamma)
     r = t1 - np.swapaxes(t1, -1, -2) + t3 - np.swapaxes(t3, -1, -2)
-    ex.refuse_where(~np.isfinite(r).all(axis=(-4, -3, -2, -1)), "curvature is not finite",
-                    None, cv.point.reshape(-1, cv.n))
+    ex.refuse_where(ex.DomainError, ~np.isfinite(r).all(axis=(-4, -3, -2, -1)),
+                    "curvature is not finite", None, cv.point)
     return TensorValue(cv.n, ("up", "down", "down", "down"), r)
 
 

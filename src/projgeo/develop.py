@@ -20,11 +20,10 @@ import numpy as np
 from .algebra import _normalized, _require_bianchi
 from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, parse_chart,
                          ricci)
-from .expr import at_point
+from .expr import refuse_where
 
 __all__ = [
-    "NotFlat", "StepFailure",
-    "CartanFrame", "ProjectivePoint", "DevelopedPoint",
+    "NotFlat", "StepFailure", "ProjectivePoint",
     "model_connection", "model_metric",
     "cartan_transport", "transport_many", "holonomy_loops", "flatness_defect",
     "develop_map", "geodesic_trace", "collinearity_defect",
@@ -43,7 +42,7 @@ class NotFlat(RuntimeError):
 
 
 class StepFailure(RuntimeError):
-    """A transport frame is not finite, or its segment needs more than MAX_STEPS steps."""
+    """A segment or path frame is not finite, or a segment needs more than MAX_STEPS steps."""
 
 
 def model_connection(n: int) -> ConnectionSpec:
@@ -68,15 +67,6 @@ MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 
 # float64): 40 segments at n = 4, so a flatness certificate (32 segments) is
 # one block for n <= 4.
 SEGMENT_ENTRIES = 64 * BLOCK_ENTRIES
-
-
-@dataclass(eq=False)
-class CartanFrame:
-    """Parallel frame of the induced bundle along a path."""
-
-    phi: np.ndarray  # (n+1) x (n+1), line column first
-    error_estimate: float
-    steps: tuple  # K of each segment's kept frame, 0 for a zero-length one
 
 
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
@@ -130,11 +120,10 @@ def _hat_nodes(spec: ConnectionSpec, starts, dirs, t) -> np.ndarray:
 
 
 def _romberg_frames(spec: ConnectionSpec, starts, dirs, budget):
-    """Frames, error estimates and step counts of the segments starts + t dirs,
-    t in [0, 1], all of nonzero length, as transport_many describes them;
-    budget holds each segment's tol * length."""
+    """Frames of the segments starts + t dirs, t in [0, 1], all of nonzero
+    length, as transport_many describes them; budget holds each segment's
+    tol * length."""
     frames = np.empty((len(dirs), spec.n + 1, spec.n + 1))
-    errs, steps = np.empty(len(dirs)), np.empty(len(dirs), dtype=int)
     todo = np.arange(len(dirs))  # unfinished segments
     a = _hat_nodes(spec, starts, dirs, np.linspace(0.0, 1.0, 3))
     row, k = [_rk4_frame(a)], 1  # the Romberg row at K: Phi_K, then E1_K and E2_K once defined
@@ -143,37 +132,36 @@ def _romberg_frames(spec: ConnectionSpec, starts, dirs, budget):
         t = (2 * np.arange(k) + 1) / (2 * k)  # the new odd nodes
         a = np.insert(a, range(1, k + 1), _hat_nodes(spec, starts[todo], dirs[todo], t), axis=1)
         prev, row = row, [_rk4_frame(a)]
-        bad = todo[~np.isfinite(row[0]).all(axis=(-2, -1))]
-        if bad.size:
-            raise StepFailure(f"transport frame is not finite {at_point(starts[bad[0]])}")
+        refuse_where(StepFailure, ~np.isfinite(row[0]).all(axis=(-2, -1)),
+                     "transport frame is not finite", None, starts[todo])
         for j, coarse in enumerate(prev[:2]):  # E1 cancels the h^4 error term, E2 the h^5 one
             row.append(row[j] + (row[j] - coarse) / (2 ** (j + 4) - 1))
         if len(prev) < 3:
             continue
-        diff = np.abs(row[2] - prev[2]).max(axis=(-2, -1))
-        done = diff <= budget[todo]
-        frames[todo[done]], errs[todo[done]], steps[todo[done]] = row[2][done], diff[done], k
-        if k == MAX_STEPS and not done.all():
-            raise StepFailure(f"transport needs more than {MAX_STEPS} steps per segment "
-                              f"{at_point(starts[todo[np.argmin(done)]])}")
+        done = np.abs(row[2] - prev[2]).max(axis=(-2, -1)) <= budget[todo]
+        frames[todo[done]] = row[2][done]
+        if k == MAX_STEPS:
+            refuse_where(StepFailure, ~done, f"transport needs more than {MAX_STEPS} steps "
+                         "per segment", None, starts[todo])
         todo, a, row = todo[~done], a[~done], [r[~done] for r in row]
-    return frames, errs, steps
+    return frames
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> "list[CartanFrame]":
-    """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`.
+def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> np.ndarray:
+    """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`;
+    the frames at the ends, (len(paths), n+1, n+1) with the line column first.
 
     Each segment of nonzero length takes K uniform RK4 steps, nodes t = i/(2K),
     from K = 1; doubling K keeps the nodes evaluated and adds the odd ones, for
     all unfinished segments of a block together. The RK4 frames Phi_K are
     extrapolated across the doublings (Romberg): E1_K = Phi_K + (Phi_K -
     Phi_K/2)/15 and E2_K = E1_K + (E1_K - E1_K/2)/31. A segment is done when
-    max|E2_K - E2_K/2| <= tol * length: it keeps E2_K and adds that difference
-    to the error estimate. Blocks of segments are transported one after
-    another, so the node arrays held do not grow with the number of paths.
-    StepFailure names the start of a segment whose frame is not finite or that
-    needs more than MAX_STEPS steps.
+    max|E2_K - E2_K/2| <= tol * length, and keeps E2_K. Blocks of segments are
+    transported one after another, so the node arrays held do not grow with the
+    number of paths. StepFailure names the start of a segment whose frame is
+    not finite or that needs more than MAX_STEPS steps, and the first vertex of
+    a path whose frame, the product of its segment frames, is not finite.
     """
     n = spec.n
     paths = [np.atleast_2d(np.asarray(path, dtype=float)) for path in paths]
@@ -182,22 +170,22 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> "list[Car
     starts = np.concatenate([np.empty((0, n))] + [path[:-1] for path in paths])
     dirs = np.concatenate([np.empty((0, n))] + [np.diff(path, axis=0) for path in paths])
     frames = np.tile(np.eye(n + 1), (len(dirs), 1, 1))
-    errs, steps = np.zeros(len(dirs)), np.zeros(len(dirs), dtype=int)
     lengths = np.linalg.norm(dirs, axis=1)
     moving = np.flatnonzero(lengths)
     per_block = max(1, SEGMENT_ENTRIES // ((2 * MAX_STEPS + 1) * (n + 1) ** 2))
     for i in range(0, moving.size, per_block):
         block = moving[i:i + per_block]
-        frames[block], errs[block], steps[block] = _romberg_frames(
-            spec, starts[block], dirs[block], tol * lengths[block])
+        frames[block] = _romberg_frames(spec, starts[block], dirs[block], tol * lengths[block])
 
     ends = np.cumsum([0] + [len(path) - 1 for path in paths])
-    return [CartanFrame(reduce(np.matmul, frames[i:j], np.eye(n + 1)),
-                        float(np.sum(errs[i:j])), tuple(steps[i:j].tolist()))
-            for i, j in zip(ends, ends[1:])]
+    out = np.array([reduce(np.matmul, frames[i:j], np.eye(n + 1))
+                    for i, j in zip(ends, ends[1:])]).reshape(len(paths), n + 1, n + 1)
+    refuse_where(StepFailure, ~np.isfinite(out).all(axis=(-2, -1)), "path frame is not finite",
+                 None, [path[0] for path in paths])
+    return out
 
 
-def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10) -> CartanFrame:
+def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10) -> np.ndarray:
     """The frame along one polyline: transport_many with a single path."""
     return transport_many(spec, [path], tol=tol)[0]
 
@@ -225,8 +213,7 @@ def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
 def flatness_defect(spec: ConnectionSpec, x0, seed: int = 0) -> float:
     """Worst holonomy deviation from the identity over the seeded loop family."""
     loops = holonomy_loops(np.asarray(x0, dtype=float), seed=seed)
-    return max(float(np.max(np.abs(frame.phi - np.eye(spec.n + 1))))
-               for frame in transport_many(spec, loops))
+    return float(np.max(np.abs(transport_many(spec, loops) - np.eye(spec.n + 1))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,23 +234,15 @@ class ProjectivePoint:
         object.__setattr__(self, "homogeneous", v)
 
 
-@dataclass(frozen=True, eq=False)
-class DevelopedPoint:
-    """Image of one target, with its two-path consistency residual."""
-
-    target: np.ndarray
-    point: ProjectivePoint
-    path_error: float
-
-
 def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float = 1e-7,
-                seed: int = 0) -> "list[DevelopedPoint]":
-    """Develop targets into projective space from base x0.
+                seed: int = 0) -> "tuple[list[ProjectivePoint], np.ndarray]":
+    """Develop targets into projective space from base x0: the image of each
+    target, and its two-path discrepancy as a (len(targets),) array.
 
     Flatness is certified first on the seeded loop family (NotFlat on
     failure). Each target is reached along the straight segment and again
     through a seeded waypoint; the image is the normalized first frame
-    column and the two-path discrepancy is reported per target.
+    column of the straight path.
     """
     x0 = np.asarray(x0, dtype=float)
     defect = flatness_defect(spec, x0, seed=seed)
@@ -275,10 +254,10 @@ def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float = 1e-7,
     for raw in targets:
         mid = 0.5 * (x0 + raw) + rng.uniform(-0.05, 0.05, x0.size)
         paths += [[x0, raw], [x0, mid, raw]]
-    images = [ProjectivePoint(frame.phi[:, 0]) for frame in transport_many(spec, paths)]
-    return [DevelopedPoint(raw.copy(), first,
-                           float(np.max(np.abs(first.homogeneous - second.homogeneous))))
-            for raw, first, second in zip(targets, images[0::2], images[1::2])]
+    images = [ProjectivePoint(frame[:, 0]) for frame in transport_many(spec, paths)]
+    errors = np.array([np.max(np.abs(first.homogeneous - second.homogeneous))
+                       for first, second in zip(images[0::2], images[1::2])])
+    return images[0::2], errors
 
 
 def collinearity_defect(points: "list[ProjectivePoint]") -> float:

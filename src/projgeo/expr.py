@@ -351,7 +351,7 @@ class Tape:
             if drop & 4:
                 slots[i] = None
         bad = np.any([~np.isfinite(d).reshape(count, -1).all(axis=1) for d in out], axis=0)
-        refuse_where(bad, "value or partial is not finite", None, points)
+        refuse_where(DomainError, bad, "value or partial is not finite", None, points)
         return out
 
 
@@ -422,14 +422,17 @@ def _compose(f, h):
     return jet
 
 
-def refuse_where(bad, message: str, v, points) -> None:
-    """Raise DomainError at the first point where `bad` holds (v: its argument value),
-    naming that point unless `points` is None."""
+def refuse_where(error: type, bad, message: str, v, points) -> None:
+    """Raise `error` at the first entry of `bad` (in C order) that holds, adding the
+    value of v there unless v is None (v is shaped like bad), and naming that
+    point unless `points` is None (points is bad's shape plus a coordinate axis)."""
     if np.any(bad):
         r = int(np.argmax(bad))
         if v is not None:
-            message = f"{message} {float(v[r])}"
-        raise DomainError(message if points is None else f"{message} {at_point(points[r])}")
+            message = f"{message} {float(np.ravel(v)[r])}"
+        if points is not None:
+            message = f"{message} {at_point(np.reshape(points, (-1, np.shape(points)[-1]))[r])}"
+        raise error(message)
 
 
 def _outer_derivs(op: str, v, lit, order: int, points) -> list:
@@ -439,12 +442,12 @@ def _outer_derivs(op: str, v, lit, order: int, points) -> list:
     reads those up to `order`.
     """
     if op == "inv":
-        refuse_where(v == 0.0, "division by zero", None, points)
+        refuse_where(DomainError, v == 0.0, "division by zero", None, points)
         h = [1.0 / v]
         if order:
             h += [-1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
     elif op == "pow":
-        refuse_where(v <= 0.0, "non-integer power of non-positive base", v, points)
+        refuse_where(DomainError, v <= 0.0, "non-integer power of non-positive base", v, points)
         a = lit
         h = [v**a]
         if order:
@@ -464,12 +467,12 @@ def _outer_derivs(op: str, v, lit, order: int, points) -> list:
     elif op == "exp":
         h = [np.exp(v)] * 4
     elif op == "ln":
-        refuse_where(v <= 0.0, "ln of non-positive value", v, points)
+        refuse_where(DomainError, v <= 0.0, "ln of non-positive value", v, points)
         h = [np.log(v)]
         if order:
             h += [1.0 / v, -1.0 / v**2, 2.0 / v**3]
     elif op == "sqrt":
-        refuse_where(v <= 0.0, "sqrt of non-positive value", v, points)
+        refuse_where(DomainError, v <= 0.0, "sqrt of non-positive value", v, points)
         s = np.sqrt(v)
         h = [s]
         if order:

@@ -177,10 +177,8 @@ def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) ->
     d = np.concatenate([np.zeros((0, n, n, n))] + [
         spec_b.evaluate_many(block, derivs=0).gamma - spec_a.evaluate_many(block, derivs=0).gamma
         for block in blocks])
-    bad = ~np.isfinite(d).all(axis=(1, 2, 3))
-    if np.any(bad):
-        point = np.concatenate(blocks)[np.argmax(bad)]
-        raise ex.DomainError(f"Gamma difference is not finite {ex.at_point(point)}")
+    ex.refuse_where(ex.DomainError, ~np.isfinite(d).all(axis=(1, 2, 3)),
+                    "Gamma difference is not finite", None, points)
     return d
 
 

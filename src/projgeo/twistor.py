@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import ConnectionSpec, ConnectionValue, torsion
-from .expr import DomainError, at_point
+from .expr import DomainError, refuse_where
 from .tensor import OddDimension, norm
 
 __all__ = [
@@ -210,9 +210,9 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
                      for b in chart.basis])
     p = push.reshape(d, n * n).T
     gram = p.T @ p
-    if not (np.isfinite(e2m).all() and np.isfinite(gram).all()):
-        raise DomainError("twistor fibre point exp(2m) j or its chart derivative is not "
-                          f"finite {at_point(cv.point)}")
+    refuse_where(DomainError, not (np.isfinite(e2m).all() and np.isfinite(gram).all()),
+                 "twistor fibre point exp(2m) j or its chart derivative is not finite", None,
+                 cv.point)
     jp = e2m @ j0
     pull = np.linalg.solve(gram, p.T)
 
@@ -245,9 +245,8 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
     n = tp.x.size
     cv = spec.evaluate_many(tp.x[None], derivs=1)
     value = ConnectionValue(n, tp.x, cv.gamma[0])
-    if norm(torsion(value)) > 1e-10:
-        raise HasTorsion("integrability test expects a torsion-free connection "
-                         + at_point(tp.x))
+    refuse_where(HasTorsion, norm(torsion(value)) > 1e-10,
+                 "integrability test expects a torsion-free connection", None, tp.x)
     chart = TwistorChart(tp)
     stack = np.concatenate([cv.gamma, cv.dgamma[0], np.zeros((1, n, n, n))])
     built = acs_field_matrix(ConnectionValue(n, tp.x, stack), chart,
@@ -259,8 +258,8 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
                           for step in steps]])
     half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
     tensor = half - np.swapaxes(half, 1, 2)
-    if not np.isfinite(tensor).all():
-        raise DomainError(f"Nijenhuis tensor is not finite {at_point(tp.x)}")
+    refuse_where(DomainError, not np.isfinite(tensor).all(), "Nijenhuis tensor is not finite",
+                 None, tp.x)
     return tensor
 
 

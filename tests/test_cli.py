@@ -258,6 +258,15 @@ DIM_ONE = b"dim = 1\n[christoffel]\nG 1 1 1 = x1\n"
 OVERFLOW_CURVATURE = b"dim = 3\n[christoffel]\nG 1 1 1 = exp(1000*x1)\nG 2 1 1 = x2*x3\n"
 # the curvature is finite (about 1e308), its Ricci trace and so W are not
 OVERFLOW_WEYL = b"dim = 3\n[christoffel]\nG 1 1 2 = 1e154\nG 1 2 1 = 1e154\n"
+OVERFLOW_PATH_FRAME = (b"dim = 4\n[christoffel]\nG 1 1 1 = 3\n"
+                       b"G 2 1 3 = sqrt(0.5) + 2\nG 2 3 1 = sqrt(0.5) + 2\n"
+                       b"G 2 1 4 = (x1 + 0) - (x1 - 3)\nG 2 4 1 = (x1 + 0) - (x1 - 3)\n"
+                       b"G 3 2 4 = (x2 * 7) / cos(x4)\nG 3 4 2 = (x2 * 7) / cos(x4)\n"
+                       b"G 4 3 3 = (x2 - 1e154) - -2\n")
+OVERFLOW_RICCI = (b"dim = 3\n[christoffel]\n"
+                  b"G 1 1 2 = (exp(x2))^1.5\nG 1 2 1 = (exp(x2))^1.5\n"
+                  b"G 2 1 3 = x2 + 1e154\nG 2 3 1 = x2 + 1e154\n"
+                  b"G 3 1 2 = 1e154\nG 3 2 1 = 1e154\nG 3 2 3 = x1\n")
 
 # One row per malformed input: argv ({tmp} is the test's directory), the files
 # to write there, and a fragment the error message must carry. Rows that come
@@ -378,6 +387,10 @@ MALFORMED = {
     "metric-singular": (["analyze", "{tmp}/a.chart", "--point", "0,0.2"],
                         {"a.chart": b"dim = 2\n[metric]\ng 1 1 = x1\ng 2 2 = 1\n"},
                         "metric condition estimate inf exceeds 1e12 at x = (0, 0.2)"),
+    # 1e-12 times the larger eigenvalue underflows to 0, the smaller one is 0
+    "metric-subnormal": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],
+                         {"a.chart": b"dim = 2\n[metric]\ng 1 1 = 5e-324\n"},
+                         "metric condition estimate inf exceeds 1e12 at x = (0.1, 0.2)"),
     "metric-overflow-levi-civita": (
         ["analyze", "{tmp}/a.chart", "--point", "0.3,0"],
         {"a.chart": b"dim = 2\n[metric]\ng 1 1 = 1e300 * x2 - 1e154\ng 2 2 = 1e154\n"},
@@ -401,6 +414,18 @@ MALFORMED = {
         {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 2 = x2 + sqrt(x2^2)\n",
          "a.alpha": b"a 1 = 0.1\na 2 = 0\n"},
         "cotton is defined for torsion-free connections at x = (0.25061619136, 0.330204461822)"),
+    # every segment frame is finite, but two loop holonomies, their products, are not
+    "path-frame-overflow-develop": (
+        ["develop", "{tmp}/a.chart", "--base", "0.118,0.184,0.1,-0.165",
+         "--targets", "{tmp}/t.txt"],
+        {"a.chart": OVERFLOW_PATH_FRAME, "t.txt": b"0.118,0.184,0.1,-0.165\n"},
+        "path frame is not finite at x = (0.118, 0.184, 0.1, -0.165)"),
+    # the curvature is finite, but its Ricci trace is not, and torsion skips weyl
+    "ricci-overflow-analyze": (
+        ["analyze", "{tmp}/a.chart", "--point", "-0.22,0.126,-0.068"],
+        {"a.chart": OVERFLOW_RICCI},
+        "torsion, Ricci trace, trace 2-form or an identity residual is not finite "
+        "at x = (-0.22, 0.126, -0.068)"),
 }
 
 
