@@ -118,11 +118,6 @@ class ConnectionSpec:
     def source(self) -> str:
         return "metric" if self.metric is not None else "christoffel"
 
-    @property
-    def tape(self) -> ex.Tape:
-        """The entries followed by alpha, compiled into one tape."""
-        return self._plan().tape
-
     def _plan(self) -> "_Compiled":
         if self._compiled is None:
             self._compiled = _Compiled.build(self)

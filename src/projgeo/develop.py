@@ -18,13 +18,12 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import _normalized, _require_bianchi
-from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, parse_chart,
-                         ricci)
+from .connection import BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, ricci
 from .expr import refuse_where
 
 __all__ = [
     "NotFlat", "StepFailure", "ProjectivePoint",
-    "model_connection", "model_metric",
+    "model_connection",
     "cartan_transport", "transport_many", "holonomy_loops", "flatness_defect",
     "develop_map", "geodesic_trace", "collinearity_defect",
 ]
@@ -48,13 +47,6 @@ class StepFailure(RuntimeError):
 def model_connection(n: int) -> ConnectionSpec:
     """The flat affine chart of projective space: all Christoffel entries zero."""
     return ConnectionSpec(n, christoffel={})
-
-
-def model_metric(n: int) -> ConnectionSpec:
-    """Round metric of constant curvature one: g_ij = 4 delta_ij / (1+|x|^2)^2."""
-    ball = " + ".join(f"x{i}^2" for i in range(1, n + 1))
-    return parse_chart(f"dim = {n}\n[metric]\n"
-                       + "".join(f"g {i} {i} = 4 / (1 + {ball})^2\n" for i in range(1, n + 1)))
 
 
 # Nodes per evaluate_many + _hat_matrix call. A call costs 1-2 ms whatever its

@@ -30,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "Tape", "parse", "to_text", "compile_tape", "eval_jet",
+    "Tape", "parse", "compile_tape", "eval_jet",
     "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point", "refuse_where",
 ]
 
@@ -234,31 +234,6 @@ def parse(text: str, n: int) -> Expr:
         raise ParseError("expression nested too deeply", 1) from None
 
 
-def _format_number(value: float) -> str:
-    if float(value).is_integer() and abs(value) < 1e16:
-        return str(int(value))
-    return repr(float(value))
-
-
-def to_text(e: Expr) -> str:
-    """Render an AST back to source text (fully parenthesized, reparses to the same tree)."""
-    if isinstance(e, Num):
-        return _format_number(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Neg):
-        return f"(-{to_text(e.arg)})"
-    if isinstance(e, BinOp):
-        return f"({to_text(e.left)} {e.op} {to_text(e.right)})"
-    if isinstance(e, Pow):
-        exp = e.exponent
-        exp_text = _format_number(exp) if exp >= 0 else f"-{_format_number(-exp)}"
-        return f"({to_text(e.base)}^{exp_text})"
-    if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 def at_point(p) -> str:
     """The suffix 'at x = (a, b, ...)' with which numeric refusals name a chart point."""
     return "at x = (" + ", ".join(format(float(c), ".12g") for c in p) + ")"
@@ -292,9 +267,6 @@ class Tape:
         self._columns: dict[int, list[int]] = {}
         for col, s in enumerate(self.outputs):
             self._columns.setdefault(s, []).append(col)
-
-    def __len__(self) -> int:
-        return len(self.code)
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def run(self, points, order: int) -> "list[np.ndarray]":

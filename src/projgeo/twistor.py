@@ -147,7 +147,8 @@ class TwistorChart:
         return self.n + self.fibre_dim
 
     def fibre_matrix(self, m_coords: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", m_coords, self.basis)
+        """The matrix m of fibre coordinates (..., n^2/2), shape (..., n, n)."""
+        return np.einsum("...a,aij->...ij", m_coords, self.basis)
 
 
 def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -155,15 +156,17 @@ def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 
     It is the upper-right block of exp([[a, e], [0, a]]) (Van Loan, IEEE TAC
     23 (1978) 395; Mathias, SIAM J. Matrix Anal. Appl. 17 (1996) 610), taken
-    here from one scipy `expm` of that 2n x 2n matrix.
+    here from one scipy `expm` of that 2n x 2n matrix. a may carry leading
+    axes, against which e (n, n) broadcasts; scipy's expm takes each slice of
+    the stack as it would alone.
     """
     from scipy.linalg import expm
 
-    n = a.shape[0]
-    big = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, e))
-    big[:n, :n] = big[n:, n:] = a
-    big[:n, n:] = e
-    return expm(big)[:n, n:]
+    n = a.shape[-1]
+    big = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a, e))
+    big[..., :n, :n] = big[..., n:, n:] = a
+    big[..., :n, n:] = e
+    return expm(big)[..., :n, n:]
 
 
 def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -191,37 +194,42 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
     supplying the chart-to-intrinsic conversion, and its left inverse
     (P^T P)^-1 P^T converting back after j acts. Gamma at cv.point, and
     nothing else of the connection, enters: only the horizontal-to-vertical
-    block, through vertical_motion, linearly. cv.gamma may carry leading axes,
-    a stack of Gamma values at the one point, and the result then carries
-    them too; the fibre part is built once for the whole stack. At m = 0
-    horizontal directions map through j on the base and vertical ones by left
-    multiplication by j. m may be complex: no step conjugates, so J stays
-    analytic in m. A fibre point or fibre chart derivative that overflows raises
-    DomainError naming cv.point.
+    block, through vertical_motion, linearly. m_coords (..., n^2/2) may carry
+    leading axes, a stack of fibre points, and cv.gamma (..., n, n, n) a stack
+    of Gamma values at the one point; the two broadcast, and the result
+    (..., n + n^2/2, n + n^2/2) carries their leading axes. The fibre part is
+    built once for the whole stack, with one expm_frechet call per basis
+    element. At m = 0 horizontal directions map through j on the base and
+    vertical ones by left multiplication by j. m may be complex: no step
+    conjugates, so J stays analytic in m. A fibre point or fibre chart
+    derivative that overflows anywhere in the stack raises DomainError naming
+    cv.point.
     """
     from scipy.linalg import expm
 
     n, d = chart.n, chart.fibre_dim
     j0 = chart.anchor.j
     m = chart.fibre_matrix(m_coords)
+    fibre_lead = m.shape[:-2]
     e2m = expm(2.0 * m)
-    # jdot matrices of the fibre coordinate directions, and the inverse map
-    push = np.array([expm_frechet(2.0 * m, 2.0 * b) @ j0
-                     for b in chart.basis])
-    p = push.reshape(d, n * n).T
-    gram = p.T @ p
+    # jdot matrices of the fibre coordinate directions, flattened into the
+    # rows of P^T (..., d, n*n), and the inverse map
+    push = np.stack([expm_frechet(2.0 * m, 2.0 * b) @ j0 for b in chart.basis], axis=-3)
+    pt = push.reshape(fibre_lead + (d, n * n))
+    gram = pt @ np.swapaxes(pt, -1, -2)
     refuse_where(DomainError, not (np.isfinite(e2m).all() and np.isfinite(gram).all()),
                  "twistor fibre point exp(2m) j or its chart derivative is not finite", None,
                  cv.point)
     jp = e2m @ j0
-    pull = np.linalg.solve(gram, p.T)
+    pull = np.linalg.solve(gram, pt)
 
-    lead = cv.gamma.shape[:-3]
+    lead = np.broadcast_shapes(cv.gamma.shape[:-3], fibre_lead)
     motion = vertical_motion(cv.gamma, jp).reshape(lead + (n, n * n))
+    turn = (jp[..., None, :, :] @ push).reshape(fibre_lead + (d, n * n))
     out = np.zeros(lead + (n + d, n + d), dtype=np.result_type(jp, motion))
     out[..., :n, :n] = jp
     out[..., n:, :n] = pull @ np.swapaxes(motion, -1, -2)
-    out[..., n:, n:] = pull @ (jp @ push).reshape(d, n * n).T
+    out[..., n:, n:] = pull @ np.swapaxes(turn, -1, -2)
     return out
 
 
@@ -234,11 +242,12 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
     which also gives the torsion check. The partials of J are exact:
     - along x_l: J is affine in Gamma at fixed m, so d_l J is the structure
       built from d_l Gamma less the one built from Gamma = 0; one
-      acs_field_matrix call builds J, those and the zero structure together;
-    - along m_a: Im J(i eps e_a) / eps with eps = COMPLEX_STEP, one build per
-      fibre coordinate.
-    So a sample builds 1 + n^2/2 structure matrices. A tensor that is not
-    finite raises DomainError naming the point.
+      acs_field_matrix call builds J, those and the zero structure together
+      at m = 0;
+    - along m_a: Im J(i eps e_a) / eps with eps = COMPLEX_STEP; one more
+      acs_field_matrix call builds the stack of the n^2/2 complex steps.
+    So a sample makes two structure builds. A tensor that is not finite
+    raises DomainError naming the point.
     """
     from .algebra import HasTorsion
 
@@ -252,10 +261,9 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
     built = acs_field_matrix(ConnectionValue(n, tp.x, stack), chart,
                              np.zeros(chart.fibre_dim))
     j = built[0]
-    steps = 1j * COMPLEX_STEP * np.eye(chart.fibre_dim)
+    stepped = acs_field_matrix(value, chart, 1j * COMPLEX_STEP * np.eye(chart.fibre_dim))
     dj = np.concatenate([built[1:n + 1] - built[n + 1],  # dj[l] = d_l J
-                         [acs_field_matrix(value, chart, step).imag / COMPLEX_STEP
-                          for step in steps]])
+                         stepped.imag / COMPLEX_STEP])
     half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
     tensor = half - np.swapaxes(half, 1, 2)
     refuse_where(DomainError, not np.isfinite(tensor).all(), "Nijenhuis tensor is not finite",

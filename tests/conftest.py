@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from projgeo.connection import parse_chart
+from projgeo.expr import BinOp, Call, Neg, Num, Pow, Var
 from projgeo.projective import parse_alpha
 
 CHARTS = Path(__file__).parent / "charts"
@@ -66,6 +67,38 @@ def random_spec_with_torsion(n, rng, scale=0.3):
             for j in range(n):
                 entries[(k, i, j)] = poly_entry(rng, n, scale)
     return chart_spec(n, entries)
+
+
+def model_metric(n):
+    """Round metric of constant curvature one: g_ij = 4 delta_ij / (1+|x|^2)^2."""
+    ball = " + ".join(f"x{i}^2" for i in range(1, n + 1))
+    return parse_chart(f"dim = {n}\n[metric]\n"
+                       + "".join(f"g {i} {i} = 4 / (1 + {ball})^2\n" for i in range(1, n + 1)))
+
+
+def _format_number(value):
+    if float(value).is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(float(value))
+
+
+def to_text(e):
+    """Render an AST back to source text (fully parenthesized, reparses to the same tree)."""
+    if isinstance(e, Num):
+        return _format_number(e.value)
+    if isinstance(e, Var):
+        return f"x{e.index}"
+    if isinstance(e, Neg):
+        return f"(-{to_text(e.arg)})"
+    if isinstance(e, BinOp):
+        return f"({to_text(e.left)} {e.op} {to_text(e.right)})"
+    if isinstance(e, Pow):
+        exp = e.exponent
+        exp_text = _format_number(exp) if exp >= 0 else f"-{_format_number(-exp)}"
+        return f"({to_text(e.base)}^{exp_text})"
+    if isinstance(e, Call):
+        return f"{e.func}({to_text(e.arg)})"
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def random_alpha(n, rng, scale=0.3):

@@ -12,10 +12,9 @@ digits, and applies the index conventions stated in the `connection` and
 import numpy as np
 import pytest
 
-from conftest import chart_path
+from conftest import chart_path, to_text
 from projgeo.algebra import cotton, weyl
 from projgeo.connection import curvature, load_chart, parse_chart
-from projgeo.expr import to_text
 from projgeo.projective import sample_points
 
 sympy = pytest.importorskip("sympy")

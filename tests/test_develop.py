@@ -7,13 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import chart_path, chart_spec
+from conftest import chart_path, chart_spec, model_metric
 from projgeo import develop
 from projgeo.connection import ConnectionSpec, load_chart
 from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix, _rk4_frame,
                              cartan_transport, collinearity_defect, develop_map,
                              flatness_defect, geodesic_trace, holonomy_loops,
-                             model_connection, model_metric, transport_many)
+                             model_connection, transport_many)
 from projgeo.projective import load_alpha, parse_alpha, projective_change
 from projgeo.algebra import NotBianchi, cotton, weyl
 from projgeo.connection import curvature

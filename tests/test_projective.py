@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
+from conftest import chart_path, chart_spec, model_metric, random_alpha, random_torsionfree_spec
 from projgeo.expr import Num, Var, compile_tape
 from projgeo.connection import ChartError, curvature, load_chart, parse_chart, torsion
-from projgeo.develop import model_connection, model_metric
+from projgeo.develop import model_connection
 from projgeo.projective import (OddDimension, check_weyl_invariance, load_alpha, parse_alpha,
                                 projective_change, projectively_equivalent,
                                 remove_torsion, same_twistor_structure,

@@ -13,7 +13,7 @@ from projgeo.expr import DomainError
 from projgeo.projective import projective_change
 import projgeo.twistor as twistor
 from projgeo.tensor import OddDimension, norm
-from projgeo.twistor import (NotAlmostComplex, TwistorChart, TwistorPoint,
+from projgeo.twistor import (COMPLEX_STEP, NotAlmostComplex, TwistorChart, TwistorPoint,
                              acs_field_matrix, anticommutant_basis,
                              coordinate_pairs, integrability_verdict,
                              mild_complex_structure, nijenhuis, nijenhuis_tensor,
@@ -117,13 +117,33 @@ def test_structure_matrix_broadcasts_over_a_gamma_stack():
 @pytest.mark.parametrize("size", [200.0, 1000.0])
 def test_large_fibre_coordinates_are_refused_naming_the_point(size):
     """At 1000 the fibre point overflows; at 200 it is finite, but its chart
-    derivative is not."""
+    derivative is not. One such row in a stack of fibre points refuses the
+    whole stack."""
     spec = load_chart(chart_path("witness4.chart"))
     tp = sample_twistor_points(4, 1, np.random.default_rng(66))[0]
     cv = spec.evaluate(tp.x, derivs=0)
-    with pytest.raises(DomainError, match=re.escape(
-            "its chart derivative is not finite at x = (0.338987102349, 0.154254504899, ")):
-        acs_field_matrix(cv, TwistorChart(tp), np.full(8, size))
+    stack = 1j * COMPLEX_STEP * np.eye(8)
+    stack[5] = size
+    for m_coords in (np.full(8, size), stack):
+        with pytest.raises(DomainError, match=re.escape(
+                "its chart derivative is not finite at x = (0.338987102349, 0.154254504899, ")):
+            acs_field_matrix(cv, TwistorChart(tp), m_coords)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_stacked_fibre_build_matches_one_build_per_direction(n):
+    """The stack of complex steps in one build equals, bit for bit, one build
+    per step: the loop that nijenhuis_tensor made before, kept as the reference."""
+    rng = np.random.default_rng(82 + n)
+    spec = random_torsionfree_spec(n, rng)
+    tp = sample_twistor_points(n, 1, rng)[0]
+    chart = TwistorChart(tp)
+    d = chart.fibre_dim
+    value = spec.evaluate(tp.x, derivs=0)
+    steps = 1j * COMPLEX_STEP * np.eye(d)
+    stacked = acs_field_matrix(value, chart, steps)
+    assert stacked.shape == (d, n + d, n + d)
+    assert np.array_equal(stacked, [acs_field_matrix(value, chart, s) for s in steps])
 
 
 def test_structure_matrix_is_projectively_invariant():
@@ -420,10 +440,11 @@ def test_central_differences_converge_to_the_exact_tensor(name):
         assert np.all(coarse[above] >= 30.0 * fine[above])
 
 
-@pytest.mark.parametrize("n,calls", [(2, 3), (4, 9)])
-def test_one_sample_builds_one_plus_one_per_fibre_coordinate(monkeypatch, n, calls):
-    """1 + n^2/2 structure matrices per nijenhuis call, each with one
-    expm_frechet per fibre basis element."""
+@pytest.mark.parametrize("n", [2, 4])
+def test_one_sample_builds_two_structure_stacks(monkeypatch, n):
+    """Two structure builds per nijenhuis call, the Gamma stack at m = 0 and
+    the stack of n^2/2 complex steps, each with one expm_frechet per fibre
+    basis element."""
     counts = {"acs": 0, "frechet": 0}
 
     def counted(name, f):
@@ -439,7 +460,7 @@ def test_one_sample_builds_one_plus_one_per_fibre_coordinate(monkeypatch, n, cal
     spec = random_torsionfree_spec(n, rng)
     tp = sample_twistor_points(n, 1, rng)[0]
     nijenhuis(spec, tp, coordinate_pairs(n + n * n // 2, 6, rng))
-    assert counts == {"acs": calls, "frechet": calls * n * n // 2}
+    assert counts == {"acs": 2, "frechet": 2 * n * n // 2}
 
 
 @pytest.mark.parametrize("name", ["flat4", "sphere4", "witness4", "random2"])
