@@ -136,8 +136,8 @@ def _exceeds(residual: np.ndarray, t: TensorValue, tol: float) -> np.ndarray:
     return np.abs(residual).max(axis=axes) > tol * scale
 
 
-def _require_antisym01(t: TensorValue, tol: float = 1e-12) -> None:
-    if np.any(_exceeds(t.data + np.swapaxes(t.data, -3, -2), t, tol)):
+def _require_antisym01(t: TensorValue) -> None:
+    if np.any(_exceeds(t.data + np.swapaxes(t.data, -3, -2), t, 1e-12)):
         raise NotAntisymmetric("expected antisymmetry in the first two slots")
 
 
@@ -221,7 +221,7 @@ def torsion_split(t: TensorValue) -> tuple[TensorValue, TensorValue]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def cotton(cv: ConnectionValue, tol: float = 1e-10) -> TensorValue:
+def cotton(cv: ConnectionValue, tol: float) -> TensorValue:
     """Projective Cotton tensor C = d^nabla Q, C_{ijk} antisymmetric in (i, j).
 
     Needs two derivative levels of Gamma and a torsion-free connection; raises
@@ -252,14 +252,14 @@ class CartanCurvature:
     bottomright: TensorValue  # W block (plus the vanishing line contribution)
 
 
-def cartan_curvature(cv: ConnectionValue, tol: float = 1e-10) -> CartanCurvature:
+def cartan_curvature(cv: ConnectionValue) -> CartanCurvature:
     """Assemble the Cartan curvature blocks; flatness means all four vanish
     (for n >= 3 the bottomright W block forces the rest)."""
     n = cv.n
     r = curvature(cv)
-    w, q, f = weyl(r, tol=tol, points=cv.point)
+    w, q, f = weyl(r, tol=1e-10, points=cv.point)
     topleft = TensorValue(n, ("down", "down"), f.data + 2.0 * alt2(q).data)
-    topright = cotton(cv, tol=tol)
+    topright = cotton(cv, tol=1e-10)
     bottomleft = torsion(cv)
     bottomright = TensorValue(n, ("up", "down", "down", "down"),
                               w.data + np.einsum("...ij,lk->...lkij", topleft.data, np.eye(n)))
@@ -287,7 +287,7 @@ class CurvatureReport:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
-def curvature_report(cv: ConnectionValue, tol: float = 1e-10) -> CurvatureReport:
+def curvature_report(cv: ConnectionValue, tol: float) -> CurvatureReport:
     """Evaluate every curvature quantity at cv.point and cross-check identities; raise
     DomainError there if the torsion, Ricci trace, trace 2-form or a residual is not finite."""
     n = cv.n

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import HasTorsion, NotBianchi, curvature_report
 from .connection import SingularMetric, load_chart
 from .develop import NotFlat, StepFailure, collinearity_defect, develop_map, flatness_defect
-from .expr import DomainError, ParseError
+from .expr import DomainError
 from .projective import (check_weyl_invariance, load_alpha, projectively_equivalent,
                          sample_points)
 from .readers import ChartError, parse_points, read_numbers, read_text
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     try:
         payload, ok = args.run(args)
         _emit({"schema": SCHEMA, "command": args.command, **payload}, args)
-    except (_UsageError, ChartError, ParseError, DomainError, SingularMetric,
+    except (_UsageError, ChartError, DomainError, SingularMetric,
             OddDimension, HasTorsion, NotBianchi, StepFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -123,14 +123,14 @@ class ConnectionSpec:
             self._compiled = _Compiled.build(self)
         return self._compiled
 
-    def evaluate(self, p, derivs: int = 1) -> ConnectionValue:
+    def evaluate(self, p, derivs: int) -> ConnectionValue:
         """Connection data at point p with `derivs` derivative levels of Gamma (0..2)."""
         p = np.asarray(p, dtype=float)
         cv = self.evaluate_many(p[None], derivs)
         return ConnectionValue(self.n, p, *(None if a is None else a[0]
                                             for a in (cv.gamma, cv.dgamma, cv.ddgamma)))
 
-    def evaluate_many(self, points, derivs: int = 1) -> ConnectionValue:
+    def evaluate_many(self, points, derivs: int) -> ConnectionValue:
         """Connection data at each row of `points` (P, n), stacked along a leading axis.
 
         gamma is (P, n, n, n), dgamma (P, n, n, n, n) and ddgamma
@@ -139,8 +139,6 @@ class ConnectionSpec:
         if derivs not in (0, 1, 2):
             raise ValueError("derivs must be 0, 1 or 2")
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.n:
-            raise ValueError(f"points have shape {points.shape}, chart dimension is {self.n}")
         plan = self._plan()
         jets = plan.tape.run(points, derivs + (self.metric is not None))
         # copied, so that a metric chart's jets can be released before Levi-Civita

@@ -18,7 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import _normalized, _require_bianchi
-from .connection import BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, ricci
+from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, point_blocks,
+                         ricci)
 from .expr import refuse_where
 
 __all__ = [
@@ -49,11 +50,8 @@ def model_connection(n: int) -> ConnectionSpec:
     return ConnectionSpec(n, christoffel={})
 
 
-# Nodes per evaluate_many + _hat_matrix call. A call costs 1-2 ms whatever its
-# size, but on metric charts holds ~7 KB of temporaries per node (round
-# 4-sphere): blocks of 256 nodes cost +3.1 MB of develop peak RSS. A count, not
-# connection.BLOCK_ENTRIES: transport asks for nodes as its steps double.
-NODE_BLOCK = 64
+# A segment is done when its Romberg frames agree to TRANSPORT_TOL * its length.
+TRANSPORT_TOL = 1e-10
 MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 32
 # Entries of the node array of one block of segments at MAX_STEPS (16 MB of
 # float64): 40 segments at n = 4, so a flatness certificate (32 segments) is
@@ -101,20 +99,24 @@ def _rk4_frame(a: np.ndarray) -> np.ndarray:
 
 
 def _hat_nodes(spec: ConnectionSpec, starts, dirs, t) -> np.ndarray:
-    """A at starts[s] + t[j] dirs[s] as out[s, j], NODE_BLOCK nodes per call."""
-    out = np.empty((len(starts), t.size, spec.n + 1, spec.n + 1))
-    seg, node = np.divmod(np.arange(len(starts) * t.size), t.size)
-    for i in range(0, seg.size, NODE_BLOCK):
-        s, j = seg[i:i + NODE_BLOCK], node[i:i + NODE_BLOCK]
-        cv = spec.evaluate_many(starts[s] + t[j, None] * dirs[s], derivs=1)
-        out[s, j] = _hat_matrix(cv, dirs[s])
-    return out
+    """A at starts[s] + t[j] dirs[s] as out[s, j]; the stacked nodes are
+    evaluated in point_blocks of width n^4, the entries of a node's dgamma."""
+    n = spec.n
+    points = (starts[:, None] + t[:, None] * dirs[:, None]).reshape(-1, n)
+    u = np.repeat(dirs, t.size, axis=0)
+    out = np.empty((len(points), n + 1, n + 1))
+    i = 0
+    for block in point_blocks(points, n ** 4):
+        out[i:i + len(block)] = _hat_matrix(spec.evaluate_many(block, derivs=1),
+                                            u[i:i + len(block)])
+        i += len(block)
+    return out.reshape(len(starts), t.size, n + 1, n + 1)
 
 
 def _romberg_frames(spec: ConnectionSpec, starts, dirs, budget):
     """Frames of the segments starts + t dirs, t in [0, 1], all of nonzero
     length, as transport_many describes them; budget holds each segment's
-    tol * length."""
+    TRANSPORT_TOL * length."""
     frames = np.empty((len(dirs), spec.n + 1, spec.n + 1))
     todo = np.arange(len(dirs))  # unfinished segments
     a = _hat_nodes(spec, starts, dirs, np.linspace(0.0, 1.0, 3))
@@ -140,7 +142,7 @@ def _romberg_frames(spec: ConnectionSpec, starts, dirs, budget):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> np.ndarray:
+def transport_many(spec: ConnectionSpec, paths) -> np.ndarray:
     """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`;
     the frames at the ends, (len(paths), n+1, n+1) with the line column first.
 
@@ -149,11 +151,12 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> np.ndarra
     all unfinished segments of a block together. The RK4 frames Phi_K are
     extrapolated across the doublings (Romberg): E1_K = Phi_K + (Phi_K -
     Phi_K/2)/15 and E2_K = E1_K + (E1_K - E1_K/2)/31. A segment is done when
-    max|E2_K - E2_K/2| <= tol * length, and keeps E2_K. Blocks of segments are
-    transported one after another, so the node arrays held do not grow with the
-    number of paths. StepFailure names the start of a segment whose frame is
-    not finite or that needs more than MAX_STEPS steps, and the first vertex of
-    a path whose frame, the product of its segment frames, is not finite.
+    max|E2_K - E2_K/2| <= TRANSPORT_TOL * length, and keeps E2_K. Blocks of
+    segments are transported one after another, so the node arrays held do not
+    grow with the number of paths. StepFailure names the start of a segment
+    whose frame is not finite or that needs more than MAX_STEPS steps, and the
+    first vertex of a path whose frame, the product of its segment frames, is
+    not finite.
     """
     n = spec.n
     paths = [np.atleast_2d(np.asarray(path, dtype=float)) for path in paths]
@@ -167,7 +170,8 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> np.ndarra
     per_block = max(1, SEGMENT_ENTRIES // ((2 * MAX_STEPS + 1) * (n + 1) ** 2))
     for i in range(0, moving.size, per_block):
         block = moving[i:i + per_block]
-        frames[block] = _romberg_frames(spec, starts[block], dirs[block], tol * lengths[block])
+        frames[block] = _romberg_frames(spec, starts[block], dirs[block],
+                                        TRANSPORT_TOL * lengths[block])
 
     ends = np.cumsum([0] + [len(path) - 1 for path in paths])
     out = np.array([reduce(np.matmul, frames[i:j], np.eye(n + 1))
@@ -177,12 +181,12 @@ def transport_many(spec: ConnectionSpec, paths, tol: float = 1e-10) -> np.ndarra
     return out
 
 
-def cartan_transport(spec: ConnectionSpec, path, tol: float = 1e-10) -> np.ndarray:
+def cartan_transport(spec: ConnectionSpec, path) -> np.ndarray:
     """The frame along one polyline: transport_many with a single path."""
-    return transport_many(spec, [path], tol=tol)[0]
+    return transport_many(spec, [path])[0]
 
 
-def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
+def holonomy_loops(x0: np.ndarray, seed: int) -> "list[np.ndarray]":
     """Eight seeded square loops through x0 in coordinate 2-planes, with sides
     0.1 and 0.2 in turn."""
     x0 = np.asarray(x0, dtype=float)
@@ -202,7 +206,7 @@ def holonomy_loops(x0: np.ndarray, seed: int = 0) -> "list[np.ndarray]":
     return loops
 
 
-def flatness_defect(spec: ConnectionSpec, x0, seed: int = 0) -> float:
+def flatness_defect(spec: ConnectionSpec, x0, seed: int) -> float:
     """Worst holonomy deviation from the identity over the seeded loop family."""
     loops = holonomy_loops(np.asarray(x0, dtype=float), seed=seed)
     return float(np.max(np.abs(transport_many(spec, loops) - np.eye(spec.n + 1))))
@@ -226,8 +230,8 @@ class ProjectivePoint:
         object.__setattr__(self, "homogeneous", v)
 
 
-def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float = 1e-7,
-                seed: int = 0) -> "tuple[list[ProjectivePoint], np.ndarray]":
+def develop_map(spec: ConnectionSpec, x0, targets, flat_tol: float,
+                seed: int) -> "tuple[list[ProjectivePoint], np.ndarray]":
     """Develop targets into projective space from base x0: the image of each
     target, and its two-path discrepancy as a (len(targets),) array.
 

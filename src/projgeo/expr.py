@@ -543,7 +543,7 @@ def compile_tape(exprs, n: int) -> Tape:
     return Tape(n, builder.code, outputs)
 
 
-def eval_jet(e: Expr, p, order: int = 3) -> "list[np.ndarray]":
+def eval_jet(e: Expr, p, order: int) -> "list[np.ndarray]":
     """Evaluate `e` at point `p`, carrying exact partials up to `order` (1..3).
 
     This is the one-point case of the tape: `e` is compiled and run on p[None],

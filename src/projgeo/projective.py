@@ -72,7 +72,7 @@ def parse_alpha(text: str, n: int) -> tuple[ex.Expr, ...]:
     return tuple(exprs)
 
 
-def sample_points(n: int, count: int, seed: int = 0, half_width: float = 0.4) -> np.ndarray:
+def sample_points(n: int, count: int, seed: int, half_width: float = 0.4) -> np.ndarray:
     """Deterministic sample of chart points, uniform in a centered box."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-half_width, half_width, size=(count, n))
@@ -99,13 +99,12 @@ def projective_change(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]") -> Con
 class WeylInvariance:
     """Projective-invariance residuals over a point sample."""
 
-    n: int
     weyl_residual: float
     cotton_residual: float | None  # n = 2 only, where W vanishes identically
 
 
 def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
-                          points=None, tol: float = 1e-10) -> WeylInvariance:
+                          points, tol: float) -> WeylInvariance:
     """Max difference of W (and of C when n = 2) between spec and its alpha-change.
 
     The chart is evaluated once per block of points. The changed connection
@@ -116,8 +115,6 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
     n = spec.n
     if len(alpha) != n:
         raise ValueError("alpha dimension does not match the chart")
-    if points is None:
-        points = sample_points(n, 10, seed=7)
     alpha_tape = ex.compile_tape(alpha, n)
     derivs = 2 if n == 2 else 1
     worst_w = 0.0
@@ -132,7 +129,7 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
         if n == 2:
             c_a, c_b = cotton(cv_a, tol=tol), cotton(cv_b, tol=tol)
             worst_c = max(worst_c, float(np.max(np.abs(c_a.data - c_b.data))))
-    return WeylInvariance(n, worst_w, worst_c)
+    return WeylInvariance(worst_w, worst_c)
 
 
 @dataclass
@@ -145,7 +142,7 @@ class Equivalence:
 
 
 def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
-                            points=None, tol: float = 1e-8) -> Equivalence:
+                            points, tol: float) -> Equivalence:
     """Whether Gamma_B - Gamma_A is alpha_i delta^k_j + alpha_j delta^k_i pointwise.
 
     alpha is recovered from the trace (n+1) alpha_i = D^k_{ik} and the
@@ -154,8 +151,6 @@ def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     if spec_a.n != spec_b.n:
         raise ValueError("charts have different dimensions")
     n = spec_a.n
-    if points is None:
-        points = sample_points(n, 10, seed=11)
     eye = np.eye(n)
     d = _gamma_difference(spec_a, spec_b, points)
     alpha = np.einsum("...kik->...i", d) / (n + 1)
@@ -258,7 +253,7 @@ class TwistorComparison:
 
 
 def same_twistor_structure(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
-                           seed: int = 0) -> TwistorComparison:
+                           seed: int) -> TwistorComparison:
     """Whether the two connections give the same twistor almost complex structure J.
 
     J depends on Gamma only through twistor.vertical_motion, linearly, in its

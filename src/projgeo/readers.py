@@ -59,8 +59,8 @@ def split_entry(lineno: int, line: str, form: str = "key = expression") -> tuple
     return words, rhs.strip()
 
 
-def read_numbers(text: str, count: int | None = None, kind: type = float) -> list:
-    """The comma-separated numbers in `text`, exactly `count` of them if given.
+def read_numbers(text: str, count: int | None, kind: type = float) -> list:
+    """The comma-separated numbers in `text`, exactly `count` of them unless None.
 
     Floats must be finite; kind=int reads whole numbers (counts, seeds, dims).
     """

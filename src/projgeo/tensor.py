@@ -5,7 +5,7 @@ with each slot marked "up" (vector) or "down" (covector). All the curvature
 machinery stores its results in this form, e.g. curvature R^l_{kij} has variance
 ("up", "down", "down", "down"). The variance describes the trailing r axes of
 the data; any leading axes index sample points, so one value can hold a stack
-of tensors, and slot operations address slots counted from the end.
+of tensors, and sym2 and alt2 act on the last two axes.
 """
 
 from __future__ import annotations
@@ -14,22 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TensorValue", "swap", "sym2", "alt2", "norm",
-    "VarianceMismatch", "SlotOutOfRange", "OddDimension",
-]
+__all__ = ["TensorValue", "sym2", "alt2", "norm", "OddDimension"]
 
 MAX_DIM = 8
 UP = "up"
 DOWN = "down"
-
-
-class VarianceMismatch(ValueError):
-    """Slot variances do not fit the requested operation."""
-
-
-class SlotOutOfRange(IndexError):
-    """Slot index outside the tensor's rank, or slots not distinct."""
 
 
 class OddDimension(ValueError):
@@ -59,31 +48,21 @@ class TensorValue:
         return len(self.variance)
 
 
-def _check_slots(t: TensorValue, a: int, b: int) -> None:
-    if not (0 <= a < t.rank and 0 <= b < t.rank):
-        raise SlotOutOfRange(f"slots ({a}, {b}) out of range for rank {t.rank}")
-    if a == b:
-        raise SlotOutOfRange("slots must be distinct")
+def _pair(t: TensorValue) -> np.ndarray:
+    """The data of t with its two slots swapped; the slots must carry the same variance."""
+    if t.rank != 2 or t.variance[0] != t.variance[1]:
+        raise ValueError(f"expected two slots of equal variance, got {t.variance}")
+    return np.swapaxes(t.data, -1, -2)
 
 
-def swap(t: TensorValue, a: int, b: int) -> TensorValue:
-    """Exchange slots a and b; they must carry the same variance."""
-    _check_slots(t, a, b)
-    if t.variance[a] != t.variance[b]:
-        raise VarianceMismatch("swap needs slots of equal variance")
-    return TensorValue(t.n, t.variance, np.swapaxes(t.data, a - t.rank, b - t.rank))
+def sym2(t: TensorValue) -> TensorValue:
+    """Symmetric part of a two-slot tensor."""
+    return TensorValue(t.n, t.variance, 0.5 * (t.data + _pair(t)))
 
 
-def sym2(t: TensorValue, a: int = 0, b: int = 1) -> TensorValue:
-    """Symmetric part in slots a, b (equal variance required)."""
-    s = swap(t, a, b)
-    return TensorValue(t.n, t.variance, 0.5 * (t.data + s.data))
-
-
-def alt2(t: TensorValue, a: int = 0, b: int = 1) -> TensorValue:
-    """Antisymmetric part in slots a, b (equal variance required)."""
-    s = swap(t, a, b)
-    return TensorValue(t.n, t.variance, 0.5 * (t.data - s.data))
+def alt2(t: TensorValue) -> TensorValue:
+    """Antisymmetric part of a two-slot tensor."""
+    return TensorValue(t.n, t.variance, 0.5 * (t.data - _pair(t)))
 
 
 def norm(t: TensorValue) -> float:

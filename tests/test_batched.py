@@ -10,7 +10,7 @@ from projgeo.connection import (BLOCK_ENTRIES, curvature, curvature_derivative, 
                                 trace2form)
 from projgeo.projective import (check_weyl_invariance, projective_change,
                                 projectively_equivalent, sample_points)
-from projgeo.tensor import TensorValue, norm, swap
+from projgeo.tensor import TensorValue, norm
 
 
 def _assert_row_matches(stacked, single):
@@ -34,7 +34,7 @@ def _quantities(cv, derivs):
     w, q, f = weyl(r)
     out.update(W=w.data, Q=q.data, F=f.data)
     if derivs == 2:
-        out.update(cotton=cotton(cv).data)
+        out.update(cotton=cotton(cv, tol=1e-10).data)
     return out
 
 
@@ -54,7 +54,7 @@ def test_stacked_rows_match_single_points(path, derivs):
 
 def test_bianchi_check_measures_each_point_on_its_own_scale():
     spec = load_chart(chart_path("sphere3.chart"))
-    big = 1e6 * curvature(spec.evaluate(np.array([0.1, 0.2, -0.1]))).data
+    big = 1e6 * curvature(spec.evaluate(np.array([0.1, 0.2, -0.1]), derivs=1)).data
     small = 1e-6 * np.random.default_rng(0).standard_normal((3,) * 4)
     variance = ("up", "down", "down", "down")
     weyl(TensorValue(3, variance, big))
@@ -79,7 +79,6 @@ def test_slot_operations_address_trailing_axes():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((5, 3, 3, 3))
     t = TensorValue(3, ("up", "down", "down"), data)
-    np.testing.assert_array_equal(swap(t, 1, 2).data, data.transpose(0, 1, 3, 2))
     assert norm(t) == float(np.abs(data).max())
     with pytest.raises(ValueError):
         TensorValue(3, ("up", "down"), np.zeros((5, 3, 2)))
@@ -115,7 +114,8 @@ def _per_point_residuals(spec, changed, points):
         cv_a, cv_b = (s.evaluate_many(p[None], derivs) for s in (spec, changed))
         weyls.append(np.max(np.abs(weyl(curvature(cv_a)).W.data - weyl(curvature(cv_b)).W.data)))
         if n == 2:
-            cottons.append(np.max(np.abs(cotton(cv_a).data - cotton(cv_b).data)))
+            c_a, c_b = cotton(cv_a, tol=1e-10), cotton(cv_b, tol=1e-10)
+            cottons.append(np.max(np.abs(c_a.data - c_b.data)))
         diffs.append(cv_b.gamma - cv_a.gamma)
     d = np.concatenate(diffs)
     alphas = np.einsum("...kik->...i", d) / (n + 1)
@@ -131,8 +131,8 @@ def test_blocked_residuals_are_the_per_point_ones_bit_for_bit(spec, alpha):
     points = sample_points(spec.n, 300, seed=5)
     weyls, cottons, equivalence, alphas = _per_point_residuals(spec, changed, points)
     for count in (1, 7, 161, 300):
-        inv = check_weyl_invariance(spec, alpha, points[:count])
-        eq = projectively_equivalent(spec, changed, points[:count])
+        inv = check_weyl_invariance(spec, alpha, points[:count], tol=1e-10)
+        eq = projectively_equivalent(spec, changed, points[:count], tol=1e-8)
         assert inv.weyl_residual == np.max(weyls[:count])
         if spec.n == 2:
             assert inv.cotton_residual == np.max(cottons[:count])

@@ -51,7 +51,7 @@ def test_missing_entries_default_to_zero():
 def test_metric_chart_fills_symmetric_entry():
     spec = parse_chart("dim = 2\n[metric]\ng 1 1 = 2\ng 2 2 = 1\ng 1 2 = 0.5\n")
     # Levi-Civita of a constant metric is zero even with off-diagonal terms
-    cv = spec.evaluate(np.array([0.3, 0.4]))
+    cv = spec.evaluate(np.array([0.3, 0.4]), derivs=1)
     assert norm(torsion(cv)) == 0.0
     assert np.max(np.abs(cv.gamma)) < 1e-14
 
@@ -59,7 +59,7 @@ def test_metric_chart_fills_symmetric_entry():
 def test_singular_metric_detected():
     spec = parse_chart("dim = 2\n[metric]\ng 1 1 = 1\ng 2 2 = 1\ng 1 2 = 1\n")
     with pytest.raises(SingularMetric, match=r"at x = \(0, 0\)"):
-        spec.evaluate(np.zeros(2))
+        spec.evaluate(np.zeros(2), derivs=1)
 
 
 def _random_symmetric(n, rng, definite):
@@ -179,7 +179,7 @@ def test_metric_evaluation_holds_little_beyond_its_output():
     the metric levels and the symbols of the first kind add at most 1.34 MB."""
     spec = load_chart(chart_path("sphere4.chart"))
     points = np.random.default_rng(0).uniform(-0.4, 0.4, size=(257, 4))
-    spec.evaluate_many(points[:1])  # compile the tape outside the measurement
+    spec.evaluate_many(points[:1], derivs=1)  # compile the tape outside the measurement
     tracemalloc.start()
     try:
         spec.evaluate_many(points, derivs=1)
@@ -206,7 +206,7 @@ def test_torsion_vanishes_for_symmetric_data():
 
 def test_flat_chart_has_zero_curvature():
     spec = load_chart(chart_path("flat3.chart"))
-    r = curvature(spec.evaluate(np.array([0.4, -0.2, 0.9])))
+    r = curvature(spec.evaluate(np.array([0.4, -0.2, 0.9]), derivs=1))
     assert norm(r) == 0.0
 
 
@@ -215,7 +215,7 @@ def test_round_metric_curvature_closed_form(n):
     """R^l_{kij} = d^l_i g_jk - d^l_j g_ik for the constant-curvature metric."""
     spec = load_chart(chart_path(f"sphere{n}.chart"))
     p = np.linspace(-0.3, 0.3, n)
-    r = curvature(spec.evaluate(p))
+    r = curvature(spec.evaluate(p, derivs=1))
     g = 4.0 / (1.0 + p @ p) ** 2 * np.eye(n)
     eye = np.eye(n)
     expect = (np.einsum("li,jk->lkij", eye, g)
@@ -228,7 +228,7 @@ def test_round_metric_is_einstein_with_negative_trace():
     n = 3
     spec = load_chart(chart_path("sphere3.chart"))
     p = np.array([0.1, 0.25, -0.2])
-    cv = spec.evaluate(p)
+    cv = spec.evaluate(p, derivs=1)
     ric = ricci(curvature(cv))
     g = 4.0 / (1.0 + p @ p) ** 2 * np.eye(n)
     assert np.max(np.abs(ric.data + (n - 1) * g)) < 1e-12
@@ -255,7 +255,7 @@ def test_curvature_against_finite_difference_route():
     for n in (2, 3):
         spec = random_spec_with_torsion(n, rng)
         p = rng.uniform(-0.4, 0.4, size=n)
-        r = curvature(spec.evaluate(p))
+        r = curvature(spec.evaluate(p, derivs=1))
         assert np.max(np.abs(r.data - _fd_curvature(spec, p))) < 1e-7
 
 
@@ -263,7 +263,7 @@ def test_trace_two_form_is_twice_the_ricci_skew():
     rng = np.random.default_rng(9)
     for n in (2, 3, 4):
         spec = random_torsionfree_spec(n, rng)
-        r = curvature(spec.evaluate(rng.uniform(-0.3, 0.3, size=n)))
+        r = curvature(spec.evaluate(rng.uniform(-0.3, 0.3, size=n), derivs=1))
         s = trace2form(r)
         assert np.allclose(s.data, 2.0 * alt2(ricci(r)).data, atol=1e-13)
         assert np.allclose(s.data, -s.data.T)
@@ -304,4 +304,4 @@ def test_spec_refuses_dimension_outside_chart_range(n, entries):
 def test_evaluate_rejects_wrong_point_length():
     spec = load_chart(chart_path("flat3.chart"))
     with pytest.raises(ValueError):
-        spec.evaluate(np.zeros(2))
+        spec.evaluate(np.zeros(2), derivs=1)

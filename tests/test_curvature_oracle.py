@@ -110,7 +110,7 @@ def test_curvature_weyl_and_cotton_match_the_symbolic_oracle(name):
         if "W" in symbolic:
             got["W"] = weyl(r).W.data
         if "C" in symbolic:
-            got["C"] = cotton(cv).data
+            got["C"] = cotton(cv, tol=1e-10).data
         with mpmath.workdps(30):
             want = {key: np.array(f(*[mpmath.mpf(float(c)) for c in p]), dtype=float)
                     for key, f in funcs.items()}

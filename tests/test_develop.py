@@ -9,7 +9,7 @@ import pytest
 
 from conftest import chart_path, chart_spec, model_metric
 from projgeo import develop
-from projgeo.connection import ConnectionSpec, load_chart
+from projgeo.connection import BLOCK_ENTRIES, ConnectionSpec, load_chart
 from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix, _rk4_frame,
                              cartan_transport, collinearity_defect, develop_map,
                              flatness_defect, geodesic_trace, holonomy_loops,
@@ -23,9 +23,9 @@ from projgeo.tensor import norm
 def test_model_charts_are_flat():
     p = np.array([0.3, -0.2, 0.4])
     for spec in (model_connection(3), model_metric(3)):
-        w = weyl(curvature(spec.evaluate(p))).W
+        w = weyl(curvature(spec.evaluate(p, derivs=1))).W
         assert norm(w) < 1e-12
-    c = cotton(model_metric(2).evaluate(np.array([0.2, 0.1]), derivs=2))
+    c = cotton(model_metric(2).evaluate(np.array([0.2, 0.1]), derivs=2), tol=1e-10)
     assert norm(c) < 1e-11
 
 
@@ -61,14 +61,14 @@ def test_witness_chart_has_holonomy():
 def test_develop_map_refuses_curved_input():
     spec = load_chart(chart_path("witness3.chart"))
     with pytest.raises(NotFlat) as err:
-        develop_map(spec, np.zeros(3), [np.array([0.1, 0.0, 0.0])], seed=4)
+        develop_map(spec, np.zeros(3), [np.array([0.1, 0.0, 0.0])], flat_tol=1e-7, seed=4)
     assert err.value.deviation > 1e-3
 
 
 def test_affine_chart_develops_to_homogeneous_coordinates():
     flat = model_connection(3)
     targets = [np.array([0.2, -0.1, 0.3]), np.array([-0.4, 0.2, 0.1])]
-    images, path_errors = develop_map(flat, np.zeros(3), targets)
+    images, path_errors = develop_map(flat, np.zeros(3), targets, flat_tol=1e-7, seed=0)
     for target, image in zip(targets, images):
         expect = ProjectivePoint(np.concatenate([[1.0], target]))
         assert np.max(np.abs(image.homogeneous - expect.homogeneous)) <= 1e-9
@@ -80,7 +80,7 @@ def test_development_straightens_round_geodesics():
     sph = load_chart(chart_path("sphere2.chart"))
     x0 = np.array([0.05, -0.1])
     trace = geodesic_trace(sph, x0, np.array([0.7, 0.4]), 0.5, 8)
-    images, path_errors = develop_map(sph, x0, list(trace))
+    images, path_errors = develop_map(sph, x0, list(trace), flat_tol=1e-7, seed=0)
     assert np.max(path_errors) < 1e-7
     assert collinearity_defect(images) < 1e-6
 
@@ -95,7 +95,8 @@ def test_round_metric_develops_by_central_projection(n):
     rng = np.random.default_rng(10 + n)
     x0 = rng.uniform(-0.1, 0.1, n)
     targets = rng.uniform(-0.4, 0.4, (12, n))
-    images = [image.homogeneous for image in develop_map(model_metric(n), x0, targets)[0]]
+    images = [image.homogeneous
+              for image in develop_map(model_metric(n), x0, targets, flat_tol=1e-7, seed=0)[0]]
     rows = []
     for x, p in zip(targets, images):
         q = np.concatenate([2.0 * x, [1.0 - x @ x]])
@@ -165,10 +166,11 @@ def test_reparametrized_connections_share_geodesic_traces():
     assert max(dist_to_polyline(p) for p in other) < 1e-6
 
 
-def test_unreachable_tolerance_fails_loudly():
+def test_unreachable_tolerance_fails_loudly(monkeypatch):
     sph = load_chart(chart_path("sphere2.chart"))
+    monkeypatch.setattr(develop, "TRANSPORT_TOL", 1e-19)
     with pytest.raises(StepFailure, match=r"more than 1024 steps .* at x = \(0, 0\)"):
-        cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])], tol=1e-19)
+        cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])])
 
 
 def test_torsion_is_refused_at_the_first_failing_node():
@@ -243,7 +245,7 @@ def test_batched_transport_matches_node_by_node_reference(make):
 def _segment_frame(spec, p0, u, k):
     """The plain RK4 frame of K steps along p0 + t u, t in [0, 1]."""
     t = np.linspace(0.0, 1.0, 2 * k + 1)
-    return _rk4_frame(_hat_matrix(spec.evaluate_many(p0 + t[:, None] * u), u))
+    return _rk4_frame(_hat_matrix(spec.evaluate_many(p0 + t[:, None] * u, derivs=1), u))
 
 
 def _romberg_frame(frame, k):
@@ -271,7 +273,7 @@ def test_romberg_frame_is_sixth_order():
     spec = load_chart(chart_path("sphere3.chart"))
     p0, u = _SEGMENT
     t = np.linspace(0.0, 1.0, 4097)
-    nodes = _hat_matrix(spec.evaluate_many(p0 + t[:, None] * u), u)
+    nodes = _hat_matrix(spec.evaluate_many(p0 + t[:, None] * u, derivs=1), u)
 
     def frame(k):  # the nodes of K steps are every (2048 / K)-th of 2048's
         return _rk4_frame(nodes[::2048 // k])
@@ -374,15 +376,16 @@ def _evaluation_record(monkeypatch, run):
 
 def test_failing_tolerance_evaluates_in_small_batches(monkeypatch):
     """A segment that never converges is refined up to the step cap in calls of
-    at most NODE_BLOCK nodes, in bounded memory."""
+    at most BLOCK_ENTRIES // n^4 nodes, in bounded memory."""
     sph = load_chart(chart_path("sphere2.chart"))
+    monkeypatch.setattr(develop, "TRANSPORT_TOL", 1e-19)
 
     def run():
         with pytest.raises(StepFailure):
-            cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])], tol=1e-19)
+            cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])])
 
     sizes, peak = _evaluation_record(monkeypatch, run)
-    assert max(sizes) <= 64
+    assert max(sizes) <= BLOCK_ENTRIES // 2 ** 4
     assert peak <= 1e6
 
 

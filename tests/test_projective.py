@@ -73,7 +73,7 @@ def test_change_preserves_torsion_exactly():
 def test_weyl_survives_projective_change(n):
     rng = np.random.default_rng(n + 30)
     spec = random_torsionfree_spec(n, rng)
-    res = check_weyl_invariance(spec, random_alpha(n, rng))
+    res = check_weyl_invariance(spec, random_alpha(n, rng), sample_points(n, 10, seed=7), tol=1e-10)
     assert res.weyl_residual < 1e-9
     assert res.cotton_residual is None
 
@@ -81,7 +81,7 @@ def test_weyl_survives_projective_change(n):
 def test_planar_invariant_is_the_cotton_tensor():
     rng = np.random.default_rng(40)
     spec = random_torsionfree_spec(2, rng)
-    res = check_weyl_invariance(spec, random_alpha(2, rng))
+    res = check_weyl_invariance(spec, random_alpha(2, rng), sample_points(2, 10, seed=7), tol=1e-10)
     # W is trivially zero in the plane, the content sits in the cotton residual
     assert res.weyl_residual < 1e-12
     assert res.cotton_residual is not None
@@ -105,7 +105,8 @@ def test_invariance_lowers_each_entry_once(monkeypatch, name):
         return compile_tape(exprs, n)
 
     monkeypatch.setattr(expr, "compile_tape", counted)
-    check_weyl_invariance(spec, load_alpha(chart_path("alpha3.alpha"), 3))
+    check_weyl_invariance(spec, load_alpha(chart_path("alpha3.alpha"), 3), sample_points(3, 10, seed=7),
+                          tol=1e-10)
     assert sum(lowered) == m + 1 + 3
 
 
@@ -115,7 +116,7 @@ def test_equivalence_recovers_the_one_form():
     alpha = parse_alpha("a 1 = 0.2\na 2 = x1 * 0.1\na 3 = -0.3\n", 3)
     other = projective_change(spec, alpha)
     pts = sample_points(3, 4, seed=1)
-    eq = projectively_equivalent(spec, other, points=pts)
+    eq = projectively_equivalent(spec, other, points=pts, tol=1e-8)
     assert eq.equivalent
     assert eq.residual < 1e-10
     for p, got in zip(pts, eq.alphas):
@@ -124,7 +125,7 @@ def test_equivalence_recovers_the_one_form():
 
 def test_same_connection_gives_zero_one_form():
     spec = load_chart(chart_path("sphere2.chart"))
-    eq = projectively_equivalent(spec, spec)
+    eq = projectively_equivalent(spec, spec, sample_points(2, 10, seed=11), tol=1e-8)
     assert eq.equivalent and eq.residual < 1e-14
     assert all(np.max(np.abs(a)) < 1e-13 for a in eq.alphas)
 
@@ -132,7 +133,7 @@ def test_same_connection_gives_zero_one_form():
 def test_unstraightenable_difference_is_rejected():
     flat = parse_chart(FLAT2)
     bump = chart_spec(2, {(0, 1, 1): "1"})
-    eq = projectively_equivalent(flat, bump)
+    eq = projectively_equivalent(flat, bump, sample_points(2, 10, seed=11), tol=1e-8)
     assert not eq.equivalent
     assert eq.residual > 0.3
 
@@ -140,7 +141,8 @@ def test_unstraightenable_difference_is_rejected():
 def test_model_metric_is_not_the_affine_model():
     """Both are projectively flat, but in the same coordinates their geodesics
     differ: straight lines against great-circle projections."""
-    eq = projectively_equivalent(model_connection(3), model_metric(3))
+    eq = projectively_equivalent(model_connection(3), model_metric(3), sample_points(3, 10, seed=11),
+                                 tol=1e-8)
     assert not eq.equivalent
     assert eq.residual > 0.1
 
@@ -198,8 +200,8 @@ def test_twistor_comparison_agrees_with_equivalence():
     spec = random_torsionfree_spec(4, rng)
     twin = projective_change(spec, random_alpha(4, rng))
     stranger = random_torsionfree_spec(4, rng)
-    good = same_twistor_structure(spec, twin)
-    bad = same_twistor_structure(spec, stranger)
+    good = same_twistor_structure(spec, twin, seed=0)
+    bad = same_twistor_structure(spec, stranger, seed=0)
     assert good.same and good.residual < 1e-10
     assert not bad.same and bad.residual > 1e-2
 
@@ -229,7 +231,7 @@ def test_twistor_comparison_matches_the_structure_matrices(n):
 def test_twistor_comparison_needs_even_dimension():
     spec = load_chart(chart_path("sphere3.chart"))
     with pytest.raises(OddDimension):
-        same_twistor_structure(spec, spec)
+        same_twistor_structure(spec, spec, seed=0)
 
 
 def test_trace_torsion_correction_is_twistor_invisible():
@@ -243,6 +245,6 @@ def test_trace_torsion_correction_is_twistor_invisible():
     spec = chart_spec(n, entries)
     out = remove_torsion(spec)
     assert out.ok
-    cmp = same_twistor_structure(spec, out.spec)
+    cmp = same_twistor_structure(spec, out.spec, seed=0)
     assert cmp.same
     assert cmp.residual < 1e-12

@@ -54,7 +54,7 @@ def test_readers_parse_or_refuse_with_chart_errors(lines, n):
 
 
 def test_number_reader_counts_and_refuses_non_finite_values():
-    assert read_numbers(" 0.5, -1 ,2e-3") == [0.5, -1.0, 0.002]
+    assert read_numbers(" 0.5, -1 ,2e-3", count=None) == [0.5, -1.0, 0.002]
     assert read_numbers("7", 1, int) == [7]
     for text, count, kind in [("1,inf", None, float), ("nan", 1, float), ("1,2", 3, float),
                               ("1.5", 1, int), ("", None, float)]:

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projgeo"
-SETTABLE_VALUES = 50
+SETTABLE_VALUES = 26
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -32,16 +32,22 @@ def _settable_field(stmt) -> bool:
     return True
 
 
-def settable_values(root: Path) -> int:
-    total = 0
+def settable_values(root: Path) -> "list[str]":
+    """Every settable value under root, as `file:line name`."""
+    found = []
     for path in sorted(root.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                total += len(node.args.defaults)
-                total += sum(d is not None for d in node.args.kw_defaults)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                owner = getattr(node, "name", "lambda")
+                found += [f"{path.name}:{arg.lineno} {owner}.{arg.arg}" for arg in named]
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                total += sum(_settable_field(stmt) for stmt in node.body)
-    return total
+                found += [f"{path.name}:{stmt.lineno} {node.name}.{stmt.target.id}"
+                          for stmt in node.body if _settable_field(stmt)]
+    return found
 
 
 def test_counter_sees_defaults_and_fields(tmp_path):
@@ -51,8 +57,11 @@ def test_counter_sees_defaults_and_fields(tmp_path):
         "@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
         "    z: list = field(default_factory=list)\n    w: int = field(init=False)\n"
         "class B:\n    y: int = 0\n")
-    assert settable_values(tmp_path) == 4
+    assert sorted(settable_values(tmp_path)) == ["m.py:2 f.b", "m.py:2 f.c", "m.py:6 A.y",
+                                                 "m.py:7 A.z"]
 
 
 def test_no_new_settable_values():
-    assert settable_values(SRC) <= SETTABLE_VALUES
+    found = settable_values(SRC)
+    assert len(found) <= SETTABLE_VALUES, "\n".join(
+        [f"{len(found)} settable values, at most {SETTABLE_VALUES}:"] + found)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from projgeo.tensor import (SlotOutOfRange, TensorValue, VarianceMismatch,
-                            alt2, norm, swap, sym2)
+from projgeo.tensor import TensorValue, alt2, norm, sym2
 
 
 def _rand(n, variance, seed=0):
@@ -29,34 +28,21 @@ def test_variance_labels_checked():
         TensorValue(2, ("up", "sideways"), np.zeros((2, 2)))
 
 
-def test_slot_checks():
-    t = _rand(3, ("up", "down"))
-    with pytest.raises(SlotOutOfRange):
-        swap(t, 0, 2)
-    with pytest.raises(SlotOutOfRange):
-        swap(t, 1, 1)
-
-
-def test_swap_permutes_data():
-    t = _rand(3, ("down", "up", "down"), seed=2)
-    got = swap(t, 0, 2)
-    assert got.variance == ("down", "up", "down")
-    assert np.array_equal(got.data, t.data.transpose(2, 1, 0))
-    with pytest.raises(VarianceMismatch):
-        swap(t, 0, 1)
-
-
 def test_sym_alt_decompose_the_pair():
-    t = _rand(3, ("down", "down", "up"), seed=3)
-    s = sym2(t, 0, 1)
-    a = alt2(t, 0, 1)
-    assert np.allclose(s.data + a.data, t.data)
-    assert np.allclose(s.data, s.data.transpose(1, 0, 2))
-    assert np.allclose(a.data, -a.data.transpose(1, 0, 2))
-    # projections: applying twice changes nothing
-    assert np.allclose(alt2(a, 0, 1).data, a.data)
-    assert np.allclose(sym2(s, 0, 1).data, s.data)
-    assert norm(alt2(s, 0, 1)) < 1e-15
+    single = _rand(3, ("down", "down"), seed=3)
+    stack = TensorValue(3, ("down", "down"), np.random.default_rng(4).standard_normal((5, 3, 3)))
+    for t in (single, stack):
+        s = sym2(t)
+        a = alt2(t)
+        assert np.allclose(s.data + a.data, t.data)
+        assert np.allclose(s.data, np.swapaxes(s.data, -1, -2))
+        assert np.allclose(a.data, -np.swapaxes(a.data, -1, -2))
+        # projections: applying twice changes nothing
+        assert np.allclose(alt2(a).data, a.data)
+        assert np.allclose(sym2(s).data, s.data)
+        assert norm(alt2(s)) < 1e-15
+    with pytest.raises(ValueError, match="equal variance"):
+        alt2(_rand(3, ("down", "up")))
 
 
 def test_norm_is_max_abs():
