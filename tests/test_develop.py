@@ -16,7 +16,7 @@ from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix,
                              model_connection, transport_many)
 from projgeo.projective import load_alpha, parse_alpha, projective_change
 from projgeo.algebra import NotBianchi, cotton, weyl
-from projgeo.connection import curvature
+from projgeo.connection import curvature, ricci
 from projgeo.tensor import norm
 
 
@@ -109,6 +109,27 @@ def test_round_metric_develops_by_central_projection(n):
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     assert sv[-1] <= 1e-10
     assert sv[-2] >= 1e-3  # the fitted map is unique
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (2, "a 1 = 0.3*x2\na 2 = -0.2*x1 + 0.1*x1*x2\n"),
+    (3, "a 1 = 0.2*x2 - 0.1*x3\na 2 = 0.3*x1*x3\na 3 = 0.25*x1 + 0.1*x2*x2\n"),
+], ids=["n2", "n3"])
+def test_skew_ricci_chart_develops_to_affine_coordinates(n, alpha):
+    """A projective change of the flat chart by a 1-form alpha that is not
+    closed has a skew Ricci trace, so Q's skew term enters every transport
+    node. The change keeps the straight lines, and with alpha = 0 at the base
+    it keeps the developing map too: the image of t is [1 : t]."""
+    spec = projective_change(model_connection(n), parse_alpha(alpha, n))
+    x0 = np.zeros(n)
+    targets = np.random.default_rng(n).uniform(-0.4, 0.4, (6, n))
+    ric = ricci(curvature(spec.evaluate_many(targets, derivs=1))).data
+    assert np.max(np.abs(ric - np.swapaxes(ric, -1, -2))) >= 0.5
+    assert flatness_defect(spec, x0, seed=0) <= 1e-12
+    images, _ = develop_map(spec, x0, targets, flat_tol=1e-7, seed=0)
+    for target, image in zip(targets, images):
+        h = image.homogeneous
+        assert np.max(np.abs(h[1:] / h[0] - target)) <= 1e-12
 
 
 def test_projective_point_normalization():
