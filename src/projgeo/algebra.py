@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .connection import (ConnectionValue, curvature, curvature_derivative,
-                         ricci, torsion, trace2form)
+                         require_torsion_free, ricci, torsion, trace2form)
 from .expr import DomainError, refuse_where
 from .tensor import TensorValue, alt2, norm
 
@@ -38,7 +38,7 @@ __all__ = [
     "first_bianchi_residual", "bianchi_project", "WeylParts", "weyl",
     "torsion_split", "cotton", "CartanCurvature", "cartan_curvature",
     "CurvatureReport", "curvature_report",
-    "NotBianchi", "NotAntisymmetric", "HasTorsion",
+    "NotBianchi", "NotAntisymmetric",
 ]
 
 
@@ -48,10 +48,6 @@ class NotBianchi(ValueError):
 
 class NotAntisymmetric(ValueError):
     """Input is not antisymmetric in the slots the operation alternates."""
-
-
-class HasTorsion(ValueError):
-    """Operation requires a torsion-free connection."""
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,6 @@ def first_bianchi_residual(r: TensorValue) -> TensorValue:
     return TensorValue(r.n, r.variance, total)
 
 
-def _require_bianchi(r: TensorValue, tol: float, points) -> None:
-    """Raise NotBianchi when the first Bianchi cyclic sum of r exceeds `tol`
-    relative to its scale, naming the first such point of `points` (the chart
-    points of r's leading axes) when they are given."""
-    refuse_where(NotBianchi, _exceeds(first_bianchi_residual(r).data, r, tol),
-                 "first Bianchi identity fails; remove torsion first", None, points)
-
-
 def bianchi_project(r: TensorValue) -> TensorValue:
     """Equivariant projection of a curvature-variance tensor onto its fully
     alternating (Lambda^3 tensor V) branch: one third of the cyclic sum."""
@@ -183,7 +171,8 @@ def weyl(r: TensorValue, tol: float = 1e-10, points=None) -> WeylParts:
     n = r.n
     if n < 2:
         raise ValueError("projective decomposition needs dimension >= 2")
-    _require_bianchi(r, tol, points)
+    refuse_where(NotBianchi, _exceeds(first_bianchi_residual(r).data, r, tol),
+                 "first Bianchi identity fails; remove torsion first", None, points)
     ric = ricci(r)
     q = TensorValue(n, ("down", "down"), _normalized(ric.data, n))
     w = TensorValue(n, r.variance, r.data + wedge_id(q).data)
@@ -228,8 +217,7 @@ def cotton(cv: ConnectionValue, tol: float) -> TensorValue:
     HasTorsion naming the first point with torsion, and DomainError naming the
     first point whose C is not finite.
     """
-    refuse_where(HasTorsion, np.max(np.abs(torsion(cv).data), axis=(-3, -2, -1)) > tol,
-                 "cotton is defined for torsion-free connections", None, cv.point)
+    require_torsion_free(cv, tol, "cotton is defined for torsion-free connections")
     g = cv.gamma
     # the normalized Ricci Q and its coordinate derivatives d_m Q_ij
     q0 = _normalized(ricci(curvature(cv)).data, cv.n)

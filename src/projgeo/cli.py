@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import HasTorsion, NotBianchi, curvature_report
-from .connection import SingularMetric, load_chart
+from .algebra import NotBianchi, curvature_report
+from .connection import HasTorsion, SingularMetric, load_chart
 from .develop import NotFlat, StepFailure, collinearity_defect, develop_map, flatness_defect
 from .expr import DomainError
 from .projective import (check_weyl_invariance, load_alpha, projectively_equivalent,

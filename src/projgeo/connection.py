@@ -38,8 +38,9 @@ from .tensor import MAX_DIM, TensorValue
 __all__ = [
     "ConnectionSpec", "ConnectionValue", "load_chart", "parse_chart",
     "point_blocks",
-    "torsion", "curvature", "ricci", "trace2form", "curvature_derivative",
-    "second_bianchi_residual", "SingularMetric", "MissingJet", "ChartError",
+    "torsion", "require_torsion_free", "curvature", "ricci", "trace2form",
+    "curvature_derivative", "second_bianchi_residual",
+    "SingularMetric", "MissingJet", "HasTorsion", "ChartError",
 ]
 
 
@@ -49,6 +50,10 @@ class SingularMetric(ArithmeticError):
 
 class MissingJet(ValueError):
     """Operation needs a derivative level the ConnectionValue does not carry."""
+
+
+class HasTorsion(ValueError):
+    """Operation requires a torsion-free connection."""
 
 
 # Entries of the widest per-point array one block may hold, shared by every
@@ -280,6 +285,14 @@ def torsion(cv: ConnectionValue) -> TensorValue:
     """Torsion T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, variance (up, down, down);
     NaN where infinite entries cancel."""
     return TensorValue(cv.n, ("up", "down", "down"), cv.gamma - np.swapaxes(cv.gamma, -1, -2))
+
+
+def require_torsion_free(cv: ConnectionValue, tol: float, what: str) -> None:
+    """Raise HasTorsion with the message `what`, naming the first point of cv
+    whose max-abs torsion exceeds tol. NaN torsion passes, for the finiteness
+    check of the caller's result to refuse."""
+    ex.refuse_where(HasTorsion, np.max(np.abs(torsion(cv).data), axis=(-3, -2, -1)) > tol,
+                    what, None, cv.point)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -2,7 +2,9 @@
 
 A torsion-free connection induces a connection on the rank-(n+1) bundle
 whose blocks (in the line-plus-tangent splitting) are the trace adjustment,
-the normalized Ricci form Q, the identity, and Gamma itself. Its parallel
+the normalized Ricci form Q, the identity, and Gamma itself. Transport
+refuses torsion at its nodes, and takes Q from a Ricci trace read straight
+off the jets of Gamma, never forming the curvature. Its parallel
 frames along polylines come from uniform RK4 refined by doubling and
 extrapolated across the doublings, many segments at once; flat inputs (zero
 Weyl tensor, zero Cotton tensor for n = 2) then admit a developing map into
@@ -17,10 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import _normalized, _require_bianchi
-from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, curvature, point_blocks,
-                         ricci)
-from .expr import refuse_where
+from .algebra import _normalized
+from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, point_blocks,
+                         require_torsion_free)
+from .expr import DomainError, refuse_where
 
 __all__ = [
     "NotFlat", "StepFailure", "ProjectivePoint",
@@ -62,13 +64,22 @@ SEGMENT_ENTRIES = 64 * BLOCK_ENTRIES
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
     """Connection matrix of the induced bundle at each point of cv, contracted
     with the direction u, (n,) or one per point (..., n): (..., n+1, n+1) for
-    connection data stacked over (...). Q is the normalized Ricci trace; a
-    curvature that fails the first Bianchi identity raises NotBianchi naming
-    the first such point."""
+    connection data stacked over (...).
+
+    Torsion above 1e-10 raises HasTorsion naming the first such point. Q is
+    the normalized Ricci trace, read straight from the jets,
+    r_ij = d_i Gamma^k_kj - d_k Gamma^k_ij + Gamma^k_im Gamma^m_kj - Gamma^k_km Gamma^m_ij,
+    without forming the curvature; a Ricci trace that is not finite raises
+    DomainError naming the first such point.
+    """
     n = cv.n
-    r = curvature(cv)
-    _require_bianchi(r, 1e-10, cv.point)
-    q = _normalized(ricci(r).data, n)
+    require_torsion_free(cv, 1e-10, "Cartan transport expects a torsion-free connection")
+    g, dg = cv.gamma, cv.dgamma
+    ric = (np.einsum("...ikkj->...ij", dg) - np.einsum("...kkij->...ij", dg)
+           + np.einsum("...kim,...mkj->...ij", g, g) - np.einsum("...kkm,...mij->...ij", g, g))
+    refuse_where(DomainError, ~np.isfinite(ric).all(axis=(-2, -1)), "Ricci trace is not finite",
+                 None, cv.point)
+    q = _normalized(ric, n)
     au = np.einsum("...i,...i->...", np.einsum("...kki->...i", cv.gamma), u) / -(n + 1)
     out = np.empty(cv.gamma.shape[:-3] + (n + 1, n + 1))
     out[..., 0, 0] = au

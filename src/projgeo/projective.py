@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .algebra import cotton, torsion_split, weyl
 from .connection import (ConnectionSpec, ConnectionValue, _add_projective_term, curvature,
-                         point_blocks, torsion)
+                         point_blocks, require_torsion_free, torsion)
 from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
 from .tensor import OddDimension, norm
 from .twistor import mild_complex_structure, vertical_motion
@@ -107,9 +107,11 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
                           points, tol: float) -> WeylInvariance:
     """Max difference of W (and of C when n = 2) between spec and its alpha-change.
 
-    The chart is evaluated once per block of points. The changed connection
-    is a copy of those levels plus alpha's projective term, which is what
-    evaluating projective_change(spec, alpha) adds to them; alpha's
+    W and C are projective invariants of torsion-free connections, so
+    torsion above tol raises HasTorsion naming the first such point (alpha
+    adds none). The chart is evaluated once per block of points. The changed
+    connection is a copy of those levels plus alpha's projective term, which
+    is what evaluating projective_change(spec, alpha) adds to them; alpha's
     expressions run on a tape of their own.
     """
     n = spec.n
@@ -121,6 +123,8 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
     worst_c: float | None = 0.0 if n == 2 else None
     for block in point_blocks(points, n ** (3 + derivs)):
         cv_a = spec.evaluate_many(block, derivs=derivs)
+        require_torsion_free(cv_a, tol, "projective invariance test expects a torsion-free "
+                             "connection")
         levels = [a.copy() for a in (cv_a.gamma, cv_a.dgamma, cv_a.ddgamma)[:derivs + 1]]
         _add_projective_term(levels, alpha_tape.run(block, derivs))
         cv_b = ConnectionValue(n, cv_a.point, *levels)

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import ConnectionSpec, ConnectionValue, torsion
+from .connection import ConnectionSpec, ConnectionValue, require_torsion_free
 from .expr import DomainError, refuse_where
-from .tensor import OddDimension, norm
+from .tensor import OddDimension
 
 __all__ = [
     "NotAlmostComplex", "OddDimension", "TwistorPoint", "TwistorChart",
@@ -249,13 +249,10 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
     So a sample makes two structure builds. A tensor that is not finite
     raises DomainError naming the point.
     """
-    from .algebra import HasTorsion
-
     n = tp.x.size
     cv = spec.evaluate_many(tp.x[None], derivs=1)
+    require_torsion_free(cv, 1e-10, "integrability test expects a torsion-free connection")
     value = ConnectionValue(n, tp.x, cv.gamma[0])
-    refuse_where(HasTorsion, norm(torsion(value)) > 1e-10,
-                 "integrability test expects a torsion-free connection", None, tp.x)
     chart = TwistorChart(tp)
     stack = np.concatenate([cv.gamma, cv.dgamma[0], np.zeros((1, n, n, n))])
     built = acs_field_matrix(ConnectionValue(n, tp.x, stack), chart,

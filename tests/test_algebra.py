@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
-from projgeo.algebra import (AlgebraElement, HasTorsion, NotAntisymmetric,
+from projgeo.algebra import (AlgebraElement, NotAntisymmetric,
                              NotBianchi, bianchi_project, bracket,
                              cartan_curvature, cotton, curvature_report,
                              first_bianchi_residual, three_form_split,
                              torsion_split, wedge_id, wedge_id3, weyl)
-from projgeo.connection import curvature, load_chart, ricci, torsion
+from projgeo.connection import HasTorsion, curvature, load_chart, ricci
 from projgeo.reps import _curvature_pieces, _lie_action, j0_census
 from projgeo.tensor import TensorValue, alt2, norm, sym2
 

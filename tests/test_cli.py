@@ -361,11 +361,27 @@ MALFORMED = {
     "weyl-overflow-develop": (["develop", "{tmp}/a.chart", "--base", "0.1,0.2,0.3",
                                "--targets", "{tmp}/t.txt"],
                               {"a.chart": OVERFLOW_WEYL, "t.txt": b"0.2,0.2,0.2\n"}, "at x = ("),
+    # the torsion x1 vanishes at the base; the first loop node off x1 = 0 is named
     "torsion-develop": (["develop", "{tmp}/a.chart", "--base", "0,0,0",
                          "--targets", "{tmp}/t.txt"],
                         {"a.chart": b"dim = 3\n[christoffel]\nG 1 2 3 = x1\n",
                          "t.txt": b"0.1,0.1,0.1\n"},
-                        "first Bianchi identity fails"),
+                        "Cartan transport expects a torsion-free connection at x = (0.1, 0, -0.2)"),
+    # constant torsion passes the first Bianchi identity, so only a torsion check sees it
+    "constant-torsion-develop": (["develop", "{tmp}/a.chart", "--base", "0,0,0",
+                                  "--targets", "{tmp}/t.txt"],
+                                 {"a.chart": b"dim = 3\n[christoffel]\nG 1 2 3 = 1e-6\n",
+                                  "t.txt": b"0.1,0.1,0.1\n"},
+                                 "Cartan transport expects a torsion-free connection "
+                                 "at x = (0, 0, 0)"),
+    "constant-torsion-invariance": (["invariance", "{tmp}/a.chart", "--alpha", "{tmp}/zero.alpha"],
+                                    {"a.chart": b"dim = 3\n[christoffel]\nG 1 2 3 = 1e-6\n",
+                                     "zero.alpha": b"dim = 3\n"},
+                                    "projective invariance test expects a torsion-free connection "
+                                    "at x = (0.109569349857, -0.184170628989, -0.367221180851)"),
+    "torsion3-develop": (["develop", str(chart_path("torsion3.chart")), "--base", "0,0,0",
+                          "--targets", str(chart_path("targets3.txt"))], {},
+                         "Cartan transport expects a torsion-free connection at x = (0, 0, 0)"),
     "analyze-samples": (["analyze", str(chart_path("sphere3.chart")), "--point", "0.1,0.2,0.3",
                          "--samples", "999"], {}, "unrecognized arguments: --samples 999"),
     "analyze-seed": (["analyze", str(chart_path("sphere3.chart")), "--point", "0.1,0.2,0.3",
@@ -413,7 +429,8 @@ MALFORMED = {
         ["invariance", "{tmp}/a.chart", "--alpha", "{tmp}/a.alpha"],
         {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 2 = x2 + sqrt(x2^2)\n",
          "a.alpha": b"a 1 = 0.1\na 2 = 0\n"},
-        "cotton is defined for torsion-free connections at x = (0.25061619136, 0.330204461822)"),
+        "projective invariance test expects a torsion-free connection "
+        "at x = (0.25061619136, 0.330204461822)"),
     # every segment frame is finite, but two loop holonomies, their products, are not
     "path-frame-overflow-develop": (
         ["develop", "{tmp}/a.chart", "--base", "0.118,0.184,0.1,-0.165",

@@ -126,6 +126,11 @@ GAMMA_DIFFERENCE_OVERFLOW = (
     ["equivalent", "{tmp}/a.chart", "{tmp}/a.chart"],
     {"a.chart": "dim = 2\n[metric]\ng 1 1 = 1e308 * x1 + 1e300\ng 2 2 = 1e300\n"})
 
+# constant torsion: the first Bianchi identity holds, and develop refuses it
+CONSTANT_TORSION = (
+    ["develop", "{tmp}/a.chart", "--base=0,0,0", "--targets", "{tmp}/t.txt"],
+    {"a.chart": "dim = 3\n[christoffel]\nG 1 2 3 = 1e-6\n", "t.txt": "0.1,0.1,0.1\n"})
+
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(runs())
@@ -133,6 +138,7 @@ GAMMA_DIFFERENCE_OVERFLOW = (
 @example(PATH_FRAME_INFINITY)
 @example(RICCI_OVERFLOW)
 @example(GAMMA_DIFFERENCE_OVERFLOW)
+@example(CONSTANT_TORSION)
 def test_hostile_charts_end_in_a_report_or_one_error_line(run):
     argv, files = run
     out, err = io.StringIO(), io.StringIO()

@@ -15,8 +15,8 @@ from projgeo.develop import (NotFlat, ProjectivePoint, StepFailure, _hat_matrix,
                              flatness_defect, geodesic_trace, holonomy_loops,
                              model_connection, transport_many)
 from projgeo.projective import load_alpha, parse_alpha, projective_change
-from projgeo.algebra import NotBianchi, cotton, weyl
-from projgeo.connection import curvature, ricci
+from projgeo.algebra import cotton, weyl
+from projgeo.connection import HasTorsion, curvature, ricci
 from projgeo.tensor import norm
 
 
@@ -196,7 +196,7 @@ def test_unreachable_tolerance_fails_loudly(monkeypatch):
 
 def test_torsion_is_refused_at_the_first_failing_node():
     spec = chart_spec(3, {(0, 1, 2): "x1"})
-    with pytest.raises(NotBianchi, match=r"Bianchi identity fails.* at x = \(0\.1, 0\.2, 0\.3\)"):
+    with pytest.raises(HasTorsion, match=r"torsion-free connection at x = \(0\.1, 0\.2, 0\.3\)$"):
         cartan_transport(spec, [[0.1, 0.2, 0.3], [0.2, 0.2, 0.3]])
 
 

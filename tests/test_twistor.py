@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg import expm, expm_frechet
 
 from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
-from projgeo.algebra import HasTorsion, weyl
-from projgeo.connection import ConnectionSpec, ConnectionValue, curvature, load_chart, parse_chart
+from projgeo.algebra import weyl
+from projgeo.connection import (ConnectionSpec, ConnectionValue, HasTorsion, curvature, load_chart,
+                                parse_chart)
 from projgeo.expr import DomainError
 from projgeo.projective import projective_change
 import projgeo.twistor as twistor
