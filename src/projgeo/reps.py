@@ -7,10 +7,9 @@ irreducible with the defining representation V splits with multiplicity
 one, the components being indexed by the dominant sums of the highest weight
 with the weights of V. Dimensions come from the classical product formula.
 The census reads the standard complex structure's eigenvalues on each
-component as traces of its equivariant projector over the eigenspaces of one
-eigendecomposition. The projectors are those of
-projgeo.algebra (torsion_split, bianchi_project, weyl, wedge_id), the ones the
-verdicts use, so the census is also an equivariance and dimension check on them.
+component from its character: j0 is diagonal with entries +-i in a complex
+basis, so the multiplicity of ik is a count of semistandard tableaux by
+content (the Schur polynomial of the component's partition).
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import bianchi_project, torsion_split, wedge_id, weyl
-from .connection import point_blocks, trace2form
-from .tensor import OddDimension, TensorValue, alt2, sym2
-from .twistor import standard_complex_structure
+from .tensor import OddDimension
 
 __all__ = [
     "NotDominant", "WeightVector", "IrrepComponent",
@@ -141,57 +135,36 @@ class IrrepComponent:
     spectrum: "dict[int, int]"  # imaginary part k -> multiplicity of eigenvalue ik
 
 
-def _antisymmetric_basis(n: int, rank: int) -> np.ndarray:
-    """Orthonormal basis of the rank-`rank` tensors antisymmetric in their last
-    two slots, as flattened rows; the leading slots vary slowest."""
-    i, j = np.triu_indices(n, 1)
-    pairs = np.zeros((i.size, n, n))
-    pairs[np.arange(i.size), i, j] = 1.0 / np.sqrt(2.0)
-    pairs[np.arange(i.size), j, i] = -1.0 / np.sqrt(2.0)
-    return np.kron(np.eye(n ** (rank - 2)), pairs.reshape(i.size, n * n))
+def _tableau_spectrum(hw: WeightVector, n: int) -> "dict[int, int]":
+    """Multiplicity of each eigenvalue ik of j0 (i on the first n/2 coordinates,
+    -i on the rest) on the irreducible of highest weight hw: the semistandard
+    tableaux of shape lambda_a = sum of m_k for k >= a, entries 1..n, counted by
+    (#entries <= n/2) - (#entries > n/2). Cells fill row by row, rows weakly
+    increasing and columns strictly increasing (Fulton-Harris, section 15.3)."""
+    rows = [sum(hw.coeffs[a:]) for a in range(n - 1)]
+    cells = [(r, c) for r, length in enumerate(rows) for c in range(length)]
+    grid = [[0] * length for length in rows]
+    counts: "dict[int, int]" = {}
 
+    def fill(index: int, k: int) -> None:
+        if index == len(cells):
+            counts[k] = counts.get(k, 0) + 1
+            return
+        r, c = cells[index]
+        low = max(grid[r][c - 1] if c else 1, grid[r - 1][c] + 1 if r else 1)
+        for entry in range(low, n + 1):
+            grid[r][c] = entry
+            fill(index + 1, k + (1 if 2 * entry <= n else -1))
 
-def _curvature_pieces(a: TensorValue) -> "list[TensorValue]":
-    """The alternating branch (trace-free, trace), then W and the symmetric and
-    skew [Q ^ Id] parts of the Bianchi branch."""
-    n = a.n
-    lam3 = bianchi_project(a)
-    # Id (x) omega: its alternating projection has trace 2-form (n-2)/3 omega
-    embedded = np.einsum("lk,...ij->...lkij", np.eye(n), trace2form(lam3).data)
-    trace = bianchi_project(TensorValue(n, a.variance, embedded)).data * (3.0 / (n - 2))
-    w, q, _ = weyl(TensorValue(n, a.variance, a.data - lam3.data))
-    return [TensorValue(n, a.variance, data) for data in
-            (lam3.data - trace, trace, w.data, -wedge_id(sym2(q)).data, -wedge_id(alt2(q)).data)]
-
-
-def _lie_action(x: np.ndarray, a: TensorValue) -> TensorValue:
-    """The action of x in gl(n) on a stack of tensors with one up slot, then down slots."""
-    d = a.data
-    out = np.einsum("lm,bm...->bl...", x, d)
-    for axis in range(2, d.ndim):
-        out -= np.moveaxis(np.moveaxis(d, axis, -1) @ x, -1, axis)
-    return TensorValue(a.n, a.variance, out)
-
-
-def _require_near(values: np.ndarray, nearest: np.ndarray, what: str) -> None:
-    """Refuse when a census value lies more than 1e-8 from the integer it stands for."""
-    far = np.abs(values - nearest) > 1e-8
-    if far.any():
-        raise ValueError(f"{what} {values[far][0]:.12g} is not within 1e-8 of {nearest[far][0]:g}")
+    fill(0, 0)
+    return counts
 
 
 def j0_census(space: str, n: int) -> "list[IrrepComponent]":
     """Eigenvalues of the standard complex structure on each component.
 
-    j0 acts on an orthonormal tensor basis by a skew matrix A, so one real
-    eigh of A^T A splits the space into the real spans of the +-ik
-    eigenspaces, with eigenvalue k^2. Each component's projector P is an
-    equivariant idempotent, so it preserves those spans, and the sum of
-    <v, P v> over one span's eigenvectors, halved for k > 0, is the
-    multiplicity of ik on the component. P runs once per block of eigenvector
-    rows. An eigenvalue of A^T A or a multiplicity more than 1e-8 from an
-    integer is refused. Labels come positionally from the decomposition lists;
-    each component's whole trace is checked against the dimension formula.
+    Labels come positionally from the decomposition lists, each spectrum from
+    a tableau count, whose total is checked against the dimension formula.
     """
     if n % 2 != 0:
         raise OddDimension("the census pairs coordinates into 2-planes")
@@ -199,43 +172,17 @@ def j0_census(space: str, n: int) -> "list[IrrepComponent]":
         raise ValueError(
             "census supports n = 4 and 6; the generic component lists collapse at n = 2")
     if space == "torsion":
-        rank, pieces, labels = 3, torsion_split, torsion_component_weights(n)
+        labels = torsion_component_weights(n)
     elif space == "curvature":
-        rank, pieces, labels = 4, _curvature_pieces, curvature_component_weights(n)
+        labels = curvature_component_weights(n)
     else:
         raise ValueError(f"space must be 'torsion' or 'curvature', got {space!r}")
 
-    basis = _antisymmetric_basis(n, rank)
-    variance, shape = ("up",) + ("down",) * (rank - 1), (-1,) + (n,) * rank
-    j0 = standard_complex_structure(n)
-    # row i holds the image of basis row i in basis coordinates: the rows form A^T
-    images = np.concatenate([
-        _lie_action(j0, TensorValue(n, variance, b.reshape(shape))).data.reshape(len(b), -1)
-        @ basis.T for b in point_blocks(basis, n ** rank)])
-    squares, vectors = np.linalg.eigh(images @ images.T)
-    ks = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
-    _require_near(squares, ks ** 2, "eigenvalue of A^T A")
-
-    traces = []  # <v, P v> for each piece P and eigenvector v
-    for block in point_blocks(vectors.T, n ** rank):
-        rows = block @ basis
-        traces.append([np.sum(rows * p.data.reshape(len(rows), -1), axis=1)
-                       for p in pieces(TensorValue(n, variance, rows.reshape(shape)))])
-    traces = np.concatenate(traces, axis=1)
-    sums = np.array([np.bincount(ks, weights=t) for t in traces])
-    sums[:, 1:] /= 2  # the eigenspace of k > 0 carries both +ik and -ik
-    mults = np.rint(sums).astype(int)
-    _require_near(sums, mults, "census multiplicity")
-
     out = []
-    for label, trace, mult in zip(labels, traces, mults):
-        d = int(np.rint(trace.sum()))
-        expected = weyl_dim(label, n)
+    for label in labels:
+        spectrum = _tableau_spectrum(label, n)
+        d, expected = sum(spectrum.values()), weyl_dim(label, n)
         if d != expected:
-            raise ValueError(
-                f"projector image for {label} has dimension {d}, expected {expected}")
-        spectrum = {sign * k: int(m) for k, m in enumerate(mult) if m for sign in (-1, 1)}
-        if sum(spectrum.values()) != d:
-            raise ValueError(f"census multiplicities for {label} do not add to {d}")
+            raise ValueError(f"tableau count for {label} is {d}, expected {expected}")
         out.append(IrrepComponent(label, d, dict(sorted(spectrum.items()))))
     return out

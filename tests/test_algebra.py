@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from census_reference import _curvature_pieces, _lie_action
 from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
 from projgeo.algebra import (AlgebraElement, NotAntisymmetric,
                              NotBianchi, bianchi_project, bracket,
@@ -14,7 +15,7 @@ from projgeo.algebra import (AlgebraElement, NotAntisymmetric,
                              first_bianchi_residual, three_form_split,
                              torsion_split, wedge_id, wedge_id3, weyl)
 from projgeo.connection import HasTorsion, curvature, load_chart, ricci
-from projgeo.reps import _curvature_pieces, _lie_action, j0_census
+from projgeo.reps import j0_census
 from projgeo.tensor import TensorValue, alt2, norm, sym2
 
 
@@ -283,13 +284,12 @@ def test_census_pieces_are_complementary_equivariant_projectors(n, rank):
 
 
 def test_curvature_census_memory_is_bounded():
-    # the n = 6 curvature census sets the twistor workload's memory high-water
-    # mark: the basis, the 540 x 540 action and its eigenvectors, about 12 MiB
-    # in all, with the pieces applied to one block of eigenvector rows at a time
+    # the n = 6 curvature census counts tableaux one cell at a time: its peak
+    # is the recursion and the count dictionaries, about 15 KiB
     tracemalloc.start()
     try:
         j0_census("curvature", 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 2**20
+    assert peak <= 256 * 2**10

@@ -1,8 +1,12 @@
 """Weight combinatorics, dimension counts and the eigenvalue census."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import census_reference
+from census_reference import _antisymmetric_basis, _curvature_pieces, _lie_action, projector_census
 from projgeo import reps
 from projgeo.algebra import torsion_split
 from projgeo.connection import point_blocks
@@ -162,10 +166,10 @@ def _reference_census(space, n):
     if space == "torsion":
         rank, pieces, labels = 3, torsion_split, torsion_component_weights(n)
     else:
-        rank, pieces, labels = 4, reps._curvature_pieces, curvature_component_weights(n)
-    basis = reps._antisymmetric_basis(n, rank)
+        rank, pieces, labels = 4, _curvature_pieces, curvature_component_weights(n)
+    basis = _antisymmetric_basis(n, rank)
     j0 = standard_complex_structure(n)
-    action = _reference_matrix_of(lambda a: reps._lie_action(j0, a), basis, n, rank)
+    action = _reference_matrix_of(lambda a: _lie_action(j0, a), basis, n, rank)
     out = []
     for index, label in enumerate(labels):
         cols = _reference_matrix_of(lambda a: pieces(a)[index], basis, n, rank)
@@ -189,18 +193,51 @@ def test_census_matches_the_rank_defect_reference(space, n):
     assert got == _reference_census(space, n)
 
 
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("space", ["torsion", "curvature"])
+def test_projector_census_matches_the_tableau_count(space, n):
+    assert projector_census(space, n) == j0_census(space, n)
+
+
 def test_census_refuses_a_piece_that_is_not_idempotent(monkeypatch):
     def doubled_trace_free(t):
         t1, t2 = torsion_split(t)
         return TensorValue(t.n, t.variance, 2.0 * t1.data), t2
 
-    monkeypatch.setattr(reps, "torsion_split", doubled_trace_free)
+    monkeypatch.setattr(census_reference, "torsion_split", doubled_trace_free)
     with pytest.raises(ValueError, match="dimension 40, expected 20"):
-        j0_census("torsion", 4)
+        projector_census("torsion", 4)
 
 
 def test_census_refuses_a_structure_whose_square_is_not_minus_one(monkeypatch):
-    monkeypatch.setattr(reps, "standard_complex_structure",
+    monkeypatch.setattr(census_reference, "standard_complex_structure",
                         lambda n: 1.5 * standard_complex_structure(n))
     with pytest.raises(ValueError, match="eigenvalue of A\\^T A"):
+        projector_census("torsion", 4)
+
+
+def test_census_refuses_a_tableau_count_off_the_dimension_formula(monkeypatch):
+    monkeypatch.setattr(reps, "weyl_dim", lambda hw, n: weyl_dim(hw, n) + 1)
+    with pytest.raises(ValueError, match="tableau count for w1\\+w2 is 20, expected 21"):
         j0_census("torsion", 4)
+
+
+def _dominant_weights(n, size):
+    """Every dominant weight of sl(n) whose partition has at most `size` cells."""
+    for coeffs in itertools.product(range(size + 1), repeat=n - 1):
+        if sum(a * m for a, m in enumerate(coeffs, start=1)) <= size:
+            yield WeightVector(coeffs)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_tableau_spectra_are_symmetric_complete_and_graded(n):
+    weights = list(_dominant_weights(n, 4))
+    # the partitions of 0..4 into at most n - 1 rows: (1, 1, 1, 1) needs n > 4
+    assert len(weights) == (11 if n == 4 else 12)
+    for hw in weights:
+        cells = sum(a * m for a, m in enumerate(hw.coeffs, start=1))
+        spectrum = reps._tableau_spectrum(hw, n)
+        assert sum(spectrum.values()) == weyl_dim(hw, n)
+        for k, mult in spectrum.items():
+            assert spectrum.get(-k) == mult
+            assert (k - cells) % 2 == 0 and abs(k) <= cells
