@@ -11,9 +11,13 @@ integrability. J is affine in Gamma, so its partials along the base come
 from the partials of Gamma; it is analytic in the fibre coordinates, so its
 partials along the fibre come from a complex step, exact to rounding.
 
-scipy supplies `expm`, the matrix exponential of the exp fibre chart, and is
-imported on first use, so the rest of projgeo starts without it. The Frechet
-derivative of exp is a block of one exponential of a doubled matrix.
+The exp fibre chart needs the matrix exponential and its Frechet derivative,
+a block of one exponential of a doubled matrix. At the fibre points the
+Nijenhuis tensor visits, m = 0 and the complex steps m = i eps e_a, the series
+cut after its linear term is exact to rounding (see LINEAR_RE_NORM), so those
+take I + a and e + (a e + e a)/2. scipy's `expm` is reached only off the
+anchor, for a slice of larger norm, and is imported on that first use, so no
+subcommand loads it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ ACS_SQUARE_TOL = 1e-12
 # The complex step along the fibre: J(i eps e_a) = J + i eps d_a J + O(eps^2),
 # and no difference is taken, so any eps far below rounding gives d_a J exactly.
 COMPLEX_STEP = 1e-30
+# A matrix a with |Re a|_1 <= LINEAR_RE_NORM and |Im a|_1 <= LINEAR_IM_NORM
+# (max column sums) has exp(a) = I + a and D exp(a)[e] = e + (a e + e a)/2 to
+# rounding. The dropped terms are at most |a|^2 e^|a| / 2 < 2^-54 (times |e|
+# for the derivative), below half an ulp of I; the Re a Im a cross terms are at
+# most 2^-53 |Im a|, so the imaginary part, a complex step's derivative, keeps
+# its own relative precision. NaN and inf fail both tests.
+LINEAR_RE_NORM = 2.0 ** -53
+LINEAR_IM_NORM = 2.0 ** -27
 
 
 class NotAlmostComplex(ValueError):
@@ -151,22 +163,49 @@ class TwistorChart:
         return np.einsum("...a,aij->...ij", m_coords, self.basis)
 
 
+def _series_is_linear(a: np.ndarray) -> np.ndarray:
+    """Per slice of a (..., n, n): is exp(a) its linear term to rounding?"""
+    return ((np.abs(a.real).sum(axis=-2).max(axis=-1) <= LINEAR_RE_NORM)
+            & (np.abs(a.imag).sum(axis=-2).max(axis=-1) <= LINEAR_IM_NORM))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a stack a (..., n, n): I + a on the slices that pass
+    _series_is_linear, scipy's expm on the rest."""
+    out = np.eye(a.shape[-1]) + a
+    rest = ~_series_is_linear(a)
+    if rest.any():
+        from scipy.linalg import expm
+        out[rest] = expm(a[rest])
+    return out
+
+
 def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The Frechet derivative of the matrix exponential at a along e.
 
-    It is the upper-right block of exp([[a, e], [0, a]]) (Van Loan, IEEE TAC
-    23 (1978) 395; Mathias, SIAM J. Matrix Anal. Appl. 17 (1996) 610), taken
-    here from one scipy `expm` of that 2n x 2n matrix. a may carry leading
-    axes, against which e (n, n) broadcasts; scipy's expm takes each slice of
-    the stack as it would alone.
+    a may carry leading axes, against which e (n, n) broadcasts, and each
+    slice of a is taken as it would be alone. A slice within LINEAR_RE_NORM
+    and LINEAR_IM_NORM gets e + (a e + e a)/2, the series cut after its
+    linear term, whose error is below half an ulp of |e| and, in the
+    imaginary part, 2^-53 relative to that part's size. Any other slice gets
+    the upper-right block of exp([[a, e], [0, a]]) (Van Loan, IEEE TAC 23
+    (1978) 395; Mathias, SIAM J. Matrix Anal. Appl. 17 (1996) 610), from one
+    scipy `expm` of that 2n x 2n matrix.
     """
-    from scipy.linalg import expm
-
-    n = a.shape[-1]
-    big = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a, e))
-    big[..., :n, :n] = big[..., n:, n:] = a
-    big[..., :n, n:] = e
-    return expm(big)[..., :n, n:]
+    linear = _series_is_linear(a)
+    # the other slices are zeroed first, so that inf there raises no warning
+    cut = np.where(linear[..., None, None], a, 0.0)
+    out = e + 0.5 * (cut @ e + e @ cut)
+    rest = ~linear
+    if rest.any():
+        from scipy.linalg import expm
+        n = a.shape[-1]
+        a = a[rest]
+        big = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a, e))
+        big[..., :n, :n] = big[..., n:, n:] = a
+        big[..., :n, n:] = e
+        out[rest] = expm(big)[..., :n, n:]
+    return out
 
 
 def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -190,9 +229,9 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
 
     Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
-    exponential (a block of one doubled exponential, see expm_frechet)
-    supplying the chart-to-intrinsic conversion, and its left inverse
-    (P^T P)^-1 P^T converting back after j acts. Gamma at cv.point, and
+    exponential (see expm_frechet) supplying the chart-to-intrinsic
+    conversion, and its left inverse (P^T P)^-1 P^T converting back after j
+    acts. Gamma at cv.point, and
     nothing else of the connection, enters: only the horizontal-to-vertical
     block, through vertical_motion, linearly. m_coords (..., n^2/2) may carry
     leading axes, a stack of fibre points, and cv.gamma (..., n, n, n) a stack
@@ -203,15 +242,16 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
     vertical ones by left multiplication by j. m may be complex: no step
     conjugates, so J stays analytic in m. A fibre point or fibre chart
     derivative that overflows anywhere in the stack raises DomainError naming
-    cv.point.
+    cv.point. Fibre points whose 2m is within LINEAR_RE_NORM and
+    LINEAR_IM_NORM, among them m = 0 and the complex steps, take the
+    exponential and its derivative from the series cut after its linear term,
+    exact to rounding; scipy's expm is reached only off the anchor.
     """
-    from scipy.linalg import expm
-
     n, d = chart.n, chart.fibre_dim
     j0 = chart.anchor.j
     m = chart.fibre_matrix(m_coords)
     fibre_lead = m.shape[:-2]
-    e2m = expm(2.0 * m)
+    e2m = _expm(2.0 * m)
     # jdot matrices of the fibre coordinate directions, flattened into the
     # rows of P^T (..., d, n*n), and the inverse map
     push = np.stack([expm_frechet(2.0 * m, 2.0 * b) @ j0 for b in chart.basis], axis=-3)

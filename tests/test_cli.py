@@ -503,12 +503,14 @@ print(json.dumps(seen))
 """
 
 
-def test_only_twistor_loads_scipy(tmp_path):
-    """scipy costs every start that loads it; only the exp fibre chart needs it."""
+def test_no_subcommand_loads_scipy(tmp_path):
+    """scipy costs every start that loads it; twistor builds its structures at
+    m = 0 and at the complex steps, where the exp fibre chart takes the series
+    cut after its linear term, so scipy stays unloaded there too."""
     seen = run_fresh_python(COLD_START, CHARTS, tmp_path)
     assert seen == {"import": {"codes": [], "scipy": False},
                     "jet commands": {"codes": [0, 0, 0, 0, 0], "scipy": False},
-                    "twistor": {"codes": [0], "scipy": True}}
+                    "twistor": {"codes": [0], "scipy": False}}
 
 
 BARE_IMPORT = """

@@ -115,11 +115,12 @@ def test_structure_matrix_broadcasts_over_a_gamma_stack():
     assert np.max(np.abs(mixed - built[0] - 3.0 * (built[2] - built[5]))) <= 1e-13
 
 
-@pytest.mark.parametrize("size", [200.0, 1000.0])
+@pytest.mark.parametrize("size", [200.0, 1000.0, np.inf, np.nan, complex(0.0, np.nan)])
 def test_large_fibre_coordinates_are_refused_naming_the_point(size):
     """At 1000 the fibre point overflows; at 200 it is finite, but its chart
-    derivative is not. One such row in a stack of fibre points refuses the
-    whole stack."""
+    derivative is not. Infinite and NaN coordinates fail the linear-series
+    size test and are refused the same way. One such row in a stack of fibre
+    points refuses the whole stack."""
     spec = load_chart(chart_path("witness4.chart"))
     tp = sample_twistor_points(4, 1, np.random.default_rng(66))[0]
     cv = spec.evaluate(tp.x, derivs=0)
@@ -227,6 +228,75 @@ def test_frechet_kernel_matches_scipys(n, size):
     e = 2.0 * b / np.linalg.norm(b)
     ref = expm_frechet(a, e, compute_expm=False)
     assert np.max(np.abs(twistor.expm_frechet(a, e) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _one_norm(m):
+    return np.max(np.abs(m).sum(axis=0))
+
+
+def _small_arguments(n):
+    """Arguments about the linear-series thresholds: the name, a, and whether
+    the series cut after its linear term is taken."""
+    rng = np.random.default_rng(78)
+    r, b = rng.standard_normal((2, n, n))
+    re, im = twistor.LINEAR_RE_NORM / _one_norm(r), twistor.LINEAR_IM_NORM / _one_norm(b)
+    return [("zero", np.zeros((n, n)), True),
+            ("complex step", 1j * COMPLEX_STEP * b, True),
+            ("real inside", 0.999 * re * r, True),
+            ("real outside", 1.001 * re * r, False),
+            ("imaginary inside", 0.999j * im * b, True),
+            ("imaginary outside", 1.001j * im * b, False),
+            ("real part and a complex step", 1e-8 * r + 1j * COMPLEX_STEP * b, False)]
+
+
+def _close(got, ref, tol):
+    return np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.fixture
+def scipy_expm_calls(monkeypatch):
+    """Counts the calls that reach scipy's expm."""
+    import scipy.linalg
+    calls = []
+    scipy_expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return scipy_expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("complex_e", [False, True])
+def test_frechet_kernel_takes_the_linear_series_only_where_exact(scipy_expm_calls, n,
+                                                                  complex_e):
+    """About the thresholds, against scipy's expm_frechet: within 1e-13, and
+    the imaginary part, the complex step's derivative, within 1e-15 of its own
+    size. Only arguments outside the thresholds reach scipy's expm."""
+    rng = np.random.default_rng(79)
+    e = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_e else 0.0)
+    for name, a, linear in _small_arguments(n):
+        scipy_expm_calls.clear()
+        got = twistor.expm_frechet(a, e)
+        assert (scipy_expm_calls == []) == linear, name
+        ref = expm_frechet(a, e, compute_expm=False)
+        assert _close(got, ref, 1e-13), name
+        assert _close(got.imag, ref.imag, 1e-15), name
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_exponential_takes_the_linear_series_only_where_exact(scipy_expm_calls, n):
+    """The fibre point's exponential about the same thresholds, against
+    scipy's expm, with the same tolerances."""
+    for name, a, linear in _small_arguments(n):
+        scipy_expm_calls.clear()
+        got = twistor._expm(a)
+        assert (scipy_expm_calls == []) == linear, name
+        ref = expm(a)
+        assert _close(got, ref, 1e-13), name
+        assert _close(got.imag, ref.imag, 1e-15), name
 
 
 def _origin4():
