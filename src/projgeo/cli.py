@@ -210,8 +210,7 @@ def _run_twistor(args: argparse.Namespace) -> tuple[dict, bool]:
                              np.random.default_rng(args.seed + 1))
     reports = []
     obstructed = False
-    for tp in tps:
-        residual = nijenhuis(spec, tp, pairs)
+    for tp, residual in zip(tps, nijenhuis(spec, tps, pairs).tolist()):
         verdict = integrability_verdict(residual)
         obstructed = obstructed or verdict == "obstruction detected"
         reports.append({

@@ -10,6 +10,9 @@ bundle and the exact partials of J at the chart's anchor, measures
 integrability. J is affine in Gamma, so its partials along the base come
 from the partials of Gamma; it is analytic in the fibre coordinates, so its
 partials along the fibre come from a complex step, exact to rounding.
+`nijenhuis` takes a job's samples together: Gamma and its partials come from
+one evaluation per block of their base points, and `nijenhuis_tensor` builds
+each sample's tensor from its row.
 
 The exp fibre chart needs the matrix exponential and its Frechet derivative,
 a block of one exponential of a doubled matrix. At the fibre points the
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import ConnectionSpec, ConnectionValue, require_torsion_free
+from .connection import ConnectionSpec, ConnectionValue, point_blocks, require_torsion_free
 from .expr import DomainError, refuse_where
 from .tensor import OddDimension
 
@@ -274,12 +277,13 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
+def nijenhuis_tensor(cv: ConnectionValue, tp: TwistorPoint) -> np.ndarray:
     """N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i),
     as an array [k, i, j] over the (x, m) chart anchored at tp, at its anchor.
 
-    The chart is evaluated once, for Gamma and its first partials at tp.x,
-    which also gives the torsion check. The partials of J are exact:
+    cv holds Gamma (n, n, n) and its first partials (n, n, n, n) at tp.x, as
+    one row of `ConnectionSpec.evaluate_many(..., derivs=1)`; nothing is
+    evaluated here, and the caller checks torsion. The partials of J are exact:
     - along x_l: J is affine in Gamma at fixed m, so d_l J is the structure
       built from d_l Gamma less the one built from Gamma = 0; one
       acs_field_matrix call builds J, those and the zero structure together
@@ -289,16 +293,15 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
     So a sample makes two structure builds. A tensor that is not finite
     raises DomainError naming the point.
     """
+    cv.require(1)
     n = tp.x.size
-    cv = spec.evaluate_many(tp.x[None], derivs=1)
-    require_torsion_free(cv, 1e-10, "integrability test expects a torsion-free connection")
-    value = ConnectionValue(n, tp.x, cv.gamma[0])
     chart = TwistorChart(tp)
-    stack = np.concatenate([cv.gamma, cv.dgamma[0], np.zeros((1, n, n, n))])
+    stack = np.concatenate([cv.gamma[None], cv.dgamma, np.zeros((1, n, n, n))])
     built = acs_field_matrix(ConnectionValue(n, tp.x, stack), chart,
                              np.zeros(chart.fibre_dim))
     j = built[0]
-    stepped = acs_field_matrix(value, chart, 1j * COMPLEX_STEP * np.eye(chart.fibre_dim))
+    stepped = acs_field_matrix(ConnectionValue(n, tp.x, cv.gamma), chart,
+                               1j * COMPLEX_STEP * np.eye(chart.fibre_dim))
     dj = np.concatenate([built[1:n + 1] - built[n + 1],  # dj[l] = d_l J
                          stepped.imag / COMPLEX_STEP])
     half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
@@ -308,12 +311,31 @@ def nijenhuis_tensor(spec: ConnectionSpec, tp: TwistorPoint) -> np.ndarray:
     return tensor
 
 
-def nijenhuis(spec: ConnectionSpec, tp: TwistorPoint,
-              pairs: "list[tuple[np.ndarray, np.ndarray]]") -> float:
-    """Max over the tangent pairs (u, v) of |N(u, v)|, at the chart point of tp
-    (see nijenhuis_tensor)."""
-    tensor = nijenhuis_tensor(spec, tp)
-    return max((float(np.max(np.abs(tensor @ v @ u))) for u, v in pairs), default=0.0)
+def nijenhuis(spec: ConnectionSpec, tps: "list[TwistorPoint]",
+              pairs: "list[tuple[np.ndarray, np.ndarray]]") -> np.ndarray:
+    """Max over the tangent pairs (u, v) of |N(u, v)| at the chart point of each
+    twistor sample in tps (see nijenhuis_tensor), as an array (len(tps),).
+
+    The samples' base points are walked in point_blocks of width n^4, the
+    entries of a point's dgamma; each block takes Gamma and its first
+    partials from one evaluate_many call, and one torsion check, naming the
+    first sample of the block that has torsion. So for a block, a refusal of
+    the evaluation (a DomainError or SingularMetric) or of torsion comes
+    before any of its structure builds, whichever sample of the block it
+    names. Then each sample's tensor is built and reduced over the pairs in
+    turn, so the tensors of a block are never held together.
+    """
+    n = spec.n
+    residuals = []
+    for block in point_blocks(np.reshape([tp.x for tp in tps], (-1, n)), n ** 4):
+        cv = spec.evaluate_many(block, derivs=1)
+        require_torsion_free(cv, 1e-10, "integrability test expects a torsion-free connection")
+        for gamma, dgamma in zip(cv.gamma, cv.dgamma):
+            tp = tps[len(residuals)]
+            tensor = nijenhuis_tensor(ConnectionValue(n, tp.x, gamma, dgamma), tp)
+            residuals.append(max((float(np.max(np.abs(tensor @ v @ u))) for u, v in pairs),
+                                 default=0.0))
+    return np.array(residuals, dtype=float)
 
 
 def integrability_verdict(residual: float) -> str:

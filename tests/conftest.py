@@ -20,14 +20,20 @@ def chart_path(name):
     return CHARTS / name
 
 
-def run_fresh_python(script, *args):
+def start_fresh_python(script, *args):
     """Run `script` in a new interpreter, where nothing this test process has
-    imported (scipy among it) is loaded yet; return its last stdout line read
-    as JSON. `args` become sys.argv[1:]."""
+    imported (scipy among it) is loaded yet, and return the finished process.
+    `args` become sys.argv[1:]."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def run_fresh_python(script, *args):
+    """start_fresh_python, which must exit 0; return its last stdout line read
+    as JSON."""
+    done = start_fresh_python(script, *args)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CHARTS, chart_path, run_fresh_python
+from conftest import CHARTS, chart_path, run_fresh_python, start_fresh_python
 from projgeo import cli
 from projgeo.cli import main
 
@@ -133,6 +133,18 @@ def test_reps_odd_dimension_is_an_input_error(capsys):
     code, _, err = run(capsys, "reps", "--dim", "5", "--space", "torsion")
     assert code == 2
     assert err != ""
+
+
+def test_console_script_exits_with_the_code_of_main():
+    """`projgeo` is cli.entry; in a new interpreter it exits with main's code."""
+    ok = start_fresh_python("from projgeo.cli import entry; entry()",
+                            "reps", "--dim", "4", "--space", "torsion")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert "w1+w2" in ok.stdout
+    refused = start_fresh_python("from projgeo.cli import entry; entry()",
+                                 "reps", "--dim", "5", "--space", "torsion")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert "error:" in refused.stderr
 
 
 def test_develop_flat_chart(capsys):
@@ -424,6 +436,12 @@ MALFORMED = {
         {"a.chart": b"dim = 2\n[christoffel]\nG 1 1 2 = x1\n"},
         "integrability test expects a torsion-free connection "
         "at x = (0.109569349857, -0.184170628989)"),
+    # only the third sample leaves the domain; the first two would pass
+    "domain-twistor-third-sample": (
+        ["twistor", "{tmp}/a.chart", "--samples", "3"],
+        {"a.chart": b"dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.03)\n"},
+        "ln of non-positive value -0.017698276227372828 "
+        "at x = (-0.0476982762274, 0.363672394953, -8.33490498824e-05, -0.0598171001207)"),
     # torsion only where x2 > 0, which the first two sample points are not
     "torsion-invariance-cotton": (
         ["invariance", "{tmp}/a.chart", "--alpha", "{tmp}/a.alpha"],

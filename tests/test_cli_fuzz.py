@@ -89,7 +89,7 @@ def runs(draw):
         files["b.chart"] = draw(charts(n))
         return ["equivalent", "{tmp}/a.chart", "{tmp}/b.chart", "--samples", "2"], files
     if command == "twistor":
-        return ["twistor", "{tmp}/a.chart", "--samples", "1"], files
+        return ["twistor", "{tmp}/a.chart", "--samples", draw(st.sampled_from(["1", "3"]))], files
     files["t.txt"] = draw(points(n)) + "\n"
     return ["develop", "{tmp}/a.chart", f"--base={draw(points(n))}",
             "--targets", "{tmp}/t.txt"], files

@@ -248,6 +248,28 @@ def test_batched_rows_equal_single_point_runs(exprs, rows, order):
                 np.testing.assert_array_equal(jet[1], batched[1][r, :, 0])
 
 
+# Each instruction kind of the tape at least once: num, var, neg, add, sub, mul,
+# inv, a non-integer pow, sin, cos, exp, ln and sqrt.
+ROW_EXPRS = ["-x1 + 2.5", "x1 - x2*x3", "1 / (x2 + 3)", "(x1 + 2)^1.5", "sin(x1*x2)",
+             "cos(x3) - x1", "exp(x2 - x1)", "ln(x3 + 2)", "sqrt(x1*x1 + 1)"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 33, 257])
+def test_tape_rows_equal_runs_on_each_row_alone(count, order):
+    """Each row of a run over `count` points is, bit for bit, the run on that
+    row alone: the property on which every walk over point blocks rests for
+    results that do not depend on how the points are blocked."""
+    tape = compile_tape([parse(text, 3) for text in ROW_EXPRS], 3)
+    assert {op for op, *_ in tape.code} == {"num", "var", "neg", "add", "sub", "mul", "inv",
+                                            "pow", "sin", "cos", "exp", "ln", "sqrt"}
+    points = np.random.default_rng(count).uniform(-0.9, 0.9, size=(count, 3))
+    batched = tape.run(points, order)
+    for r in range(count):
+        for level, alone in zip(batched, tape.run(points[r:r + 1], order)):
+            assert level[r].tobytes() == alone[0].tobytes()
+
+
 # (b) jets against symbolic derivatives
 
 ORACLE_EXPRS = SAMPLE_EXPRS + [

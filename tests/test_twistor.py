@@ -8,8 +8,8 @@ from scipy.linalg import expm, expm_frechet
 
 from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
 from projgeo.algebra import weyl
-from projgeo.connection import (ConnectionSpec, ConnectionValue, HasTorsion, curvature, load_chart,
-                                parse_chart)
+from projgeo.connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, HasTorsion,
+                                curvature, load_chart, parse_chart)
 from projgeo.expr import DomainError
 from projgeo.projective import projective_change
 import projgeo.twistor as twistor
@@ -306,7 +306,7 @@ def _origin4():
 def test_nijenhuis_rejects_torsion():
     spec = chart_spec(4, {(0, 1, 2): "1"})
     with pytest.raises(HasTorsion):
-        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)))
+        nijenhuis(spec, [_origin4()], coordinate_pairs(12, 2, np.random.default_rng(0)))
 
 
 def test_torsion_is_refused_before_any_neighbour_is_evaluated(monkeypatch):
@@ -326,7 +326,7 @@ def test_torsion_is_refused_before_any_neighbour_is_evaluated(monkeypatch):
     monkeypatch.setattr(twistor, "acs_field_matrix", refused)
     spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5)\nG 1 2 3 = 1\n")
     with pytest.raises(HasTorsion, match=r"at x = \(0, 0, 0, 0\)$"):
-        nijenhuis(spec, _origin4(), coordinate_pairs(12, 2, np.random.default_rng(0)))
+        nijenhuis(spec, [_origin4()], coordinate_pairs(12, 2, np.random.default_rng(0)))
     assert calls == [(1, 1)]
 
 
@@ -334,12 +334,14 @@ def test_domain_refusal_names_the_sample():
     spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = ln(x1 + 0.5)\n")
     tp = TwistorPoint(np.array([-0.6, 0.0, 0.0, 0.0]), standard_complex_structure(4))
     with pytest.raises(DomainError, match=r"at x = \(-0\.6, 0, 0, 0\)$"):
-        nijenhuis(spec, tp, coordinate_pairs(12, 2, np.random.default_rng(0)))
+        nijenhuis(spec, [tp], coordinate_pairs(12, 2, np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_one_sample_evaluates_the_chart_at_most_twice(monkeypatch, n):
-    """Once, in fact: Gamma and its first partials at the sample in one call."""
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_samples_evaluate_the_chart_once_per_block(monkeypatch, n):
+    """S samples take ceil(S / (BLOCK_ENTRIES // n^4)) evaluate_many calls,
+    each of Gamma and its first partials over one block of base points, and
+    no one-point evaluate."""
     calls = []
     evaluate_many = ConnectionSpec.evaluate_many
 
@@ -354,9 +356,37 @@ def test_one_sample_evaluates_the_chart_at_most_twice(monkeypatch, n):
     monkeypatch.setattr(ConnectionSpec, "evaluate", refused)
     rng = np.random.default_rng(72)
     spec = random_torsionfree_spec(n, rng)
-    tp = sample_twistor_points(n, 1, rng)[0]
-    nijenhuis(spec, tp, coordinate_pairs(n + n * n // 2, 2, rng))
-    assert calls == [(1, 1)]
+    pairs = coordinate_pairs(n + n * n // 2, 2, rng)
+    rows = BLOCK_ENTRIES // n ** 4
+    for samples in (1, 3, 27):
+        calls.clear()
+        nijenhuis(spec, sample_twistor_points(n, samples, rng), pairs)
+        assert len(calls) == -(-samples // rows)
+        assert calls == [(min(rows, samples - start), 1) for start in range(0, samples, rows)]
+
+
+@pytest.mark.parametrize("name,samples", [("flat4", 3), ("sphere4", 3), ("witness4", 4),
+                                          ("random2", 5), ("random4", 3), ("random6", 3),
+                                          ("random6", 27)])
+def test_batched_residuals_equal_one_call_per_sample(name, samples):
+    """nijenhuis over a job's samples equals, bit for bit, one call per sample
+    with a one-sample list: each block's rows are evaluated as each would be
+    alone. At n = 6 a block holds BLOCK_ENTRIES // 6^4 = 25 rows, so 27
+    samples take two blocks."""
+    rng = np.random.default_rng(73)
+    spec = named_spec(name, rng)
+    n = spec.n
+    tps = sample_twistor_points(n, samples, rng)
+    pairs = coordinate_pairs(n + n * n // 2, 6, rng)
+    batched = nijenhuis(spec, tps, pairs)
+    one_by_one = np.concatenate([nijenhuis(spec, [tp], pairs) for tp in tps])
+    assert batched.shape == (samples,)
+    assert batched.tobytes() == one_by_one.tobytes()
+
+
+def test_no_samples_give_no_residuals():
+    pairs = coordinate_pairs(12, 2, np.random.default_rng(0))
+    assert nijenhuis(parse_chart(FLAT4), [], pairs).shape == (0,)
 
 
 def test_flat_bundle_structure_is_integrable():
@@ -364,7 +394,7 @@ def test_flat_bundle_structure_is_integrable():
     rng = np.random.default_rng(64)
     tps = sample_twistor_points(4, 2, rng)
     pairs = coordinate_pairs(12, 4, rng)
-    worst = max(nijenhuis(spec, tp, pairs) for tp in tps)
+    worst = nijenhuis(spec, tps, pairs).max()
     assert worst < 1e-6
     assert integrability_verdict(worst) == "integrable at sample"
 
@@ -375,7 +405,7 @@ def test_surface_bundles_are_always_integrable():
     for _ in range(3):
         spec = random_torsionfree_spec(2, rng)
         for tp in sample_twistor_points(2, 2, rng):
-            worst = max(worst, nijenhuis(spec, tp, coordinate_pairs(4, 3, rng)))
+            worst = max(worst, nijenhuis(spec, [tp], coordinate_pairs(4, 3, rng))[0])
     assert worst < 1e-5
 
 
@@ -383,7 +413,7 @@ def test_curved_witness_obstructs():
     spec = load_chart(chart_path("witness4.chart"))
     rng = np.random.default_rng(66)
     tp = sample_twistor_points(4, 1, rng)[0]
-    res = nijenhuis(spec, tp, coordinate_pairs(12, 4, rng))
+    res, = nijenhuis(spec, [tp], coordinate_pairs(12, 4, rng))
     assert res > 1e-2
     assert integrability_verdict(res) == "obstruction detected"
 
@@ -396,8 +426,8 @@ def test_antisymmetry_of_the_defect():
     v = np.zeros(4)
     u[0] = 1.0
     v[3] = 1.0
-    r_uv = nijenhuis(spec, tp, [(u, v)])
-    r_vu = nijenhuis(spec, tp, [(v, u)])
+    r_uv, = nijenhuis(spec, [tp], [(u, v)])
+    r_vu, = nijenhuis(spec, [tp], [(v, u)])
     assert abs(r_uv - r_vu) < 1e-12
 
 
@@ -428,7 +458,7 @@ def test_defect_shrinks_quadratically_in_step():
     rng = np.random.default_rng(68)
     tp = sample_twistor_points(4, 1, rng)[0]
     pairs = coordinate_pairs(12, 2, rng)
-    exact = nijenhuis(spec, tp, pairs)
+    exact, = nijenhuis(spec, [tp], pairs)
 
     def drift(h):
         """The distance of the central-difference residual from the exact one
@@ -463,11 +493,11 @@ def bracket_residuals(spec, tp, pairs, h):
 
 
 def named_spec(name, rng):
-    """flat4, random2 (a random torsion-free n = 2 chart) or a fixture chart."""
+    """flat4, randomN (a random torsion-free chart of dimension N) or a fixture chart."""
     if name == "flat4":
         return parse_chart(FLAT4)
-    if name == "random2":
-        return random_torsionfree_spec(2, rng)
+    if name.startswith("random"):
+        return random_torsionfree_spec(int(name[len("random"):]), rng)
     return load_chart(chart_path(f"{name}.chart"))
 
 
@@ -500,7 +530,7 @@ def test_central_differences_converge_to_the_exact_tensor(name):
     rng = np.random.default_rng(78)
     spec = named_spec(name, rng)
     for tp in sample_twistor_points(spec.n, 2, rng):
-        exact = nijenhuis_tensor(spec, tp)
+        exact = nijenhuis_tensor(spec.evaluate(tp.x, derivs=1), tp)
 
         def gap(h):
             return np.abs(central_difference_tensor(spec, tp, h) - exact)
@@ -530,7 +560,7 @@ def test_one_sample_builds_two_structure_stacks(monkeypatch, n):
     rng = np.random.default_rng(70)
     spec = random_torsionfree_spec(n, rng)
     tp = sample_twistor_points(n, 1, rng)[0]
-    nijenhuis(spec, tp, coordinate_pairs(n + n * n // 2, 6, rng))
+    nijenhuis(spec, [tp], coordinate_pairs(n + n * n // 2, 6, rng))
     assert counts == {"acs": 2, "frechet": 2 * n * n // 2}
 
 
@@ -544,10 +574,10 @@ def test_residuals_match_scipys_frechet_kernel(monkeypatch, name):
     n = spec.n
     pairs = coordinate_pairs(n + n * n // 2, 4, rng)
     tps = sample_twistor_points(n, 2, rng)
-    new = np.array([nijenhuis(spec, tp, pairs) for tp in tps])
+    new = nijenhuis(spec, tps, pairs)
     monkeypatch.setattr(twistor, "expm_frechet",
                         lambda a, e: expm_frechet(a, e, compute_expm=False))
-    old = np.array([nijenhuis(spec, tp, pairs) for tp in tps])
+    old = nijenhuis(spec, tps, pairs)
     assert [integrability_verdict(r) for r in new] == [integrability_verdict(r) for r in old]
     gap = np.abs(new - old)
     small, large = old <= 1e-5, old >= 1e-2
@@ -571,14 +601,15 @@ def test_nijenhuis_tensor_is_projectively_invariant():
         spec = random_torsionfree_spec(4, rng)
         twin = projective_change(spec, random_alpha(4, rng))
         for tp in sample_twistor_points(4, 3, rng):
-            gap = nijenhuis_tensor(spec, tp) - nijenhuis_tensor(twin, tp)
+            gap = (nijenhuis_tensor(spec.evaluate(tp.x, derivs=1), tp)
+                   - nijenhuis_tensor(twin.evaluate(tp.x, derivs=1), tp))
             worst = max(worst, float(np.max(np.abs(gap))))
     assert worst <= 1e-14
 
 
 def _weyl_and_nijenhuis(spec, tp):
-    w = weyl(curvature(spec.evaluate(tp.x, derivs=1))).W
-    return norm(w), float(np.max(np.abs(nijenhuis_tensor(spec, tp))))
+    cv = spec.evaluate(tp.x, derivs=1)
+    return norm(weyl(curvature(cv)).W), float(np.max(np.abs(nijenhuis_tensor(cv, tp))))
 
 
 def test_nijenhuis_vanishes_exactly_where_weyl_does():
