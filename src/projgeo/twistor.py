@@ -14,13 +14,11 @@ partials along the fibre come from a complex step, exact to rounding.
 one evaluation per block of their base points, and `nijenhuis_tensor` builds
 each sample's tensor from its row.
 
-The exp fibre chart needs the matrix exponential and its Frechet derivative,
-a block of one exponential of a doubled matrix. At the fibre points the
-Nijenhuis tensor visits, m = 0 and the complex steps m = i eps e_a, the series
-cut after its linear term is exact to rounding (see LINEAR_RE_NORM), so those
-take I + a and e + (a e + e a)/2. scipy's `expm` is reached only off the
-anchor, for a slice of larger norm, and is imported on that first use, so no
-subcommand loads it.
+The exp fibre chart is built at its anchor only. The fibre points the
+Nijenhuis tensor visits, m = 0 and the complex steps m = i eps e_a, are where
+the exponential and its Frechet derivative cut after their linear terms, I + a
+and e + (a e + e a)/2, are exact to rounding (see LINEAR_RE_NORM); any other
+fibre point is refused. So the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -78,6 +76,7 @@ def _polish(j: np.ndarray) -> np.ndarray:
     return j
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite j gives NaN or inf
 def norm_sq_defect(j: np.ndarray) -> float:
     return float(np.max(np.abs(j @ j + np.eye(j.shape[0]))))
 
@@ -103,7 +102,7 @@ def anticommutant_basis(j: np.ndarray) -> np.ndarray:
     when j^2 = -I, and an orthonormal basis of its image is extracted by SVD.
     """
     n = j.shape[0]
-    if norm_sq_defect(j) > 1e-10:
+    if not norm_sq_defect(j) <= 1e-10:  # NaN fails too
         raise NotAlmostComplex("basis anchor must satisfy j^2 = -I")
     units = np.eye(n * n).reshape(n * n, n, n)  # the matrix units e_ab, row-major
     cols = (0.5 * (units + j @ units @ j)).reshape(n * n, n * n).T
@@ -128,7 +127,7 @@ class TwistorPoint:
             raise ValueError("point/structure shapes disagree")
         if x.size % 2 != 0:
             raise OddDimension("twistor points need even base dimension")
-        if norm_sq_defect(j) > ACS_SQUARE_TOL:
+        if not norm_sq_defect(j) <= ACS_SQUARE_TOL:  # NaN fails too
             raise NotAlmostComplex(
                 f"j^2 + I has max entry {norm_sq_defect(j):.2e} > {ACS_SQUARE_TOL}")
 
@@ -172,43 +171,16 @@ def _series_is_linear(a: np.ndarray) -> np.ndarray:
             & (np.abs(a.imag).sum(axis=-2).max(axis=-1) <= LINEAR_IM_NORM))
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a stack a (..., n, n): I + a on the slices that pass
-    _series_is_linear, scipy's expm on the rest."""
-    out = np.eye(a.shape[-1]) + a
-    rest = ~_series_is_linear(a)
-    if rest.any():
-        from scipy.linalg import expm
-        out[rest] = expm(a[rest])
-    return out
-
-
 def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The Frechet derivative of the matrix exponential at a along e.
+    """The Frechet derivative of the matrix exponential at a along e, cut
+    after its linear term: e + (a e + e a)/2.
 
-    a may carry leading axes, against which e (n, n) broadcasts, and each
-    slice of a is taken as it would be alone. A slice within LINEAR_RE_NORM
-    and LINEAR_IM_NORM gets e + (a e + e a)/2, the series cut after its
-    linear term, whose error is below half an ulp of |e| and, in the
-    imaginary part, 2^-53 relative to that part's size. Any other slice gets
-    the upper-right block of exp([[a, e], [0, a]]) (Van Loan, IEEE TAC 23
-    (1978) 395; Mathias, SIAM J. Matrix Anal. Appl. 17 (1996) 610), from one
-    scipy `expm` of that 2n x 2n matrix.
+    a may carry leading axes, against which e (n, n) broadcasts. Where a
+    passes _series_is_linear, as at the fibre chart's anchor, the cut is
+    exact to rounding: its error is below half an ulp of |e| and, in the
+    imaginary part, 2^-53 relative to that part's size. The caller checks a.
     """
-    linear = _series_is_linear(a)
-    # the other slices are zeroed first, so that inf there raises no warning
-    cut = np.where(linear[..., None, None], a, 0.0)
-    out = e + 0.5 * (cut @ e + e @ cut)
-    rest = ~linear
-    if rest.any():
-        from scipy.linalg import expm
-        n = a.shape[-1]
-        a = a[rest]
-        big = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a, e))
-        big[..., :n, :n] = big[..., n:, n:] = a
-        big[..., :n, n:] = e
-        out[rest] = expm(big)[..., :n, n:]
-    return out
+    return e + 0.5 * (a @ e + e @ a)
 
 
 def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -225,7 +197,7 @@ def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
     return -(gy @ ji - ji @ gy) + ji @ (gx @ ji - ji @ gx)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # NaN and inf m reach the guard quietly
 def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
                      m_coords: np.ndarray) -> np.ndarray:
     """Matrix of the almost complex structure at chart coordinates (cv.point, m).
@@ -234,37 +206,35 @@ def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
     is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
     exponential (see expm_frechet) supplying the chart-to-intrinsic
     conversion, and its left inverse (P^T P)^-1 P^T converting back after j
-    acts. Gamma at cv.point, and
-    nothing else of the connection, enters: only the horizontal-to-vertical
-    block, through vertical_motion, linearly. m_coords (..., n^2/2) may carry
-    leading axes, a stack of fibre points, and cv.gamma (..., n, n, n) a stack
-    of Gamma values at the one point; the two broadcast, and the result
-    (..., n + n^2/2, n + n^2/2) carries their leading axes. The fibre part is
-    built once for the whole stack, with one expm_frechet call per basis
-    element. At m = 0 horizontal directions map through j on the base and
-    vertical ones by left multiplication by j. m may be complex: no step
-    conjugates, so J stays analytic in m. A fibre point or fibre chart
-    derivative that overflows anywhere in the stack raises DomainError naming
-    cv.point. Fibre points whose 2m is within LINEAR_RE_NORM and
-    LINEAR_IM_NORM, among them m = 0 and the complex steps, take the
-    exponential and its derivative from the series cut after its linear term,
-    exact to rounding; scipy's expm is reached only off the anchor.
+    acts. Gamma at cv.point, and nothing else of the connection, enters: only
+    the horizontal-to-vertical block, through vertical_motion, linearly.
+    m_coords (..., n^2/2) may carry leading axes, a stack of fibre points, and
+    cv.gamma (..., n, n, n) a stack of Gamma values at the one point; the two
+    broadcast, and the result (..., n + n^2/2, n + n^2/2) carries their
+    leading axes. The fibre part is built once for the whole stack, with one
+    expm_frechet call per basis element. At m = 0 horizontal directions map
+    through j on the base and vertical ones by left multiplication by j. m may
+    be complex: no step conjugates, so J stays analytic in m.
+
+    The chart is built at its anchor only: m = 0 and the complex steps, every
+    fibre point whose 2m passes _series_is_linear, where exp(2m) = I + 2m and
+    its derivative are exact to rounding. Any other fibre point in the stack,
+    NaN and inf among them, raises DomainError naming cv.point.
     """
     n, d = chart.n, chart.fibre_dim
     j0 = chart.anchor.j
     m = chart.fibre_matrix(m_coords)
     fibre_lead = m.shape[:-2]
-    e2m = _expm(2.0 * m)
+    two_m = 2.0 * m
+    refuse_where(DomainError, not _series_is_linear(two_m).all(),
+                 "twistor fibre point is off the chart's anchor, where exp(2m) = I + 2m,",
+                 None, cv.point)
+    jp = (np.eye(n) + two_m) @ j0
     # jdot matrices of the fibre coordinate directions, flattened into the
     # rows of P^T (..., d, n*n), and the inverse map
-    push = np.stack([expm_frechet(2.0 * m, 2.0 * b) @ j0 for b in chart.basis], axis=-3)
+    push = np.stack([expm_frechet(two_m, 2.0 * b) @ j0 for b in chart.basis], axis=-3)
     pt = push.reshape(fibre_lead + (d, n * n))
-    gram = pt @ np.swapaxes(pt, -1, -2)
-    refuse_where(DomainError, not (np.isfinite(e2m).all() and np.isfinite(gram).all()),
-                 "twistor fibre point exp(2m) j or its chart derivative is not finite", None,
-                 cv.point)
-    jp = e2m @ j0
-    pull = np.linalg.solve(gram, pt)
+    pull = np.linalg.solve(pt @ np.swapaxes(pt, -1, -2), pt)
 
     lead = np.broadcast_shapes(cv.gamma.shape[:-3], fibre_lead)
     motion = vertical_motion(cv.gamma, jp).reshape(lead + (n, n * n))

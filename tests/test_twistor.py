@@ -36,6 +36,13 @@ def test_twistor_point_validation():
         TwistorPoint(np.zeros(3), np.eye(3))
     with pytest.raises(NotAlmostComplex):
         TwistorPoint(np.zeros(2), np.eye(2))
+    for bad in (np.nan, np.inf):
+        j = standard_complex_structure(4)
+        j[0, 1] = bad
+        with pytest.raises(NotAlmostComplex):
+            TwistorPoint(np.zeros(4), j)
+        with pytest.raises(NotAlmostComplex):
+            anticommutant_basis(j)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -99,14 +106,15 @@ def test_structure_matrix_ignores_derivative_jets():
 
 def test_structure_matrix_broadcasts_over_a_gamma_stack():
     """A stack of Gamma values gives the stack of structures, each as built
-    alone; J is affine in Gamma, so differences of structures are linear in it."""
+    alone; J is affine in Gamma, so differences of structures are linear in it.
+    The fibre point is a complex step, off m = 0 but at the anchor."""
     rng = np.random.default_rng(63)
     spec = random_torsionfree_spec(4, rng)
     tp = sample_twistor_points(4, 1, rng)[0]
     chart = TwistorChart(tp)
     cv = spec.evaluate(tp.x, derivs=1)
     stack = np.concatenate([cv.gamma[None], cv.dgamma, np.zeros((1, 4, 4, 4))])
-    m = 0.05 * rng.standard_normal(8)
+    m = 1j * COMPLEX_STEP * rng.standard_normal(8)
     built = acs_field_matrix(ConnectionValue(4, tp.x, stack), chart, m)
     alone = [acs_field_matrix(ConnectionValue(4, tp.x, g), chart, m) for g in stack]
     assert built.shape == (6, 12, 12)
@@ -115,12 +123,13 @@ def test_structure_matrix_broadcasts_over_a_gamma_stack():
     assert np.max(np.abs(mixed - built[0] - 3.0 * (built[2] - built[5]))) <= 1e-13
 
 
-@pytest.mark.parametrize("size", [200.0, 1000.0, np.inf, np.nan, complex(0.0, np.nan)])
+@pytest.mark.parametrize("size", [1e-3, 200.0, 1000.0, np.inf, np.nan, complex(0.0, np.nan)])
 def test_large_fibre_coordinates_are_refused_naming_the_point(size):
-    """At 1000 the fibre point overflows; at 200 it is finite, but its chart
-    derivative is not. Infinite and NaN coordinates fail the linear-series
-    size test and are refused the same way. One such row in a stack of fibre
-    points refuses the whole stack."""
+    """The chart is built at its anchor only: a fibre point as far off as one
+    central-difference step, 1e-3, is refused, and so are points where the
+    exponential would overflow (1000) or its chart derivative would (200),
+    and infinite and NaN ones. One such row in a stack of fibre points
+    refuses the whole stack."""
     spec = load_chart(chart_path("witness4.chart"))
     tp = sample_twistor_points(4, 1, np.random.default_rng(66))[0]
     cv = spec.evaluate(tp.x, derivs=0)
@@ -128,7 +137,8 @@ def test_large_fibre_coordinates_are_refused_naming_the_point(size):
     stack[5] = size
     for m_coords in (np.full(8, size), stack):
         with pytest.raises(DomainError, match=re.escape(
-                "its chart derivative is not finite at x = (0.338987102349, 0.154254504899, ")):
+                "off the chart's anchor, where exp(2m) = I + 2m, "
+                "at x = (0.338987102349, 0.154254504899, ")):
             acs_field_matrix(cv, TwistorChart(tp), m_coords)
 
 
@@ -177,7 +187,9 @@ def column_loop_structure(spec, chart, x, m_coords):
     """The structure matrix one column at a time, as a reference for the
     stacked blocks: a horizontal d_i goes to j d_i, with jdot the motion
     -[Gamma(j d_i), j] plus j times d_i's own motion -[Gamma(d_i), j]; a
-    vertical direction goes to j times its jdot."""
+    vertical direction goes to j times its jdot. The fibre chart comes from
+    scipy's expm, expm_frechet and pinv, so it holds at a general m, where
+    acs_field_matrix, built at its anchor only, refuses."""
     n, d = chart.n, chart.fibre_dim
     gamma = spec.evaluate(x, derivs=0).gamma
     m = chart.fibre_matrix(m_coords)
@@ -211,23 +223,10 @@ def test_stacked_builders_match_their_loops(n):
             projections.append((0.5 * (unit + tp.j @ unit @ tp.j)).ravel())
     u = np.linalg.svd(np.array(projections).T, full_matrices=False)[0]
     assert np.array_equal(chart.basis, u[:, :n * n // 2].T.reshape(-1, n, n))
-    m = 0.05 * rng.standard_normal(chart.fibre_dim)
+    m = np.zeros(chart.fibre_dim)
     stacked = acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, m)
     loop = column_loop_structure(spec, chart, tp.x, m)
     assert np.max(np.abs(stacked - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
-
-
-@pytest.mark.parametrize("n", [2, 4, 6])
-@pytest.mark.parametrize("size", [0.0, 1e-4, 0.1, 1.0, 4.0])
-def test_frechet_kernel_matches_scipys(n, size):
-    """The block of one doubled exponential against scipy's expm_frechet."""
-    rng = np.random.default_rng(76)
-    a = rng.standard_normal((n, n))
-    a *= size / np.linalg.norm(a)
-    b = rng.standard_normal((n, n))
-    e = 2.0 * b / np.linalg.norm(b)
-    ref = expm_frechet(a, e, compute_expm=False)
-    assert np.max(np.abs(twistor.expm_frechet(a, e) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _one_norm(m):
@@ -253,50 +252,23 @@ def _close(got, ref, tol):
     return np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
 
-@pytest.fixture
-def scipy_expm_calls(monkeypatch):
-    """Counts the calls that reach scipy's expm."""
-    import scipy.linalg
-    calls = []
-    scipy_expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(a.shape)
-        return scipy_expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("complex_e", [False, True])
-def test_frechet_kernel_takes_the_linear_series_only_where_exact(scipy_expm_calls, n,
-                                                                  complex_e):
-    """About the thresholds, against scipy's expm_frechet: within 1e-13, and
-    the imaginary part, the complex step's derivative, within 1e-15 of its own
-    size. Only arguments outside the thresholds reach scipy's expm."""
+def test_linear_series_is_exact_only_inside_the_thresholds(n, complex_e):
+    """About the thresholds, I + a against scipy's expm and the Frechet kernel
+    against scipy's expm_frechet: within 1e-13, and the imaginary part, the
+    complex step's derivative, within 1e-15 of its own size. Outside them,
+    _series_is_linear is False, so the fibre chart refuses the point."""
     rng = np.random.default_rng(79)
     e = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_e else 0.0)
     for name, a, linear in _small_arguments(n):
-        scipy_expm_calls.clear()
-        got = twistor.expm_frechet(a, e)
-        assert (scipy_expm_calls == []) == linear, name
-        ref = expm_frechet(a, e, compute_expm=False)
-        assert _close(got, ref, 1e-13), name
-        assert _close(got.imag, ref.imag, 1e-15), name
-
-
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_exponential_takes_the_linear_series_only_where_exact(scipy_expm_calls, n):
-    """The fibre point's exponential about the same thresholds, against
-    scipy's expm, with the same tolerances."""
-    for name, a, linear in _small_arguments(n):
-        scipy_expm_calls.clear()
-        got = twistor._expm(a)
-        assert (scipy_expm_calls == []) == linear, name
-        ref = expm(a)
-        assert _close(got, ref, 1e-13), name
-        assert _close(got.imag, ref.imag, 1e-15), name
+        assert twistor._series_is_linear(a) == linear, name
+        if not linear:
+            continue
+        for got, ref in ((np.eye(n) + a, expm(a)),
+                         (twistor.expm_frechet(a, e), expm_frechet(a, e, compute_expm=False))):
+            assert _close(got, ref, 1e-13), name
+            assert _close(got.imag, ref.imag, 1e-15), name
 
 
 def _origin4():
@@ -431,19 +403,23 @@ def test_antisymmetry_of_the_defect():
     assert abs(r_uv - r_vu) < 1e-12
 
 
+def exp_chart_structure(spec, tp):
+    """The anchor tp in chart coordinates z = (x, m), and J as a function of
+    z near it, from column_loop_structure."""
+    chart = TwistorChart(tp)
+    n = chart.n
+    return (np.concatenate([tp.x, np.zeros(chart.fibre_dim)]),
+            lambda z: column_loop_structure(spec, chart, z[:n], z[n:]))
+
+
 def central_difference_tensor(spec, tp, h):
     """The Nijenhuis tensor with each d_l J the central difference of J at
     tp +- h along chart coordinate l: the finite-difference route that
-    nijenhuis_tensor's exact partials replaced, kept as a reference."""
-    chart = TwistorChart(tp)
-    n = chart.n
-    z0 = np.concatenate([tp.x, np.zeros(chart.fibre_dim)])
-
-    def j_at(z):
-        return acs_field_matrix(spec.evaluate(z[:n], derivs=0), chart, z[n:])
-
+    nijenhuis_tensor's exact partials replaced, kept as a reference over an
+    independent build of the chart."""
+    z0, j_at = exp_chart_structure(spec, tp)
     j = j_at(z0)
-    dj = np.array([j_at(z0 + s) - j_at(z0 - s) for s in h * np.eye(chart.dim)]) / (2.0 * h)
+    dj = np.array([j_at(z0 + s) - j_at(z0 - s) for s in h * np.eye(z0.size)]) / (2.0 * h)
     half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
     return half - np.swapaxes(half, 1, 2)
 
@@ -472,12 +448,7 @@ def bracket_residuals(spec, tp, pairs, h):
     """|N(u, v)| per constant pair, from N(U, V) = [JU, JV] - [U, V] - J[JU, V] - J[U, JV]
     with every bracket a central difference of J along a field's value at the
     point: an independent route to the tensor that nijenhuis builds."""
-    chart = TwistorChart(tp)
-    n = chart.n
-    z0 = np.concatenate([tp.x, np.zeros(chart.fibre_dim)])
-
-    def j_at(z):
-        return acs_field_matrix(spec.evaluate(z[:n], derivs=0), chart, z[n:])
+    z0, j_at = exp_chart_structure(spec, tp)
 
     def along(w, f):  # the derivative of z -> J(z) f along w
         return (j_at(z0 + h * w) @ f - j_at(z0 - h * w) @ f) / (2.0 * h)
