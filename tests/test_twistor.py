@@ -254,21 +254,35 @@ def _close(got, ref, tol):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("complex_e", [False, True])
-def test_linear_series_is_exact_only_inside_the_thresholds(n, complex_e):
-    """About the thresholds, I + a against scipy's expm and the Frechet kernel
-    against scipy's expm_frechet: within 1e-13, and the imaginary part, the
-    complex step's derivative, within 1e-15 of its own size. Outside them,
-    _series_is_linear is False, so the fibre chart refuses the point."""
+def test_frechet_kernel_takes_the_linear_series_only_where_exact(n, complex_e):
+    """About the thresholds, against scipy's expm_frechet: within 1e-13, and
+    the imaginary part, the complex step's derivative, within 1e-15 of its own
+    size. Outside them, _series_is_linear is False, so the fibre chart refuses
+    the point."""
     rng = np.random.default_rng(79)
     e = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_e else 0.0)
     for name, a, linear in _small_arguments(n):
         assert twistor._series_is_linear(a) == linear, name
         if not linear:
             continue
-        for got, ref in ((np.eye(n) + a, expm(a)),
-                         (twistor.expm_frechet(a, e), expm_frechet(a, e, compute_expm=False))):
-            assert _close(got, ref, 1e-13), name
-            assert _close(got.imag, ref.imag, 1e-15), name
+        got = twistor.expm_frechet(a, e)
+        ref = expm_frechet(a, e, compute_expm=False)
+        assert _close(got, ref, 1e-13), name
+        assert _close(got.imag, ref.imag, 1e-15), name
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_exponential_takes_the_linear_series_only_where_exact(n):
+    """The fibre point's exponential, I + a, about the same thresholds,
+    against scipy's expm, with the same tolerances."""
+    for name, a, linear in _small_arguments(n):
+        assert twistor._series_is_linear(a) == linear, name
+        if not linear:
+            continue
+        got = np.eye(n) + a
+        ref = expm(a)
+        assert _close(got, ref, 1e-13), name
+        assert _close(got.imag, ref.imag, 1e-15), name
 
 
 def _origin4():
