@@ -35,7 +35,7 @@ from .tensor import TensorValue, alt2, norm
 
 __all__ = [
     "AlgebraElement", "bracket", "wedge_id", "wedge_id3", "three_form_split",
-    "first_bianchi_residual", "bianchi_project", "WeylParts", "weyl",
+    "first_bianchi_residual", "WeylParts", "weyl",
     "torsion_split", "cotton", "CartanCurvature", "cartan_curvature",
     "CurvatureReport", "curvature_report",
     "NotBianchi", "NotAntisymmetric",
@@ -144,12 +144,6 @@ def first_bianchi_residual(r: TensorValue) -> TensorValue:
     d = r.data
     total = d + np.einsum("...ljki->...lkij", d) + np.einsum("...lijk->...lkij", d)
     return TensorValue(r.n, r.variance, total)
-
-
-def bianchi_project(r: TensorValue) -> TensorValue:
-    """Equivariant projection of a curvature-variance tensor onto its fully
-    alternating (Lambda^3 tensor V) branch: one third of the cyclic sum."""
-    return TensorValue(r.n, r.variance, first_bianchi_residual(r).data / 3.0)
 
 
 class WeylParts(NamedTuple):

@@ -69,23 +69,27 @@ def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
     Torsion above 1e-10 raises HasTorsion naming the first such point. Q is
     the normalized Ricci trace, read straight from the jets,
     r_ij = d_i Gamma^k_kj - d_k Gamma^k_ij + Gamma^k_im Gamma^m_kj - Gamma^k_km Gamma^m_ij,
-    without forming the curvature; a Ricci trace that is not finite raises
-    DomainError naming the first such point.
+    without forming the curvature, its Gamma Gamma terms (and the contractions
+    with u) as matmuls of (n x n^2) and (n^2 x n) reshapes; a Ricci trace that
+    is not finite raises DomainError naming the first such point.
     """
     n = cv.n
     require_torsion_free(cv, 1e-10, "Cartan transport expects a torsion-free connection")
-    g, dg = cv.gamma, cv.dgamma
+    g, dg, lead = cv.gamma, cv.dgamma, cv.gamma.shape[:-3]
+    gi = np.swapaxes(g, -3, -2).reshape(lead + (n, n * n))  # gi[..., i, (k, m)] = Gamma^k_im
+    tr = np.einsum("...kki->...i", g)
     ric = (np.einsum("...ikkj->...ij", dg) - np.einsum("...kkij->...ij", dg)
-           + np.einsum("...kim,...mkj->...ij", g, g) - np.einsum("...kkm,...mij->...ij", g, g))
+           + gi @ gi.reshape(lead + (n * n, n))
+           - (tr[..., None, :] @ g.reshape(lead + (n, n * n))).reshape(lead + (n, n)))
     refuse_where(DomainError, ~np.isfinite(ric).all(axis=(-2, -1)), "Ricci trace is not finite",
                  None, cv.point)
     q = _normalized(ric, n)
-    au = np.einsum("...i,...i->...", np.einsum("...kki->...i", cv.gamma), u) / -(n + 1)
-    out = np.empty(cv.gamma.shape[:-3] + (n + 1, n + 1))
+    au = np.einsum("...i,...i->...", tr, u) / -(n + 1)
+    out = np.empty(lead + (n + 1, n + 1))
     out[..., 0, 0] = au
-    out[..., 0, 1:] = np.einsum("...i,...ij->...j", u, q)
+    out[..., 0, 1:] = (u[..., None, :] @ q)[..., 0, :]
     out[..., 1:, 0] = u
-    out[..., 1:, 1:] = (np.einsum("...i,...lim->...lm", u, cv.gamma)
+    out[..., 1:, 1:] = ((u[..., None, :] @ gi).reshape(lead + (n, n))
                         + au[..., None, None] * np.eye(n))
     return out
 
@@ -109,34 +113,40 @@ def _rk4_frame(a: np.ndarray) -> np.ndarray:
     return s[..., 0, :, :]
 
 
-def _hat_nodes(spec: ConnectionSpec, starts, dirs, t) -> np.ndarray:
-    """A at starts[s] + t[j] dirs[s] as out[s, j]; the stacked nodes are
-    evaluated in point_blocks of width n^4, the entries of a node's dgamma."""
+def _hat_nodes(spec: ConnectionSpec, starts, dirs, levels) -> np.ndarray:
+    """A at starts[s] + t dirs[s] as out[s, j], t the j-th smallest node of the
+    levels (1-D arrays), evaluated level by level, each segment by segment, in
+    point_blocks of width n^4, the entries of a node's dgamma."""
     n = spec.n
-    points = (starts[:, None] + t[:, None] * dirs[:, None]).reshape(-1, n)
-    u = np.repeat(dirs, t.size, axis=0)
-    out = np.empty((len(points), n + 1, n + 1))
+    seg = np.concatenate([np.repeat(np.arange(len(starts)), lv.size) for lv in levels])
+    t = np.concatenate([np.tile(lv, len(starts)) for lv in levels])
+    col = np.searchsorted(np.sort(np.concatenate(levels)), t)
+    out = np.empty((len(starts), col.max() + 1, n + 1, n + 1))
     i = 0
-    for block in point_blocks(points, n ** 4):
-        out[i:i + len(block)] = _hat_matrix(spec.evaluate_many(block, derivs=1),
-                                            u[i:i + len(block)])
-        i += len(block)
-    return out.reshape(len(starts), t.size, n + 1, n + 1)
+    for block in point_blocks(starts[seg] + t[:, None] * dirs[seg], n ** 4):
+        j = i + len(block)
+        out[seg[i:j], col[i:j]] = _hat_matrix(spec.evaluate_many(block, derivs=1), dirs[seg[i:j]])
+        i = j
+    return out
 
 
 def _romberg_frames(spec: ConnectionSpec, starts, dirs, budget):
     """Frames of the segments starts + t dirs, t in [0, 1], all of nonzero
     length, as transport_many describes them; budget holds each segment's
-    TRANSPORT_TOL * length."""
+    TRANSPORT_TOL * length. One first pass evaluates the 17 nodes of K = 8,
+    where E2 is first compared, and Phi_1 ... Phi_8 take every 8th, 4th, 2nd
+    and 1st of them."""
     frames = np.empty((len(dirs), spec.n + 1, spec.n + 1))
     todo = np.arange(len(dirs))  # unfinished segments
-    a = _hat_nodes(spec, starts, dirs, np.linspace(0.0, 1.0, 3))
-    row, k = [_rk4_frame(a)], 1  # the Romberg row at K: Phi_K, then E1_K and E2_K once defined
+    a = _hat_nodes(spec, starts, dirs, [np.linspace(0.0, 1.0, 3)]
+                   + [(2 * np.arange(k) + 1) / (2 * k) for k in (2, 4, 8)])
+    row, k = [_rk4_frame(a[:, ::8])], 1  # the Romberg row at K: Phi_K, E1_K, E2_K
     while todo.size:
         k *= 2
-        t = (2 * np.arange(k) + 1) / (2 * k)  # the new odd nodes
-        a = np.insert(a, range(1, k + 1), _hat_nodes(spec, starts[todo], dirs[todo], t), axis=1)
-        prev, row = row, [_rk4_frame(a)]
+        if k > 8:  # the new odd nodes
+            new = _hat_nodes(spec, starts[todo], dirs[todo], [(2 * np.arange(k) + 1) / (2 * k)])
+            a = np.insert(a, range(1, k + 1), new, axis=1)
+        prev, row = row, [_rk4_frame(a[:, ::max(1, 8 // k)])]
         refuse_where(StepFailure, ~np.isfinite(row[0]).all(axis=(-2, -1)),
                      "transport frame is not finite", None, starts[todo])
         for j, coarse in enumerate(prev[:2]):  # E1 cancels the h^4 error term, E2 the h^5 one
@@ -157,11 +167,12 @@ def transport_many(spec: ConnectionSpec, paths) -> np.ndarray:
     """Integrate dPhi/dt = Phi A(gamma(t)) from Phi = I along each polyline in `paths`;
     the frames at the ends, (len(paths), n+1, n+1) with the line column first.
 
-    Each segment of nonzero length takes K uniform RK4 steps, nodes t = i/(2K),
-    from K = 1; doubling K keeps the nodes evaluated and adds the odd ones, for
-    all unfinished segments of a block together. The RK4 frames Phi_K are
-    extrapolated across the doublings (Romberg): E1_K = Phi_K + (Phi_K -
-    Phi_K/2)/15 and E2_K = E1_K + (E1_K - E1_K/2)/31. A segment is done when
+    Each distinct segment of nonzero length (a repeated start and direction is
+    transported once) takes K uniform RK4 steps, nodes t = i/(2K), from K = 1;
+    the nodes up to K = 8 come in one pass, and each later doubling adds the
+    odd nodes, for all unfinished segments of a block together. The RK4 frames
+    Phi_K are extrapolated across the doublings (Romberg): E1_K = Phi_K + (Phi_K
+    - Phi_K/2)/15 and E2_K = E1_K + (E1_K - E1_K/2)/31. A segment is done when
     max|E2_K - E2_K/2| <= TRANSPORT_TOL * length, and keeps E2_K. Blocks of
     segments are transported one after another, so the node arrays held do not
     grow with the number of paths. StepFailure names the start of a segment
@@ -178,11 +189,15 @@ def transport_many(spec: ConnectionSpec, paths) -> np.ndarray:
     frames = np.tile(np.eye(n + 1), (len(dirs), 1, 1))
     lengths = np.linalg.norm(dirs, axis=1)
     moving = np.flatnonzero(lengths)
+    rows = np.hstack([starts, dirs])[moving].view(f"V{16 * n}")[:, 0]  # compared bitwise
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    distinct = moving[np.sort(first)]  # in order of first appearance
     per_block = max(1, SEGMENT_ENTRIES // ((2 * MAX_STEPS + 1) * (n + 1) ** 2))
-    for i in range(0, moving.size, per_block):
-        block = moving[i:i + per_block]
+    for i in range(0, distinct.size, per_block):
+        block = distinct[i:i + per_block]
         frames[block] = _romberg_frames(spec, starts[block], dirs[block],
                                         TRANSPORT_TOL * lengths[block])
+    frames[moving] = frames[moving[first[inverse]]]
 
     ends = np.cumsum([0] + [len(path) - 1 for path in paths])
     out = np.array([reduce(np.matmul, frames[i:j], np.eye(n + 1))

@@ -2,19 +2,25 @@
 projectors the verdicts use, over the eigenspaces of one eigendecomposition.
 
 `reps.j0_census` counts tableaux instead; this numeric census is the check
-that `torsion_split`, `bianchi_project`, `weyl` and `wedge_id` split the
-torsion and curvature spaces into equivariant idempotents whose traces match
-those counts.
+that `torsion_split`, `bianchi_project` (kept here: the package has no use
+for it), `weyl` and `wedge_id` split the torsion and curvature spaces into
+equivariant idempotents whose traces match those counts.
 """
 
 import numpy as np
 
-from projgeo.algebra import bianchi_project, torsion_split, wedge_id, weyl
+from projgeo.algebra import first_bianchi_residual, torsion_split, wedge_id, weyl
 from projgeo.connection import point_blocks, trace2form
 from projgeo.reps import (IrrepComponent, curvature_component_weights,
                           torsion_component_weights, weyl_dim)
 from projgeo.tensor import TensorValue, alt2, sym2
 from projgeo.twistor import standard_complex_structure
+
+
+def bianchi_project(r):
+    """Equivariant projection of a curvature-variance tensor onto its fully
+    alternating (Lambda^3 tensor V) branch: one third of the cyclic sum."""
+    return TensorValue(r.n, r.variance, first_bianchi_residual(r).data / 3.0)
 
 
 def _antisymmetric_basis(n, rank):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from census_reference import _curvature_pieces, _lie_action
+from census_reference import _curvature_pieces, _lie_action, bianchi_project
 from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
 from projgeo.algebra import (AlgebraElement, NotAntisymmetric,
-                             NotBianchi, bianchi_project, bracket,
+                             NotBianchi, bracket,
                              cartan_curvature, cotton, curvature_report,
                              first_bianchi_residual, three_form_split,
                              torsion_split, wedge_id, wedge_id3, weyl)

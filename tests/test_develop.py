@@ -326,14 +326,16 @@ def test_batching_does_not_change_a_path(monkeypatch):
     x0 = np.zeros(3)
     paths = holonomy_loops(x0, seed=1)[:2] + [
         [x0, np.array([0.3, -0.2, 0.25])], [x0, x0], [x0, np.array([0.01, 0.0, 0.0])]]
-    # K -> segments that asked for the K new nodes of K steps (the first call, K = 1's
-    # three nodes, counts as 3); E2 is first compared at K = 8
+    # K -> segments that asked for the K new nodes of K steps (K = 1's three nodes
+    # count as 3; the first call asks for the levels up to K = 8, where E2 is first
+    # compared)
     unfinished = Counter()
     hat_nodes = develop._hat_nodes
 
-    def counted(spec, starts, dirs, t):
-        unfinished[t.size] += len(starts)
-        return hat_nodes(spec, starts, dirs, t)
+    def counted(spec, starts, dirs, levels):
+        for t in levels:
+            unfinished[t.size] += len(starts)
+        return hat_nodes(spec, starts, dirs, levels)
 
     monkeypatch.setattr(develop, "_hat_nodes", counted)
     together = transport_many(spec, paths)
@@ -411,7 +413,96 @@ def test_failing_tolerance_evaluates_in_small_batches(monkeypatch):
 
 
 def test_flatness_certificate_evaluates_in_few_calls(monkeypatch):
-    sizes, peak = _evaluation_record(
-        monkeypatch, lambda: flatness_defect(model_metric(3), np.zeros(3), seed=0))
-    assert len(sizes) <= 200
-    assert peak <= 3e6
+    """On the round metric each certificate takes one first pass of the 17 nodes
+    of K = 8 per distinct segment, then the odd nodes of the few unsettled ones."""
+    for n, calls, nodes in ((2, 3, 686), (3, 6, 1339), (4, 12, 1339)):
+        sizes, peak = _evaluation_record(
+            monkeypatch, lambda: flatness_defect(model_metric(n), np.zeros(n), seed=0))
+        assert len(sizes) <= calls and sum(sizes) <= nodes
+        assert peak <= 3e6
+        monkeypatch.undo()
+
+
+def _segments(paths):
+    """The (start, direction) pairs of the moving segments of the paths."""
+    return [(tuple(p), tuple(q - p)) for path in paths
+            for p, q in zip(path[:-1], path[1:]) if np.any(q != p)]
+
+
+def test_repeated_paths_are_transported_once(monkeypatch):
+    """transport_many on the paths twice gives two bit-equal halves, each the
+    frames of the paths given once, and evaluates no node more."""
+    spec = load_chart(chart_path("sphere3.chart"))
+    x0 = np.zeros(3)
+    paths = holonomy_loops(x0, seed=1)[:3] + [[x0, np.array([0.3, -0.2, 0.25])], [x0, x0]]
+    frames = {}
+
+    def run(copies):
+        frames[copies] = transport_many(spec, paths * copies)
+
+    once, _ = _evaluation_record(monkeypatch, lambda: run(1))
+    monkeypatch.undo()
+    twice, _ = _evaluation_record(monkeypatch, lambda: run(2))
+    assert twice == once  # the sizes of the evaluate_many calls
+    assert np.array_equal(frames[2][:len(paths)], frames[2][len(paths):])
+    assert np.array_equal(frames[2][:len(paths)], frames[1])
+
+
+def test_plane_certificate_evaluates_17_nodes_per_distinct_segment(monkeypatch):
+    """At n = 2 every loop lies in the plane (1, 2), so the eight loops are at
+    most four (two sizes, two signs), and their distinct moving segments take
+    one first pass of the 17 nodes of K = 8 each."""
+    x0 = np.zeros(2)
+    loops = holonomy_loops(x0, seed=0)
+    assert len({loop.tobytes() for loop in loops}) == 4
+    distinct = set(_segments(loops))
+    assert len(_segments(loops)) == 32
+    assert len(distinct) == 14  # per side length, the two signs share the side x0 + e2 -> x0
+    first_pass = []
+    hat_nodes = develop._hat_nodes
+
+    def recorded(spec, starts, dirs, levels):
+        first_pass.append((len(starts), sum(t.size for t in levels)))
+        return hat_nodes(spec, starts, dirs, levels)
+
+    monkeypatch.setattr(develop, "_hat_nodes", recorded)
+    sizes, _ = _evaluation_record(monkeypatch, lambda: flatness_defect(model_metric(2), x0, seed=0))
+    assert first_pass[0] == (len(distinct), 17)
+    assert sizes[0] == 17 * len(distinct)  # one evaluate_many at n = 2
+
+
+def _level_by_level_frames(spec, starts, dirs, budget):
+    """The Romberg loop that evaluates each level when its doubling asks for it:
+    K = 1's three nodes, then the new odd nodes of the unfinished segments. Also
+    returns the largest K it reached."""
+    frames = np.empty((len(dirs), spec.n + 1, spec.n + 1))
+    todo = np.arange(len(dirs))
+    a = develop._hat_nodes(spec, starts, dirs, [np.linspace(0.0, 1.0, 3)])
+    row, k = [_rk4_frame(a)], 1
+    while todo.size:
+        k *= 2
+        t = (2 * np.arange(k) + 1) / (2 * k)
+        new = develop._hat_nodes(spec, starts[todo], dirs[todo], [t])
+        a = np.insert(a, range(1, k + 1), new, axis=1)
+        prev, row = row, [_rk4_frame(a)]
+        for j, coarse in enumerate(prev[:2]):
+            row.append(row[j] + (row[j] - coarse) / (2 ** (j + 4) - 1))
+        if len(prev) < 3:
+            continue
+        done = np.abs(row[2] - prev[2]).max(axis=(-2, -1)) <= budget[todo]
+        frames[todo[done]] = row[2][done]
+        todo, a, row = todo[~done], a[~done], [r[~done] for r in row]
+    return frames, k
+
+
+def test_first_pass_frames_equal_the_level_by_level_loop():
+    """Taking the nodes up to K = 8 in one pass changes no bit of a frame, also
+    for a segment that settles past K = 8."""
+    spec = load_chart(chart_path("sphere3.chart"))
+    x0 = np.zeros(3)
+    paths = holonomy_loops(x0, seed=1) + [[x0, np.array([0.3, -0.2, 0.25])]]
+    starts, dirs = (np.array(c) for c in zip(*_segments(paths)))
+    budget = develop.TRANSPORT_TOL * np.linalg.norm(dirs, axis=1)
+    reference, reached = _level_by_level_frames(spec, starts, dirs, budget)
+    assert reached > 8
+    assert np.array_equal(develop._romberg_frames(spec, starts, dirs, budget), reference)
