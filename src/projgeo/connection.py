@@ -364,6 +364,7 @@ def load_chart(path: "str | Path") -> ConnectionSpec:
     return parse_chart(read_text(path))
 
 
+@ex.shared_groups()
 def parse_chart(text: str) -> ConnectionSpec:
     """A chart from its text: a dim header plus one [metric]/[christoffel] section.
 
@@ -373,7 +374,6 @@ def parse_chart(text: str) -> ConnectionSpec:
     n = None
     section = None
     entries: dict[tuple[int, ...], ex.Expr] = {}
-    interned: dict[str, ex.Expr] = {}
 
     for lineno, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
@@ -402,8 +402,7 @@ def parse_chart(text: str) -> ConnectionSpec:
             raise ChartError(f"line {lineno}: bad indices in {' '.join(words)!r}") from None
         if any(not 1 <= i <= n for i in indices):
             raise ChartError(f"line {lineno}: index out of range 1..{n}")
-        if rhs not in interned:
-            interned[rhs] = parse_expr(lineno, rhs, n)
+        e = parse_expr(lineno, rhs, n)
         if section == "metric":
             if words[0] != "g" or len(indices) != 2:
                 raise ChartError(f"line {lineno}: metric entries look like 'g i j = ...'")
@@ -415,7 +414,7 @@ def parse_chart(text: str) -> ConnectionSpec:
         if key in entries:
             raise ChartError(f"line {lineno}: duplicate entry "
                              f"{words[0]} {' '.join(str(i) for i in indices)}")
-        entries[key] = interned[rhs]
+        entries[key] = e
 
     if n is None:
         raise ChartError("missing dim header")

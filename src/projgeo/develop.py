@@ -213,8 +213,9 @@ def cartan_transport(spec: ConnectionSpec, path) -> np.ndarray:
 
 
 def holonomy_loops(x0: np.ndarray, seed: int) -> "list[np.ndarray]":
-    """Eight seeded square loops through x0 in coordinate 2-planes, with sides
-    0.1 and 0.2 in turn."""
+    """Eight seeded square loops through x0 in coordinate 2-planes, with sides 0.1
+    and 0.2 in turn and a seeded sign; at n = 2 all lie in the plane (1, 2), so
+    they are at most four distinct loops."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     rng = np.random.default_rng(seed)

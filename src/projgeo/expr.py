@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Union
 
@@ -30,7 +32,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "Tape", "parse", "compile_tape", "eval_jet",
+    "Tape", "parse", "shared_groups", "compile_tape", "eval_jet",
     "ParseError", "UnknownVariable", "UnknownFunction", "DomainError", "at_point", "refuse_where",
 ]
 
@@ -55,7 +57,7 @@ class UnknownFunction(ParseError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the domain: ln/sqrt of a non-positive value, division by
-    zero, or a non-integer power of a non-positive base."""
+    zero, or a non-integer power of a non-positive base; or a tree too deep to lower."""
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
+def _tokenize(text: str, groups: dict) -> tuple[list[tuple[str, str, int]], dict[int, Expr]]:
+    """The tokens (kind, value, 1-based offset) of `text`, and the trees it reuses:
+    a '(' whose balanced text is a key of `groups` keeps its token, under whose
+    index its tree is returned, and the text up to its ')' is skipped."""
+    tokens, reused, hits, opened = [], {}, {}, []
+    for m in re.finditer(r"[()]", text) if groups and "(" in text else ():
+        if m.group() == "(":
+            opened.append(m.start())
+        elif opened:
+            start = opened.pop()  # only groups inside fewer than 64: lookups stay linear
+            if len(opened) < 64 and (e := groups.get(text[start:m.end()])) is not None:
+                hits[start] = m.end(), e
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -117,14 +129,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"number {m.group(kind)} out of range", m.start(kind) + 1)
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
+        if hits and m.start(kind) in hits:
+            pos, reused[len(tokens) - 1] = hits[m.start(kind)]
     tokens.append(("end", "", len(text) + 1))
-    return tokens
+    return tokens, reused
 
 
 class _Parser:
-    def __init__(self, text: str, n: int):
-        self.tokens = _tokenize(text)
-        self.n = n
+    def __init__(self, text: str, n: int, groups: dict):
+        self.text, self.n, self.groups = text, n, groups
+        self.tokens, self.reused = _tokenize(text, groups)
         self.i = 0
 
     def peek(self):
@@ -195,20 +209,26 @@ class _Parser:
         self.advance()
         return sign * float(value)
 
+    def group(self) -> Expr:
+        """The rest of '(' expr ')' after its '(': the tree the tokenizer reused
+        there, or the one parsed here, which is then recorded."""
+        e = self.reused.get(self.i - 1)
+        if e is None:
+            offset = self.tokens[self.i - 1][2]
+            e = self.expr()
+            self.groups[self.text[offset - 1:self.expect_op(")")[2]]] = e
+        return e
+
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
             return Num(float(value))
         if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.group()
         if kind == "ident":
             if value in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
+                return Call(value, self.group())
             m = re.fullmatch(r"x(\d+)", value)
             if m is not None:
                 index = int(m.group(1))
@@ -224,14 +244,33 @@ class _Parser:
                          offset)
 
 
+_GROUPS = ContextVar("groups", default=None)  # n -> {text: tree} in a shared_groups block
+
+
+@contextmanager
+def shared_groups():
+    """Within this block, `parse` reuses the tree of each text or parenthesized group
+    read before in it, so `compile_tape` lowers that tree once. Inside parentheses the
+    grammar is context-free: trees and errors match fresh parses, except nesting depth."""
+    token = _GROUPS.set({})
+    try:
+        yield
+    finally:
+        _GROUPS.reset(token)
+
+
 def parse(text: str, n: int) -> Expr:
     """Parse `text` over chart variables x1..xn into an immutable AST."""
     if n < 1:
         raise ValueError("chart dimension must be at least 1")
-    try:
-        return _Parser(text, n).parse()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", 1) from None
+    scope = _GROUPS.get()
+    groups = {} if scope is None else scope.setdefault(n, {})
+    if text not in groups:
+        try:
+            groups[text] = _Parser(text, n, groups).parse()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", 1) from None
+    return groups[text]
 
 
 def at_point(p) -> str:
@@ -539,7 +578,10 @@ def compile_tape(exprs, n: int) -> Tape:
     runs. Output slots follow the order of `exprs`.
     """
     builder = _TapeBuilder(n)
-    outputs = [builder.visit(e) for e in exprs]
+    try:
+        outputs = [builder.visit(e) for e in exprs]
+    except RecursionError:  # trees that share groups (see shared_groups) can outgrow one parse
+        raise DomainError("expression nested too deeply to lower") from None
     return Tape(n, builder.code, outputs)
 
 

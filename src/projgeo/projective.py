@@ -37,6 +37,7 @@ def load_alpha(path: "str | Path", n: int) -> tuple[ex.Expr, ...]:
     return parse_alpha(read_text(path), n)
 
 
+@ex.shared_groups()
 def parse_alpha(text: str, n: int) -> tuple[ex.Expr, ...]:
     """The 1-form alpha_1 .. alpha_n on a chart of dimension n from its text:
     lines `a <i> = <expr>`, after an optional `dim = n` header that must agree.

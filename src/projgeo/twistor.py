@@ -156,10 +156,6 @@ class TwistorChart:
     def fibre_dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.n + self.fibre_dim
-
     def fibre_matrix(self, m_coords: np.ndarray) -> np.ndarray:
         """The matrix m of fibre coordinates (..., n^2/2), shape (..., n, n)."""
         return np.einsum("...a,aij->...ij", m_coords, self.basis)

@@ -264,6 +264,13 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, monkeypatch):
 
 
 NESTED = "(" * 1000 + "x1" + ")" * 1000
+# each alpha line nests the line before it as a group, so a 1 is three parses deep.
+# It parses, as groups are shared, but is lowered first, deeper than the lowering
+# recursion goes; that refusal comes after reading, so it names no line.
+CHAIN = ["(" + "-" * 600 + "x1)"]
+CHAIN += ["(" + "-" * 600 + CHAIN[-1] + ")"]
+CHAIN += ["(" + "-" * 600 + CHAIN[-1] + ")"]
+DEEP_ALPHA = "".join(f"a {3 - i} = {text}\n" for i, text in enumerate(CHAIN)).encode()
 # a one-dimensional chart has no 2-plane for the decomposition or the loops
 DIM_ONE = b"dim = 1\n[christoffel]\nG 1 1 1 = x1\n"
 # Gamma is finite near x1 = 0.39, its square is not
@@ -336,6 +343,9 @@ MALFORMED = {
     "deep-nesting": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],
                      {"a.chart": f"dim = 2\n[christoffel]\nG 1 1 1 = {NESTED}\n".encode()},
                      "line 3: expression nested too deeply"),
+    "deep-shared-nesting": (["invariance", str(chart_path("flat3.chart")),
+                             "--alpha", "{tmp}/a.alpha"], {"a.alpha": DEEP_ALPHA},
+                            "expression nested too deeply to lower"),
     "out-dir-missing": (["analyze", str(chart_path("sphere2.chart")), "--point", "0,0",
                          "--out", "{tmp}/no-such-dir/report.json"], {}, "No such file"),
     "gamma-overflow": (["twistor", "{tmp}/a.chart", "--samples", "3"],

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CHARTS, to_text
 from projgeo.connection import load_chart, parse_chart
-from projgeo.expr import ParseError
+from projgeo.expr import (BinOp, Call, Neg, ParseError, Pow, compile_tape, parse,
+                          shared_groups)
 from projgeo.projective import load_alpha, parse_alpha
-from projgeo.readers import MAX_DIM, ChartError, parse_points, read_numbers
+from projgeo.readers import (MAX_DIM, ChartError, content_lines, parse_expr, parse_points,
+                             read_dim, read_numbers, split_entry)
+from test_cli_fuzz import EXPRESSIONS
 
 KEYS = ["dim", "g 1 1", "g 1 2", "g 2 1", "g 1 9", "G 1 2 3", "G 2 1 1", "G 1 1",
         "a 1", "a 3", "a x", "a 1 2", "x", "G k i j", ""]
@@ -67,3 +71,150 @@ def test_load_functions_take_paths_not_text():
         load_chart("dim = 2\n[christoffel]\n")
     with pytest.raises(ChartError, match="cannot read"):
         load_alpha("dim = 2\na 1 = x1\n", 2)
+
+
+# ---------------------------------------------------------------- shared groups
+#
+# Within one chart or alpha file the parser reuses the tree of any entry or
+# parenthesized group it has read before. These oracles hold it to fresh,
+# one-entry parses: the same trees, the same tapes, the same errors.
+
+
+def _chart(n, rhss):
+    """Christoffel chart text with one entry per right-hand side, on distinct keys;
+    entry r sits on line r + 3."""
+    keys = [(k, i, j) for k in range(1, n + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return f"dim = {n}\n[christoffel]\n" + "".join(
+        f"G {k} {i} {j} = {rhs}\n" for (k, i, j), rhs in zip(keys, rhss))
+
+
+def _fresh(text):
+    """(n, [(line number, tree or ChartError)]) of each entry of a chart or alpha
+    file, every entry parsed on its own."""
+    n, out = None, []
+    for lineno, line in content_lines(text):
+        if line.startswith("["):
+            continue
+        words, rhs = split_entry(lineno, line)
+        if words == ["dim"]:
+            n = read_dim(lineno, rhs)
+            continue
+        try:
+            out.append((lineno, parse_expr(lineno, rhs, n)))
+        except ChartError as err:
+            out.append((lineno, err))
+    return n, out
+
+
+def _assert_same_as_fresh(text):
+    n, fresh = _fresh(text)
+    errors = [str(e) for _, e in fresh if isinstance(e, ChartError)]
+    try:
+        spec = parse_chart(text)
+    except ChartError as err:
+        assert errors and str(err) == errors[0]
+        return
+    assert not errors
+    trees = list(spec.christoffel.values() if spec.metric is None else spec.metric.values())
+    assert trees == [e for _, e in fresh]
+    shared, alone = compile_tape(trees, n), compile_tape([e for _, e in fresh], n)
+    assert (shared.code, shared.outputs) == (alone.code, alone.outputs)
+
+
+@pytest.mark.parametrize("path", sorted(CHARTS.glob("*.chart")), ids=lambda p: p.name)
+def test_chart_files_parse_as_their_entries_alone(path):
+    _assert_same_as_fresh(path.read_text())
+
+
+def test_alpha_file_parses_as_its_entries_alone():
+    text = (CHARTS / "alpha3.alpha").read_text()
+    n, fresh = _fresh(text)
+    lines = dict(content_lines(text))
+    assert all(parse_alpha(text, n)[int(lines[lineno].split()[1]) - 1] == e
+               for lineno, e in fresh)
+
+
+@st.composite
+def _sharing_entries(draw):
+    """(n, entry texts) whose entries share subexpressions: trees combined from a
+    small pool of drawn expressions and written out with to_text, so that a
+    shared subtree is the same parenthesized group wherever it occurs."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    pool = [parse(t, n) for t in draw(st.lists(EXPRESSIONS[n], min_size=1, max_size=3))]
+    tree = st.sampled_from(pool)
+    combined = st.one_of(
+        tree,
+        st.builds(BinOp, st.sampled_from("+-*/"), tree, tree),
+        st.builds(Call, st.sampled_from(["sin", "exp", "sqrt"]), tree),
+        st.builds(Pow, tree, st.sampled_from([2.0, -1.0, 0.5])),
+        st.builds(Neg, tree))
+    rhss = draw(st.lists(combined.map(to_text), min_size=2, max_size=6))
+    return n, rhss
+
+
+def _corrupt(text, at, char):
+    """text with one character inserted, replaced or deleted at `at`."""
+    at %= len(text) + 1
+    if char == "":
+        return text[:at] + text[at + 1:]
+    return text[:at] + char + text[at:] if at % 2 else text[:at] + char + text[at + 1:]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sharing_entries(), st.integers(0, 5), st.integers(0, 200),
+       st.sampled_from(["", "(", ")", "x", "x9", "^", "*", " ", "$", "1e999", "sin"]))
+def test_shared_groups_parse_as_fresh_entries(entries, which, at, char):
+    n, rhss = entries
+    _assert_same_as_fresh(_chart(n, rhss))
+    which %= len(rhss)
+    broken = rhss[:which] + [_corrupt(rhss[which], at, char)] + rhss[which + 1:]
+    _assert_same_as_fresh(_chart(n, broken))
+
+
+@pytest.mark.parametrize("rhss", [
+    ["(x1)", "sin(x1)"],
+    ["sin(x1)", "(x1)"],
+    ["(x1)", "(x1)^2"],
+    ["(2)", "x1^(2)"],
+    ["(x1)", "((x1)"],
+    ["(x1)", "x1 (x1)"],
+    ["(x1)", "foo(x1)"],
+    ["(x1 + x2)", "(x1 + x7)"],
+    ["(x1 + x2)", "sin((x1 + x2) * (x7))"],
+    ["(x6 * x1)", "ln((x6 * x1) + (x7 * x1))"],
+])
+def test_shared_groups_keep_calls_powers_and_errors(rhss):
+    _assert_same_as_fresh(_chart(6, rhss))
+
+
+def test_shared_groups_report_errors_at_fresh_offsets():
+    with pytest.raises(ChartError, match=r"^line 4: exponent must be a numeric literal "
+                                         r"\(at offset 4\)$"):
+        parse_chart(_chart(2, ["(2)", "x1^(2)"]))
+    with pytest.raises(ChartError, match=r"^line 4: expected '\)' \(at offset 6\)$"):
+        parse_chart(_chart(2, ["(x1)", "((x1)"]))
+    with pytest.raises(ChartError, match=r"^line 4: variable x7 outside x1..x6 "
+                                         r"\(at offset 7\)$"):
+        parse_chart(_chart(6, ["(x1 + x2)", "(x1 + x7)"]))
+
+
+def test_a_repeated_group_is_one_tree():
+    spec = parse_chart(_chart(2, ["(x1 + x2) * 2", "3 + (x1 + x2)", "sin(x1 + x2)",
+                                  "(x1 + x2) * 2"]))
+    a, b, c, d = spec.christoffel.values()
+    assert a.left is b.right is c.arg and a is d
+    alpha = parse_alpha("a 1 = exp(x1 - 1)\na 2 = (x1 - 1)^2\n", 2)
+    assert alpha[0].arg is alpha[1].base
+    # each file has its own table
+    again = parse_chart(_chart(2, ["(x1 + x2) * 2"]))
+    assert again.christoffel[(0, 0, 0)] == a and again.christoffel[(0, 0, 0)] is not a
+
+
+def test_groups_are_shared_within_a_file_only():
+    first = parse("(x1 + x2)", 2)
+    assert parse("(x1 + x2)", 2) is not first
+    with shared_groups():
+        inner = parse("(x1 + x2)", 2)
+        assert parse("sin(x1 + x2)", 2).arg is inner
+        assert parse("(x1 + x2)", 3) is not inner  # another dimension, another table
+    assert parse("(x1 + x2)", 2) is not inner

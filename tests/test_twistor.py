@@ -173,7 +173,7 @@ def test_chart_round_trip_through_fibre_coordinates():
     rng = np.random.default_rng(62)
     j = mild_complex_structure(4, rng)
     chart = TwistorChart(TwistorPoint(np.zeros(4), j))
-    assert chart.n == 4 and chart.fibre_dim == 8 and chart.dim == 12
+    assert chart.n == 4 and chart.fibre_dim == 8
     m = 0.05 * rng.standard_normal(8)
     # the coordinate matrix anticommutes with the anchor structure
     mm = chart.fibre_matrix(m)
