@@ -14,10 +14,12 @@ so curvature values have variance (up, down, down, down) in slot order
 [l, k, i, j]. The Ricci trace is r_ij = R^k_{jik} (trace of Z -> R(X,Z)Y over
 Z), and the trace 2-form is s_ij = R^k_{kij}.
 
-Connections come from closed-form Christoffel entries or from a metric, either
-optionally plus a projective perturbation alpha (which adds
-alpha_i delta^k_j + alpha_j delta^k_i at every derivative level). Levi-Civita
-solves g Gamma = c on the metric's jets at each point, never symbolically.
+A connection comes from one table of closed-form entries, Christoffel symbols
+or a metric as `ConnectionSpec.kind` says, optionally plus a projective
+perturbation alpha (which adds alpha_i delta^k_j + alpha_j delta^k_i at every
+derivative level). parse_chart reads that table with readers.read_entries, the
+reader alpha files share. Levi-Civita solves g Gamma = c on the metric's jets
+at each point, never symbolically.
 
 Every array above may carry leading point axes: `ConnectionSpec.evaluate_many`
 stacks its rows on one, and the curvature functions below act on such a stack
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
+from .readers import ChartError, read_entries, read_text
 from .tensor import MAX_DIM, TensorValue
 
 __all__ = [
@@ -98,17 +100,17 @@ class ConnectionValue:
 class ConnectionSpec:
     """A connection given in closed form on a chart of dimension n.
 
-    Exactly one of `christoffel` (0-based (k, i, j) -> Expr) or `metric`
-    (0-based (i, j), i <= j -> Expr) is set, as parse_chart reads them from
-    chart text; absent entries are zero. `alpha` optionally holds n
-    expressions adding the projective perturbation
+    `kind` is the chart section the `entries` come from: "christoffel"
+    (0-based (k, i, j) -> Expr) or "metric" (0-based (i, j), i <= j -> Expr),
+    as parse_chart reads them from chart text; absent entries are zero.
+    `alpha` optionally holds n expressions adding the projective perturbation
     alpha_i delta^k_j + alpha_j delta^k_i on top of the base connection.
     The entries and alpha are compiled into one tape on first evaluation.
     """
 
     n: int
-    christoffel: dict[tuple[int, int, int], ex.Expr] | None = None
-    metric: dict[tuple[int, int], ex.Expr] | None = None
+    kind: str
+    entries: dict[tuple[int, ...], ex.Expr]
     alpha: tuple[ex.Expr, ...] | None = None
     _compiled: "_Compiled | None" = field(default=None, init=False, repr=False,
                                           compare=False)
@@ -116,12 +118,8 @@ class ConnectionSpec:
     def __post_init__(self):
         if not 2 <= self.n <= MAX_DIM:
             raise ValueError(f"chart dimension must be in 2..{MAX_DIM}, got {self.n}")
-        if (self.christoffel is None) == (self.metric is None):
-            raise ValueError("exactly one of christoffel/metric must be given")
-
-    @property
-    def source(self) -> str:
-        return "metric" if self.metric is not None else "christoffel"
+        if self.kind not in ("christoffel", "metric"):
+            raise ValueError(f"kind must be 'christoffel' or 'metric', got {self.kind!r}")
 
     def _plan(self) -> "_Compiled":
         if self._compiled is None:
@@ -145,10 +143,11 @@ class ConnectionSpec:
             raise ValueError("derivs must be 0, 1 or 2")
         points = np.asarray(points, dtype=float)
         plan = self._plan()
-        jets = plan.tape.run(points, derivs + (self.metric is not None))
+        metric = self.kind == "metric"
+        jets = plan.tape.run(points, derivs + metric)
         # copied, so that a metric chart's jets can be released before Levi-Civita
         alpha = [jet[..., plan.m + 1:].copy() for jet in jets[:derivs + 1]]
-        if self.metric is not None:
+        if metric:
             g, c = plan.entry_arrays(jets[:-1]), [plan.first_kind(j) for j in jets[1:]]
             del jets
             levels = _levi_civita(g, c, points)
@@ -178,9 +177,8 @@ class _Compiled:
 
     @classmethod
     def build(cls, spec: "ConnectionSpec") -> "_Compiled":
-        n = spec.n
-        metric = spec.metric is not None
-        entries = spec.metric if metric else spec.christoffel
+        n, entries = spec.n, spec.entries
+        metric = spec.kind == "metric"
         m = len(entries)
         slot = np.full((n,) * (2 if metric else 3), m, dtype=np.intp)
         for col, key in enumerate(entries):
@@ -364,60 +362,11 @@ def load_chart(path: "str | Path") -> ConnectionSpec:
     return parse_chart(read_text(path))
 
 
-@ex.shared_groups()
 def parse_chart(text: str) -> ConnectionSpec:
     """A chart from its text: a dim header plus one [metric]/[christoffel] section.
 
     File indices are 1-based (`g 1 2 = ...`, `G 1 2 3 = ...`); missing entries
-    are zero, metric entries require i <= j, duplicates are rejected.
+    are zero, metric entries require i <= j, duplicates are rejected (see
+    readers.read_entries).
     """
-    n = None
-    section = None
-    entries: dict[tuple[int, ...], ex.Expr] = {}
-
-    for lineno, line in content_lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            header = line[1:-1].strip()
-            if header not in ("metric", "christoffel"):
-                raise ChartError(f"line {lineno}: unknown section [{header}]")
-            if section is not None:
-                raise ChartError(
-                    f"line {lineno}: [metric] and [christoffel] are exclusive, "
-                    f"and only one section is allowed")
-            if n is None:
-                raise ChartError(f"line {lineno}: dim must come before any section")
-            section = header
-            continue
-        words, rhs = split_entry(lineno, line)
-        if words == ["dim"]:
-            if n is not None:
-                raise ChartError(f"line {lineno}: duplicate dim")
-            n = read_dim(lineno, rhs)
-            continue
-        if section is None:
-            raise ChartError(f"line {lineno}: entry before any section")
-        try:
-            indices = [int(word) for word in words[1:]]
-        except ValueError:
-            raise ChartError(f"line {lineno}: bad indices in {' '.join(words)!r}") from None
-        if any(not 1 <= i <= n for i in indices):
-            raise ChartError(f"line {lineno}: index out of range 1..{n}")
-        e = parse_expr(lineno, rhs, n)
-        if section == "metric":
-            if words[0] != "g" or len(indices) != 2:
-                raise ChartError(f"line {lineno}: metric entries look like 'g i j = ...'")
-            if indices[0] > indices[1]:
-                raise ChartError(f"line {lineno}: metric entries use i <= j")
-        elif words[0] != "G" or len(indices) != 3:
-            raise ChartError(f"line {lineno}: christoffel entries look like 'G k i j = ...'")
-        key = tuple(i - 1 for i in indices)
-        if key in entries:
-            raise ChartError(f"line {lineno}: duplicate entry "
-                             f"{words[0]} {' '.join(str(i) for i in indices)}")
-        entries[key] = e
-
-    if n is None:
-        raise ChartError("missing dim header")
-    if section is None:
-        raise ChartError("missing [metric] or [christoffel] section")
-    return ConnectionSpec(n, **{section: entries})
+    return ConnectionSpec(*read_entries(text, None))

@@ -49,7 +49,7 @@ class StepFailure(RuntimeError):
 
 def model_connection(n: int) -> ConnectionSpec:
     """The flat affine chart of projective space: all Christoffel entries zero."""
-    return ConnectionSpec(n, christoffel={})
+    return ConnectionSpec(n, "christoffel", {})
 
 
 # A segment is done when its Romberg frames agree to TRANSPORT_TOL * its length.

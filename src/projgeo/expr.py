@@ -57,7 +57,7 @@ class UnknownFunction(ParseError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the domain: ln/sqrt of a non-positive value, division by
-    zero, or a non-integer power of a non-positive base; or a tree too deep to lower."""
+    zero, or a non-integer power of a non-positive base."""
 
 
 @dataclass(frozen=True)
@@ -496,78 +496,6 @@ def _outer_derivs(op: str, v, lit, order: int, points) -> list:
 _BINARY = {"+": "add", "-": "sub", "*": "mul"}
 
 
-class _TapeBuilder:
-    """Hash-consing lowering of Expr trees into tape instructions."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.code: list = []
-        self.index: dict = {}           # instruction -> slot
-        self.seen: dict[int, int] = {}  # id(node) -> slot; the caller keeps nodes alive
-
-    def emit(self, op: str, a: int = -1, b: int = -1, lit=None) -> int:
-        key = (op, a, b, lit)
-        slot = self.index.get(key)
-        if slot is None:
-            slot = self.index[key] = len(self.code)
-            self.code.append(key)
-        return slot
-
-    def visit(self, e) -> int:
-        seen, emit = self.seen, self.emit
-        slot = seen.get(id(e))
-        if slot is not None:
-            return slot
-        # sums and products parse left-deep: walk the left spine in this loop and
-        # recurse only into right operands and arguments, whose depth the parser bounds
-        spine = []
-        while isinstance(e, BinOp):
-            spine.append(e)
-            e = e.left
-            slot = seen.get(id(e))
-            if slot is not None:
-                break
-        if slot is None:
-            if isinstance(e, Num):
-                slot = emit("num", lit=float(e.value))
-            elif isinstance(e, Var):
-                if not 1 <= e.index <= self.n:
-                    raise ValueError(f"variable x{e.index} outside chart of dimension {self.n}")
-                slot = emit("var", lit=e.index)
-            elif isinstance(e, Neg):
-                slot = emit("neg", self.visit(e.arg))
-            elif isinstance(e, Pow):
-                slot = self.visit(e.base)
-                k = e.exponent
-                if not float(k).is_integer():
-                    slot = emit("pow", slot, lit=float(k))
-                elif k == 0:
-                    slot = emit("num", lit=1.0)
-                else:  # square-and-multiply: exact at zeros of the base, O(log |k|) products
-                    base = slot
-                    for bit in bin(int(abs(k)))[3:]:
-                        slot = emit("mul", slot, slot)
-                        if bit == "1":
-                            slot = emit("mul", slot, base)
-                    if k < 0:
-                        slot = emit("inv", slot)
-            elif isinstance(e, Call):
-                if e.func not in FUNCTIONS:
-                    raise ValueError(f"no such function {e.func!r}")
-                slot = emit(e.func, self.visit(e.arg))
-            else:
-                raise TypeError(f"not an Expr node: {e!r}")
-            seen[id(e)] = slot
-        for node in reversed(spine):
-            right = self.visit(node.right)
-            if node.op == "/":
-                slot = emit("mul", slot, emit("inv", right))
-            else:
-                slot = emit(_BINARY[node.op], slot, right)
-            seen[id(node)] = slot
-        return slot
-
-
 def compile_tape(exprs, n: int) -> Tape:
     """Lower expressions over x1..xn to one tape, merging common subexpressions.
 
@@ -575,14 +503,89 @@ def compile_tape(exprs, n: int) -> Tape:
     subtrees share one slot whether or not they are the same object, and no
     deep node is ever hashed. A division becomes a product with a reciprocal
     and an integer power square-and-multiply products, the jet rules the tape
-    runs. Output slots follow the order of `exprs`.
+    runs. Output slots follow the order of `exprs`. Nodes are lowered in
+    post-order from an explicit stack, so a tree of any depth lowers.
     """
-    builder = _TapeBuilder(n)
-    try:
-        outputs = [builder.visit(e) for e in exprs]
-    except RecursionError:  # trees that share groups (see shared_groups) can outgrow one parse
-        raise DomainError("expression nested too deeply to lower") from None
-    return Tape(n, builder.code, outputs)
+    code: list = []
+    index: dict = {}           # instruction -> slot
+    seen: dict[int, int] = {}  # id(node) -> slot; `exprs` keeps the nodes alive
+
+    def emit(op: str, a: int, b: int, lit) -> int:
+        key = (op, a, b, lit)
+        slot = index.get(key)
+        if slot is None:
+            slot = index[key] = len(code)
+            code.append(key)
+        return slot
+
+    outputs = []
+    for e in exprs:
+        # nodes waiting for the slot of their first operand, and (BinOp, left
+        # slot) pairs waiting for the slot of the right operand
+        stack: list = []
+        while True:
+            slot = seen.get(id(e))
+            while slot is None:  # descend along first operands
+                cls = type(e)
+                if cls is BinOp:
+                    stack.append(e)
+                    e = e.left
+                elif cls is Neg or cls is Call:
+                    stack.append(e)
+                    e = e.arg
+                elif cls is Pow:
+                    stack.append(e)
+                    e = e.base
+                else:
+                    if cls is Num:
+                        slot = emit("num", -1, -1, float(e.value))
+                    elif cls is Var:
+                        if not 1 <= e.index <= n:
+                            raise ValueError(f"variable x{e.index} outside chart of dimension {n}")
+                        slot = emit("var", -1, -1, e.index)
+                    else:
+                        raise TypeError(f"not an Expr node: {e!r}")
+                    seen[id(e)] = slot
+                    break
+                slot = seen.get(id(e))
+            while stack:  # climb, applying each waiting node to `slot`
+                e = stack.pop()
+                cls = type(e)
+                if cls is BinOp:  # the right operand goes next
+                    stack.append((e, slot))
+                    e = e.right
+                    break
+                if cls is tuple:
+                    e, left = e
+                    if e.op == "/":
+                        slot = emit("mul", left, emit("inv", slot, -1, None), None)
+                    else:
+                        slot = emit(_BINARY[e.op], left, slot, None)
+                elif cls is Neg:
+                    slot = emit("neg", slot, -1, None)
+                elif cls is Call:
+                    if e.func not in FUNCTIONS:
+                        raise ValueError(f"no such function {e.func!r}")
+                    slot = emit(e.func, slot, -1, None)
+                else:
+                    k = e.exponent
+                    if not float(k).is_integer():
+                        slot = emit("pow", slot, -1, float(k))
+                    elif k == 0:
+                        slot = emit("num", -1, -1, 1.0)
+                    else:  # square-and-multiply: exact at zeros of the base, O(log |k|) products
+                        base = slot
+                        for bit in bin(int(abs(k)))[3:]:
+                            slot = emit("mul", slot, slot, None)
+                            if bit == "1":
+                                slot = emit("mul", slot, base, None)
+                        if k < 0:
+                            slot = emit("inv", slot, -1, None)
+                seen[id(e)] = slot
+            else:  # the stack ran empty: `slot` is the whole expression's
+                break
+        outputs.append(slot)
+    return Tape(n, code, outputs)
 
 
 def eval_jet(e: Expr, p, order: int) -> "list[np.ndarray]":

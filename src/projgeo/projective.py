@@ -6,6 +6,7 @@ unparametrized geodesics, the Weyl tensor W (n >= 3), the Cotton tensor
 (n = 2) and the twistor almost complex structure; those invariances are what
 this module measures. A changed chart keeps its own entries, metric or
 Christoffel, and adds alpha to the 1-form it carries as `ConnectionSpec.alpha`.
+Alpha files are read by readers.read_entries, the reader charts share.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import expr as ex
 from .algebra import cotton, torsion_split, weyl
 from .connection import (ConnectionSpec, ConnectionValue, _add_projective_term, curvature,
                          point_blocks, require_torsion_free, torsion)
-from .readers import ChartError, content_lines, parse_expr, read_dim, read_text, split_entry
+from .readers import read_entries, read_text
 from .tensor import OddDimension, norm
 from .twistor import mild_complex_structure, vertical_motion
 
@@ -37,40 +38,15 @@ def load_alpha(path: "str | Path", n: int) -> tuple[ex.Expr, ...]:
     return parse_alpha(read_text(path), n)
 
 
-@ex.shared_groups()
 def parse_alpha(text: str, n: int) -> tuple[ex.Expr, ...]:
     """The 1-form alpha_1 .. alpha_n on a chart of dimension n from its text:
     lines `a <i> = <expr>`, after an optional `dim = n` header that must agree.
 
     Indices are 1-based; missing entries are zero. Every malformed line raises
-    ChartError("line N: ...").
+    ChartError("line N: ...") (see readers.read_entries).
     """
-    exprs = [ex.Num(0.0)] * n
-    seen, has_header = set(), False
-    for lineno, line in content_lines(text):
-        words, rhs = split_entry(lineno, line, "a i = expression")
-        if words == ["dim"]:
-            if has_header:
-                raise ChartError(f"line {lineno}: duplicate dim")
-            header = read_dim(lineno, rhs)
-            if header != n:
-                raise ChartError(
-                    f"line {lineno}: alpha file has dim = {header}, expected {n}")
-            has_header = True
-            continue
-        if len(words) != 2 or words[0] != "a":
-            raise ChartError(f"line {lineno}: expected 'a i = expression'")
-        try:
-            i = int(words[1])
-        except ValueError:
-            raise ChartError(f"line {lineno}: bad index in {' '.join(words)!r}") from None
-        if i in seen:
-            raise ChartError(f"line {lineno}: duplicate entry a {i}")
-        if not 1 <= i <= n:
-            raise ChartError(f"line {lineno}: alpha index out of range 1..{n}")
-        seen.add(i)
-        exprs[i - 1] = parse_expr(lineno, rhs, n)
-    return tuple(exprs)
+    _, _, entries = read_entries(text, n)
+    return tuple(entries.get((i,), ex.Num(0.0)) for i in range(n))
 
 
 def sample_points(n: int, count: int, seed: int, half_width: float = 0.4) -> np.ndarray:
@@ -201,7 +177,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
     component can be removed canonically.
     """
     n = spec.n
-    if spec.source == "metric":
+    if spec.kind == "metric":
         # Levi-Civita (plus a projective term) is already symmetric
         return TorsionRemoval(True, 0.0, (ex.Num(0.0),) * n, spec)
 
@@ -211,8 +187,8 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
     for j in range(n):
         acc: ex.Expr | None = None
         for k in range(n):
-            plus = spec.christoffel.get((k, j, k))
-            minus = spec.christoffel.get((k, k, j))
+            plus = spec.entries.get((k, j, k))
+            minus = spec.entries.get((k, k, j))
             if plus is not None:
                 acc = _add(acc, plus)
             if minus is not None:
@@ -221,7 +197,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
 
     # Gamma'^k_{ij} = Gamma^k_{ij} - alpha_i delta^k_j / 2 + alpha_j delta^k_i / 2;
     # on the diagonal k = i = j the two halves cancel.
-    entries = dict(spec.christoffel)
+    entries = dict(spec.entries)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -234,7 +210,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
                 elif k == i and not _is_zero(alpha_exprs[j]):
                     entries[(k, i, j)] = _add(
                         entries.get((k, i, j)), ex.BinOp("*", half, alpha_exprs[j]))
-    fixed = ConnectionSpec(n, christoffel=entries, alpha=spec.alpha)
+    fixed = ConnectionSpec(n, "christoffel", entries, spec.alpha)
 
     worst_t1 = 0.0
     for block in point_blocks(sample_points(n, 5, seed=3), n ** 3):

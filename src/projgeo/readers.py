@@ -2,10 +2,11 @@
 
 Every input file is UTF-8 text read line by line. `#` starts a comment that
 runs to the end of the line, and blank lines are skipped. Chart and alpha
-entries are `key = expression` lines, and a `dim = n` header gives the chart
-dimension. A targets file holds one point per line, as comma-separated
-coordinates. Points and numbers given on the command line use the same
-number reader, so every number that enters the program is finite. A
+files go through one line loop, read_entries: `key = expression` lines, a
+`dim = n` header and, in a chart, one [metric] or [christoffel] section, all
+under the same rules. A targets file holds one point per line, as
+comma-separated coordinates. Points and numbers given on the command line use
+the same number reader, so every number that enters the program is finite. A
 malformed line raises ChartError("line N: ...").
 """
 
@@ -20,8 +21,8 @@ import numpy as np
 from . import expr as ex
 from .tensor import MAX_DIM
 
-__all__ = ["ChartError", "MAX_DIM", "read_text", "content_lines", "split_entry",
-           "read_numbers", "read_dim", "parse_expr", "parse_points"]
+__all__ = ["ChartError", "MAX_DIM", "read_text", "content_lines", "read_numbers",
+           "read_entries", "parse_points"]
 
 
 class ChartError(ValueError):
@@ -50,15 +51,6 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def split_entry(lineno: int, line: str, form: str = "key = expression") -> tuple[list[str], str]:
-    """The whitespace-separated key words and the right-hand side of `key = expr`."""
-    key, equals, rhs = line.partition("=")
-    words = key.split()
-    if not equals or not words:
-        raise ChartError(f"line {lineno}: expected '{form}'")
-    return words, rhs.strip()
-
-
 def read_numbers(text: str, count: int | None, kind: type = float) -> list:
     """The comma-separated numbers in `text`, exactly `count` of them unless None.
 
@@ -76,24 +68,77 @@ def read_numbers(text: str, count: int | None, kind: type = float) -> list:
     return values
 
 
-def read_dim(lineno: int, rhs: str) -> int:
-    """The chart dimension of a `dim = n` header: 2 to MAX_DIM, since the
-    projective decomposition and the holonomy loops need a 2-plane."""
-    try:
-        (n,) = read_numbers(rhs, 1, int)
-    except ChartError:
-        raise ChartError(f"line {lineno}: dim must be an integer") from None
-    if not 2 <= n <= MAX_DIM:
-        raise ChartError(f"line {lineno}: dim must be in 2..{MAX_DIM}")
-    return n
+# The key of an entry in each section: its letter, then the names of its 1-based indices.
+KEYS = {"metric": "g i j", "christoffel": "G k i j", "alpha": "a i"}
 
 
-def parse_expr(lineno: int, rhs: str, n: int) -> ex.Expr:
-    """The expression on a line, with a parse error reported at that line."""
-    try:
-        return ex.parse(rhs, n)
-    except ex.ParseError as err:
-        raise ChartError(f"line {lineno}: {err}") from err
+def read_entries(text: str, n: "int | None") -> "tuple[int, str, dict[tuple[int, ...], ex.Expr]]":
+    """(n, section, {0-based key: Expr}) of a chart file (n is None) or an alpha file.
+
+    A chart needs a `dim` header before its one [metric] or [christoffel]
+    section; an alpha file of dimension n has no sections, and its optional
+    `dim` header must agree with n. Keys follow KEYS, with 1-based indices in
+    range, each key once and metric keys i <= j; absent entries are zero.
+    Within the file each repeated text or group is parsed once (see
+    expr.shared_groups).
+    """
+    section = None if n is None else "alpha"
+    entries, has_dim = {}, False
+    with ex.shared_groups():
+        for lineno, line in content_lines(text):
+            if line.startswith("[") and line.endswith("]"):
+                header = line[1:-1].strip()
+                if header not in ("metric", "christoffel") or section == "alpha":
+                    raise ChartError(f"line {lineno}: unknown section [{header}]")
+                if section is not None:
+                    raise ChartError(f"line {lineno}: [metric] and [christoffel] are "
+                                     f"exclusive, and only one section is allowed")
+                if n is None:
+                    raise ChartError(f"line {lineno}: dim must come before any section")
+                section = header
+                continue
+            key, equals, rhs = line.partition("=")
+            words = key.split()
+            if not equals or not words:
+                raise ChartError(f"line {lineno}: expected 'key = expression'")
+            if words == ["dim"]:
+                if has_dim:
+                    raise ChartError(f"line {lineno}: duplicate dim")
+                try:
+                    (dim,) = read_numbers(rhs, 1, int)
+                except ChartError:
+                    raise ChartError(f"line {lineno}: dim must be an integer") from None
+                # the projective decomposition and the holonomy loops need a 2-plane
+                if not 2 <= dim <= MAX_DIM:
+                    raise ChartError(f"line {lineno}: dim must be in 2..{MAX_DIM}")
+                if n is not None and dim != n:
+                    raise ChartError(f"line {lineno}: alpha file has dim = {dim}, expected {n}")
+                n, has_dim = dim, True
+                continue
+            if section is None:
+                raise ChartError(f"line {lineno}: entry before any section")
+            form = KEYS[section]
+            if words[0] != form[0] or len(words) != len(form.split()):
+                raise ChartError(f"line {lineno}: {section} entries look like '{form} = ...'")
+            try:
+                index = tuple(int(word) - 1 for word in words[1:])
+            except ValueError:
+                raise ChartError(f"line {lineno}: bad index in {' '.join(words)!r}") from None
+            if not all(0 <= i < n for i in index):
+                raise ChartError(f"line {lineno}: {section} index out of range 1..{n}")
+            if section == "metric" and index[0] > index[1]:
+                raise ChartError(f"line {lineno}: metric entries use i <= j")
+            if index in entries:
+                raise ChartError(f"line {lineno}: duplicate entry {' '.join(words)}")
+            try:
+                entries[index] = ex.parse(rhs.strip(), n)
+            except ex.ParseError as err:
+                raise ChartError(f"line {lineno}: {err}") from err
+    if n is None:
+        raise ChartError("missing dim header")
+    if section is None:
+        raise ChartError("missing [metric] or [christoffel] section")
+    return n, section, entries
 
 
 def parse_points(text: str, n: int) -> np.ndarray:

@@ -265,8 +265,8 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, monkeypatch):
 
 NESTED = "(" * 1000 + "x1" + ")" * 1000
 # each alpha line nests the line before it as a group, so a 1 is three parses deep.
-# It parses, as groups are shared, but is lowered first, deeper than the lowering
-# recursion goes; that refusal comes after reading, so it names no line.
+# It parses, as groups are shared, and lowers, as lowering keeps its own stack:
+# only a single line nested too deeply for the parser is refused.
 CHAIN = ["(" + "-" * 600 + "x1)"]
 CHAIN += ["(" + "-" * 600 + CHAIN[-1] + ")"]
 CHAIN += ["(" + "-" * 600 + CHAIN[-1] + ")"]
@@ -343,9 +343,6 @@ MALFORMED = {
     "deep-nesting": (["analyze", "{tmp}/a.chart", "--point", "0.1,0.2"],
                      {"a.chart": f"dim = 2\n[christoffel]\nG 1 1 1 = {NESTED}\n".encode()},
                      "line 3: expression nested too deeply"),
-    "deep-shared-nesting": (["invariance", str(chart_path("flat3.chart")),
-                             "--alpha", "{tmp}/a.alpha"], {"a.alpha": DEEP_ALPHA},
-                            "expression nested too deeply to lower"),
     "out-dir-missing": (["analyze", str(chart_path("sphere2.chart")), "--point", "0,0",
                          "--out", "{tmp}/no-such-dir/report.json"], {}, "No such file"),
     "gamma-overflow": (["twistor", "{tmp}/a.chart", "--samples", "3"],
@@ -505,6 +502,17 @@ def test_long_entries_and_large_powers_are_analyzed(tmp_path, capsys, name):
     code, out, err = run(capsys, "analyze", str(chart), "--point", "0.1,0.2", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["norms"]["torsion"] == 0.0
+
+
+def test_deeply_shared_groups_are_lowered(tmp_path, capsys):
+    """DEEP_ALPHA's a 1 is a tree three lines deep, deeper than one line may
+    nest; it lowers like any other, and the flat chart stays invariant."""
+    alpha = tmp_path / "a.alpha"
+    alpha.write_bytes(DEEP_ALPHA)
+    code, out, err = run(capsys, "invariance", str(chart_path("flat3.chart")),
+                         "--alpha", str(alpha), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "invariant"
 
 
 # Runs every subcommand but twistor, then twistor, in one process, printing

@@ -21,7 +21,7 @@ def test_fixture_charts_load():
                          ("torsion3.chart", 3, "christoffel")]:
         spec = load_chart(chart_path(name))
         assert spec.n == n
-        assert (spec.metric is not None) == (src == "metric")
+        assert spec.kind == src
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -299,7 +299,7 @@ def test_spec_refuses_dimension_outside_chart_range(n, entries):
     a one-dimensional spec used to build and then fail deep in develop or
     curvature_report."""
     with pytest.raises(ValueError, match=f"2..{MAX_DIM}"):
-        ConnectionSpec(n, christoffel=entries)
+        ConnectionSpec(n, "christoffel", entries)
 
 def test_evaluate_rejects_wrong_point_length():
     spec = load_chart(chart_path("flat3.chart"))

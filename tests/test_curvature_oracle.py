@@ -52,12 +52,12 @@ def _christoffel(spec, xs):
     """Gamma[k][i][j] as sympy expressions."""
     n = spec.n
     rng = range(n)
-    if spec.christoffel is not None:
-        entries = {key: _sym(e, xs) for key, e in spec.christoffel.items()}
+    if spec.kind == "christoffel":
+        entries = {key: _sym(e, xs) for key, e in spec.entries.items()}
         return [[[entries.get((k, i, j), sympy.Integer(0)) for j in rng] for i in rng]
                 for k in rng]
     g = sympy.zeros(n, n)
-    for (i, j), e in spec.metric.items():
+    for (i, j), e in spec.entries.items():
         g[i, j] = g[j, i] = _sym(e, xs)
     ginv = g.inv()
     return [[[sum(ginv[k, l] * (sympy.diff(g[l, j], xs[i]) + sympy.diff(g[i, l], xs[j])
@@ -74,8 +74,8 @@ def _symbolic_tensors(spec, xs):
             + sum(gam[l][i][m] * gam[m][j][k] - gam[l][j][m] * gam[m][i][k] for m in rng)
             for j in rng] for i in rng] for k in rng] for l in rng]
     out = {"R": r}
-    if spec.christoffel is not None and any(
-            spec.christoffel.get((k, i, j)) != spec.christoffel.get((k, j, i))
+    if spec.kind == "christoffel" and any(
+            spec.entries.get((k, i, j)) != spec.entries.get((k, j, i))
             for k in rng for i in rng for j in rng):
         return out  # torsion: W and C are not defined
     ric = [[sum(r[k][j][i][k] for k in rng) for j in rng] for i in rng]

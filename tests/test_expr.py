@@ -344,15 +344,15 @@ def test_tape_merges_shared_subexpressions():
                     entries[(k, i, j)] = " + ".join(terms)
     alpha = parse_alpha("".join(f"a {i + 1} = 0.1*x{i % n + 1} - 0.2\n" for i in range(n)), n)
     spec = projective_change(chart_spec(n, entries), alpha)
-    tree_total = sum(_tree_size(e) for e in (*spec.christoffel.values(), *spec.alpha))
+    tree_total = sum(_tree_size(e) for e in (*spec.entries.values(), *spec.alpha))
     assert len(spec._plan().tape.code) < tree_total / 10
 
 
-# (e) the builder's loop over left spines, and integer powers by square-and-multiply
+# (e) lowering from an explicit stack, and integer powers by square-and-multiply
 
 def _recursive_code(exprs, n):
     """Code and outputs of a plain recursive lowering with integer powers as
-    repeated products: the reference the builder's loop must reproduce, exactly
+    repeated products: the reference the stack lowering must reproduce, exactly
     for exponents |k| <= 3."""
     code, index, seen = [], {}, {}
 
@@ -401,8 +401,7 @@ def test_tape_code_is_the_recursive_lowering(path):
     spec = load_chart(path)
     alpha = parse_alpha("a 1 = x1 / (2 - x2)^-3\na 2 = -(x1 - x2)^2 * sin(x1 / 3)\n", spec.n)
     spec = projective_change(spec, alpha)
-    entries = spec.metric if spec.metric is not None else spec.christoffel
-    exprs = [*entries.values(), Num(0.0), *spec.alpha]
+    exprs = [*spec.entries.values(), Num(0.0), *spec.alpha]
     tape = spec._plan().tape
     assert (tape.code, tape.outputs) == _recursive_code(exprs, spec.n)
 
@@ -421,6 +420,28 @@ def test_long_sums_and_products_compile_and_evaluate(op):
         expect = (x ** terms, terms * x ** (terms - 1))
     assert value[0, 0] == pytest.approx(expect[0], rel=1e-11)
     assert d1[0, 0, 0] == pytest.approx(expect[1], rel=1e-11)
+
+
+# One level of a deep tree, and what it does to the value at x1 = x.
+DEEP_LEVELS = {"right-sum": (lambda e: BinOp("+", Var(1), e), lambda v, x: x + v),
+               "neg": (Neg, lambda v, x: -v),
+               "call": (lambda e: Call("sin", e), lambda v, x: math.sin(v)),
+               "pow": (lambda e: Pow(e, 0.5), lambda v, x: math.sqrt(v))}
+
+
+@pytest.mark.parametrize("level", sorted(DEEP_LEVELS))
+def test_trees_of_any_depth_lower(level):
+    """A tree 20,000 levels deep along one kind of operand lowers from the
+    compiler's own stack, deeper than any recursion goes, to one instruction
+    a level."""
+    wrap, step = DEEP_LEVELS[level]
+    e, x = Var(1), 0.3
+    expect = x
+    for _ in range(20000):
+        e, expect = wrap(e), step(expect, x)
+    tape = compile_tape([e], 1)
+    assert len(tape.code) == 20001
+    assert tape.run(np.array([[x]]), 0)[0][0, 0] == pytest.approx(expect, rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [*range(-12, -3), *range(4, 13)])

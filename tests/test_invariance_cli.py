@@ -2,8 +2,9 @@
 
 A torsion-free polynomial chart and its change by a 1-form alpha,
 Gamma^k_ij + alpha_i delta^k_j + alpha_j delta^k_i, are written as chart text
-and run through the subcommands: the pair is projectively equivalent, and
-`analyze` reads the same verdict and Weyl norm on both. The changed chart
+and run through the subcommands: the pair is projectively equivalent,
+`analyze` reads the same verdict and Weyl norm on both, and on an even
+dimension `twistor` reads the same verdicts and residuals. The changed chart
 embeds each base entry and each alpha_i as a parenthesized group, so it also
 runs the reader's shared groups end to end.
 """
@@ -65,3 +66,21 @@ def test_a_projective_change_keeps_every_verdict(n, seed):
                                     for path in (base, changed))
     assert code_a == code_b and a["verdict"] == b["verdict"]
     assert math.isclose(a["norms"]["weyl"], b["norms"]["weyl"], rel_tol=1e-9)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 4, 6]), st.integers(0, 2**32 - 1))
+def test_a_projective_change_keeps_the_twistor_verdicts(n, seed):
+    """J, and so its Nijenhuis residual, depends on the projective class only."""
+    base_text, changed_text, _ = _charts(n, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        base, changed = Path(tmp, "base.chart"), Path(tmp, "changed.chart")
+        base.write_text(base_text)
+        changed.write_text(changed_text)
+        (code_a, a), (code_b, b) = (_report("twistor", str(path)) for path in (base, changed))
+    assert code_a == code_b and a["verdict"] == b["verdict"]
+    assert len(a["reports"]) == len(b["reports"]) == 3
+    for report_a, report_b in zip(a["reports"], b["reports"]):
+        assert report_a["verdict"] == report_b["verdict"]
+        x, y = report_a["residual"], report_b["residual"]
+        assert max(x, y) <= 1e-14 or abs(x - y) <= 1e-12 * max(x, y)

@@ -11,8 +11,7 @@ from projgeo.connection import load_chart, parse_chart
 from projgeo.expr import (BinOp, Call, Neg, ParseError, Pow, compile_tape, parse,
                           shared_groups)
 from projgeo.projective import load_alpha, parse_alpha
-from projgeo.readers import (MAX_DIM, ChartError, content_lines, parse_expr, parse_points,
-                             read_dim, read_numbers, split_entry)
+from projgeo.readers import MAX_DIM, ChartError, content_lines, parse_points, read_numbers
 from test_cli_fuzz import EXPRESSIONS
 
 KEYS = ["dim", "g 1 1", "g 1 2", "g 2 1", "g 1 9", "G 1 2 3", "G 2 1 1", "G 1 1",
@@ -66,6 +65,32 @@ def test_number_reader_counts_and_refuses_non_finite_values():
             read_numbers(text, count, kind)
 
 
+# A chart and an alpha file of dimension 2, each five lines long with a comment
+# and a blank line, and per rule of the one reader both files share, a line
+# that breaks it in each kind of file and what its message says.
+HEADS = {"chart": "# a chart\ndim = 2\n\n[christoffel]\nG 1 1 1 = x1\n",
+         "alpha": "# an alpha file\ndim = 2\n\n\na 1 = x1\n"}
+RULES = {
+    "duplicate-dim": ({"chart": "dim = 2", "alpha": "dim = 2"}, "duplicate dim"),
+    "duplicate-key": ({"chart": "G 1 1 1 = x2", "alpha": "a 1 = x2"}, "duplicate entry"),
+    "index-range": ({"chart": "G 3 1 1 = x1", "alpha": "a 3 = x1"}, "index out of range 1..2"),
+    "index-not-integer": ({"chart": "G x 1 1 = x1", "alpha": "a x = x1"}, "bad index in"),
+    "no-equals": ({"chart": "G 1 2 1 x1", "alpha": "a 2 x1"}, "expected 'key = expression'"),
+    "bad-expression": ({"chart": "G 1 2 1 = x1 +", "alpha": "a 2 = x1 +"},
+                       "unexpected end of input"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEADS))
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_chart_and_alpha_files_share_each_reader_rule(rule, kind):
+    lines, message = RULES[rule]
+    text = HEADS[kind] + "\n# the bad line\n" + lines[kind] + "\n"
+    with pytest.raises(ChartError) as err:
+        parse_chart(text) if kind == "chart" else parse_alpha(text, 2)
+    assert str(err.value).startswith("line 8: ") and message in str(err.value), str(err.value)
+
+
 def test_load_functions_take_paths_not_text():
     with pytest.raises(ChartError, match="cannot read"):
         load_chart("dim = 2\n[christoffel]\n")
@@ -95,14 +120,14 @@ def _fresh(text):
     for lineno, line in content_lines(text):
         if line.startswith("["):
             continue
-        words, rhs = split_entry(lineno, line)
-        if words == ["dim"]:
-            n = read_dim(lineno, rhs)
+        key, _, rhs = line.partition("=")
+        if key.split() == ["dim"]:
+            n = int(rhs)
             continue
         try:
-            out.append((lineno, parse_expr(lineno, rhs, n)))
-        except ChartError as err:
-            out.append((lineno, err))
+            out.append((lineno, parse(rhs.strip(), n)))
+        except ParseError as err:
+            out.append((lineno, ChartError(f"line {lineno}: {err}")))
     return n, out
 
 
@@ -115,7 +140,7 @@ def _assert_same_as_fresh(text):
         assert errors and str(err) == errors[0]
         return
     assert not errors
-    trees = list(spec.christoffel.values() if spec.metric is None else spec.metric.values())
+    trees = list(spec.entries.values())
     assert trees == [e for _, e in fresh]
     shared, alone = compile_tape(trees, n), compile_tape([e for _, e in fresh], n)
     assert (shared.code, shared.outputs) == (alone.code, alone.outputs)
@@ -201,13 +226,13 @@ def test_shared_groups_report_errors_at_fresh_offsets():
 def test_a_repeated_group_is_one_tree():
     spec = parse_chart(_chart(2, ["(x1 + x2) * 2", "3 + (x1 + x2)", "sin(x1 + x2)",
                                   "(x1 + x2) * 2"]))
-    a, b, c, d = spec.christoffel.values()
+    a, b, c, d = spec.entries.values()
     assert a.left is b.right is c.arg and a is d
     alpha = parse_alpha("a 1 = exp(x1 - 1)\na 2 = (x1 - 1)^2\n", 2)
     assert alpha[0].arg is alpha[1].base
     # each file has its own table
     again = parse_chart(_chart(2, ["(x1 + x2) * 2"]))
-    assert again.christoffel[(0, 0, 0)] == a and again.christoffel[(0, 0, 0)] is not a
+    assert again.entries[(0, 0, 0)] == a and again.entries[(0, 0, 0)] is not a
 
 
 def test_groups_are_shared_within_a_file_only():
