@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ Expr = Union[Num, Var, Neg, BinOp, Pow, Call]
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()]))",
+    re.ASCII,  # digits and spaces in ASCII only
 )
 
 
@@ -119,7 +121,7 @@ def _tokenize(text: str, groups: dict) -> tuple[list[tuple[str, str, int]], dict
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:].lstrip(string.whitespace)  # the ASCII spaces \s takes
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}",

@@ -6,8 +6,9 @@ files go through one line loop, read_entries: `key = expression` lines, a
 `dim = n` header and, in a chart, one [metric] or [christoffel] section, all
 under the same rules. A targets file holds one point per line, as
 comma-separated coordinates. Points and numbers given on the command line use
-the same number reader, so every number that enters the program is finite. A
-malformed line raises ChartError("line N: ...").
+the same number reader, so every number that enters the program is finite
+and written in ASCII, as are indices and dims. A malformed line raises
+ChartError("line N: ...").
 """
 
 from __future__ import annotations
@@ -51,13 +52,24 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _whole(text: str) -> int:
+    """A whole number written in ASCII digits alone, no sign; else ValueError.
+    (int() would also take a sign, other scripts' digits and underscores.)"""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def read_numbers(text: str, count: int | None, kind: type = float) -> list:
     """The comma-separated numbers in `text`, exactly `count` of them unless None.
 
-    Floats must be finite; kind=int reads whole numbers (counts, seeds, dims).
+    Floats must be finite; kind=int reads whole numbers (counts, seeds). Each
+    number is ASCII text without underscores.
     """
     noun = "integers" if kind is int else "numbers"
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         values = [kind(part) for part in text.split(",")]
     except ValueError:
         raise ChartError(f"expected comma-separated {noun}, got {text!r}") from None
@@ -105,8 +117,8 @@ def read_entries(text: str, n: "int | None") -> "tuple[int, str, dict[tuple[int,
                 if has_dim:
                     raise ChartError(f"line {lineno}: duplicate dim")
                 try:
-                    (dim,) = read_numbers(rhs, 1, int)
-                except ChartError:
+                    dim = _whole(rhs.strip())
+                except ValueError:
                     raise ChartError(f"line {lineno}: dim must be an integer") from None
                 # the projective decomposition and the holonomy loops need a 2-plane
                 if not 2 <= dim <= MAX_DIM:
@@ -121,7 +133,7 @@ def read_entries(text: str, n: "int | None") -> "tuple[int, str, dict[tuple[int,
             if words[0] != form[0] or len(words) != len(form.split()):
                 raise ChartError(f"line {lineno}: {section} entries look like '{form} = ...'")
             try:
-                index = tuple(int(word) - 1 for word in words[1:])
+                index = tuple(_whole(word) - 1 for word in words[1:])
             except ValueError:
                 raise ChartError(f"line {lineno}: bad index in {' '.join(words)!r}") from None
             if not all(0 <= i < n for i in index):

@@ -7,23 +7,27 @@ The almost complex structure acts by j on the horizontal part, via the base
 projection, and by left multiplication by j on the vertical part. Its
 Nijenhuis tensor, built here from the structure matrix J over a chart of the
 bundle and the exact partials of J at the chart's anchor, measures
-integrability. J is affine in Gamma, so its partials along the base come
-from the partials of Gamma; it is analytic in the fibre coordinates, so its
-partials along the fibre come from a complex step, exact to rounding.
+integrability.
+
+The chart around an anchor (x0, j0) has coordinates (x, m), with m in the
+anticommutant of j0, taken in its orthonormal basis B (anticommutant_basis,
+n^2/2 elements); the fibre point is exp(2m) j0, which squares to -I because
+exp(m) j0 exp(-m) = exp(2m) j0 for anticommuting m. acs_field_matrix builds J
+at the anchor, m = 0, only, where exp(2m) = I and its Frechet derivative is
+the identity, and with it every first partial of J there, in real
+arithmetic: J is affine in Gamma, so its partials along the base come from
+the partials of Gamma; along the fibre they are forward-mode tangents of each
+factor of the build, which reach exp's series only up to its quadratic term
+(see expm_frechet), so they too are exact. So the package needs numpy alone.
+
 `nijenhuis` takes a job's samples together: Gamma and its partials come from
 one evaluation per block of their base points, and `nijenhuis_tensor` builds
-each sample's tensor from its row.
-
-The exp fibre chart is built at its anchor only. The fibre points the
-Nijenhuis tensor visits, m = 0 and the complex steps m = i eps e_a, are where
-the exponential and its Frechet derivative cut after their linear terms, I + a
-and e + (a e + e a)/2, are exact to rounding (see LINEAR_RE_NORM); any other
-fibre point is refused. So the package needs numpy alone.
+each sample's tensor from its row with one structure build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +36,13 @@ from .expr import DomainError, refuse_where
 from .tensor import OddDimension
 
 __all__ = [
-    "NotAlmostComplex", "OddDimension", "TwistorPoint", "TwistorChart",
+    "NotAlmostComplex", "OddDimension", "TwistorPoint",
     "standard_complex_structure", "mild_complex_structure", "anticommutant_basis",
     "vertical_motion", "acs_field_matrix", "nijenhuis_tensor", "nijenhuis",
     "integrability_verdict", "sample_twistor_points", "coordinate_pairs",
 ]
 
 ACS_SQUARE_TOL = 1e-12
-# The complex step along the fibre: J(i eps e_a) = J + i eps d_a J + O(eps^2),
-# and no difference is taken, so any eps far below rounding gives d_a J exactly.
-COMPLEX_STEP = 1e-30
-# A matrix a with |Re a|_1 <= LINEAR_RE_NORM and |Im a|_1 <= LINEAR_IM_NORM
-# (max column sums) has exp(a) = I + a and D exp(a)[e] = e + (a e + e a)/2 to
-# rounding. The dropped terms are at most |a|^2 e^|a| / 2 < 2^-54 (times |e|
-# for the derivative), below half an ulp of I; the Re a Im a cross terms are at
-# most 2^-53 |Im a|, so the imaginary part, a complex step's derivative, keeps
-# its own relative precision. NaN and inf fail both tests.
-LINEAR_RE_NORM = 2.0 ** -53
-LINEAR_IM_NORM = 2.0 ** -27
 
 
 class NotAlmostComplex(ValueError):
@@ -132,51 +125,24 @@ class TwistorPoint:
                 f"j^2 + I has max entry {norm_sq_defect(j):.2e} > {ACS_SQUARE_TOL}")
 
 
-@dataclass(frozen=True, eq=False)
-class TwistorChart:
-    """Chart around an anchor twistor point.
+def expm_frechet(da: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The tangent at m = 0 of the Frechet derivative of the matrix
+    exponential, D exp(m)[e], along each direction of da (..., n, n).
 
-    Coordinates are (x, m) with m in the anticommutant of the anchor j; the
-    fibre point is exp(2m) j_anchor, which squares to -I identically because
-    exp(m) j exp(-m) = exp(2m) j for anticommuting m. Fibre coordinates are
-    taken in an orthonormal basis of the anticommutant (dimension n^2/2).
+    D exp(m)[e] = e + (m e + e m)/2 + O(|m|^2), the derivative of
+    exp's series I + m + m^2/2 + ..., so the tangent is (da e + e da)/2,
+    exact: the second derivative of exp at 0. Its value at m = 0 is e.
     """
-
-    anchor: TwistorPoint
-    basis: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", anticommutant_basis(self.anchor.j))
-
-    @property
-    def n(self) -> int:
-        return self.anchor.x.size
-
-    @property
-    def fibre_dim(self) -> int:
-        return self.basis.shape[0]
-
-    def fibre_matrix(self, m_coords: np.ndarray) -> np.ndarray:
-        """The matrix m of fibre coordinates (..., n^2/2), shape (..., n, n)."""
-        return np.einsum("...a,aij->...ij", m_coords, self.basis)
+    return 0.5 * (da @ e + e @ da)
 
 
-def _series_is_linear(a: np.ndarray) -> np.ndarray:
-    """Per slice of a (..., n, n): is exp(a) its linear term to rounding?"""
-    return ((np.abs(a.real).sum(axis=-2).max(axis=-1) <= LINEAR_RE_NORM)
-            & (np.abs(a.imag).sum(axis=-2).max(axis=-1) <= LINEAR_IM_NORM))
-
-
-def expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The Frechet derivative of the matrix exponential at a along e, cut
-    after its linear term: e + (a e + e a)/2.
-
-    a may carry leading axes, against which e (n, n) broadcasts. Where a
-    passes _series_is_linear, as at the fibre chart's anchor, the cut is
-    exact to rounding: its error is below half an ulp of |e| and, in the
-    imaginary part, 2^-53 relative to that part's size. The caller checks a.
-    """
-    return e + 0.5 * (a @ e + e @ a)
+def _motion(gamma: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bilinear form -[Gamma(a d_i), b] + a [Gamma(d_i), b] whose diagonal,
+    a = b = j, is vertical_motion; shapes as there."""
+    gx = np.moveaxis(gamma, -2, -3)                   # Gamma(d_i), stacked over i
+    gy = np.einsum("...ji,...ljm->...ilm", a, gamma)  # Gamma(a d_i)
+    ai, bi = a[..., None, :, :], b[..., None, :, :]   # broadcast over i
+    return -(gy @ bi - bi @ gy) + ai @ (gx @ bi - bi @ gx)
 
 
 def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -184,62 +150,69 @@ def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
 
     A horizontal direction d_i moves j by -[Gamma(d_i), j]; J sends it to
     j d_i, whose own motion is -[Gamma(j d_i), j], plus j times the first.
-    kdot is linear in gamma. gamma (..., n, n, n) and j (..., n, n) broadcast
-    over their leading axes; the result is (..., n, n, n), indexed [..., i, l, m].
+    kdot is linear in gamma and quadratic in j. gamma (..., n, n, n) and
+    j (..., n, n) broadcast over their leading axes; the result is
+    (..., n, n, n), indexed [..., i, l, m].
     """
-    gx = np.moveaxis(gamma, -2, -3)                   # Gamma(d_i), stacked over i
-    gy = np.einsum("...ji,...ljm->...ilm", j, gamma)  # Gamma(j d_i)
-    ji = j[..., None, :, :]                           # j, broadcast over i
-    return -(gy @ ji - ji @ gy) + ji @ (gx @ ji - ji @ gx)
+    return _motion(gamma, j, j)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # NaN and inf m reach the guard quietly
-def acs_field_matrix(cv: ConnectionValue, chart: TwistorChart,
-                     m_coords: np.ndarray) -> np.ndarray:
-    """Matrix of the almost complex structure at chart coordinates (cv.point, m).
+def acs_field_matrix(cv: ConnectionValue, tp: TwistorPoint) -> "tuple[np.ndarray, np.ndarray]":
+    """The almost complex structure J at the anchor of the chart around tp,
+    and its first partials there along every chart coordinate, as
+    (J (N, N), dJ (N, N, N)) with N = n + n^2/2 and dJ[l] = d_l J.
 
-    Tangent vectors are (xdot, mdot); the matrix derivative of the fibre point
-    is jdot = D exp(2m)[2 mdot] j0, with the Frechet derivative of the matrix
-    exponential (see expm_frechet) supplying the chart-to-intrinsic
-    conversion, and its left inverse (P^T P)^-1 P^T converting back after j
-    acts. Gamma at cv.point, and nothing else of the connection, enters: only
-    the horizontal-to-vertical block, through vertical_motion, linearly.
-    m_coords (..., n^2/2) may carry leading axes, a stack of fibre points, and
-    cv.gamma (..., n, n, n) a stack of Gamma values at the one point; the two
-    broadcast, and the result (..., n + n^2/2, n + n^2/2) carries their
-    leading axes. The fibre part is built once for the whole stack, with one
-    expm_frechet call per basis element. At m = 0 horizontal directions map
-    through j on the base and vertical ones by left multiplication by j. m may
-    be complex: no step conjugates, so J stays analytic in m.
-
-    The chart is built at its anchor only: m = 0 and the complex steps, every
-    fibre point whose 2m passes _series_is_linear, where exp(2m) = I + 2m and
-    its derivative are exact to rounding. Any other fibre point in the stack,
-    NaN and inf among them, raises DomainError naming cv.point.
+    Tangent vectors are (xdot, mdot), and J acts by
+    [[jp, 0], [pull motion^T, pull turn^T]]: jp = exp(2m) j0 the fibre point,
+    push the matrix P^T whose rows are the motions D exp(2m)[2 B_a] j0 of jp
+    along the basis, pull = (P^T P)^-1 P^T its left inverse through the Gram
+    matrix, motion = vertical_motion(Gamma, jp) and turn the rows jp push_a.
+    cv holds Gamma (n, n, n) and its first partials (n, n, n, n) at tp.x, as
+    one row of `ConnectionSpec.evaluate_many(..., derivs=1)`.
+    - Along x_l: only motion holds Gamma, linearly, so d_l J is the lower
+      left block pull motion(d_l Gamma)^T; one vertical_motion call takes
+      Gamma and its partials together.
+    - Along m_c: each factor's forward-mode tangent at m = 0: d jp = 2 B_c j0;
+      d push_a = D^2 exp(0)[2 B_c, 2 B_a] j0, one expm_frechet call per basis
+      element a; d pull = G^-1 (dP - dG pull) with G the Gram matrix; the
+      motion's tangent is the sum of its two bilinear terms (see _motion); and
+      d turn_a = d jp push_a + jp d push_a. push and G are formed once and
+      shared by the value and its tangents.
     """
-    n, d = chart.n, chart.fibre_dim
-    j0 = chart.anchor.j
-    m = chart.fibre_matrix(m_coords)
-    fibre_lead = m.shape[:-2]
-    two_m = 2.0 * m
-    refuse_where(DomainError, not _series_is_linear(two_m).all(),
-                 "twistor fibre point is off the chart's anchor, where exp(2m) = I + 2m,",
-                 None, cv.point)
-    jp = (np.eye(n) + two_m) @ j0
-    # jdot matrices of the fibre coordinate directions, flattened into the
-    # rows of P^T (..., d, n*n), and the inverse map
-    push = np.stack([expm_frechet(two_m, 2.0 * b) @ j0 for b in chart.basis], axis=-3)
-    pt = push.reshape(fibre_lead + (d, n * n))
-    pull = np.linalg.solve(pt @ np.swapaxes(pt, -1, -2), pt)
+    cv.require(1)
+    n, j = tp.x.size, tp.j
+    two_b = 2.0 * anticommutant_basis(j)
+    d = two_b.shape[0]
+    # at m = 0: jp = j, and push_a = 2 B_a j, which is also jp's tangent along B_a
+    djp = two_b @ j                                                     # [c]
+    push = djp.reshape(d, n * n)
+    dpush = np.stack([expm_frechet(two_b, e) for e in two_b], axis=1) @ j  # [c, a]
+    dpush = dpush.reshape(d, d, n * n)
+    # the Gram matrix G = P^T P is as well conditioned as j squared (see
+    # mild_complex_structure), so one inverse serves pull and its d tangents
+    inverse = np.linalg.inv(push @ push.T)
+    pull = inverse @ push
+    dgram = dpush @ push.T
+    dgram = dgram + np.swapaxes(dgram, 1, 2)
+    dpull = inverse @ (dpush - dgram @ pull)
 
-    lead = np.broadcast_shapes(cv.gamma.shape[:-3], fibre_lead)
-    motion = vertical_motion(cv.gamma, jp).reshape(lead + (n, n * n))
-    turn = (jp[..., None, :, :] @ push).reshape(fibre_lead + (d, n * n))
-    out = np.zeros(lead + (n + d, n + d), dtype=np.result_type(jp, motion))
-    out[..., :n, :n] = jp
-    out[..., n:, :n] = pull @ np.swapaxes(motion, -1, -2)
-    out[..., n:, n:] = pull @ np.swapaxes(turn, -1, -2)
-    return out
+    gammas = np.concatenate([cv.gamma[None], cv.dgamma])
+    motion = np.swapaxes(vertical_motion(gammas, j).reshape(n + 1, n, n * n), -1, -2)
+    dmotion = _motion(cv.gamma, djp, j) + _motion(cv.gamma, j, djp)
+    dmotion = np.swapaxes(dmotion.reshape(d, n, n * n), -1, -2)
+    turn = (j @ djp).reshape(d, n * n).T
+    dturn = (djp[:, None] @ djp + j @ dpush.reshape(d, d, n, n)).reshape(d, d, n * n)
+    dturn = np.swapaxes(dturn, -1, -2)
+
+    out = np.zeros((1 + n + d, n + d, n + d))
+    out[0, :n, :n] = j
+    out[0, n:, :n] = pull @ motion[0]
+    out[0, n:, n:] = pull @ turn
+    out[1:n + 1, n:, :n] = pull @ motion[1:]
+    out[n + 1:, :n, :n] = djp
+    out[n + 1:, n:, :n] = dpull @ motion[0] + pull @ dmotion
+    out[n + 1:, n:, n:] = dpull @ turn + pull @ dturn
+    return out[0], out[1:]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -249,28 +222,12 @@ def nijenhuis_tensor(cv: ConnectionValue, tp: TwistorPoint) -> np.ndarray:
 
     cv holds Gamma (n, n, n) and its first partials (n, n, n, n) at tp.x, as
     one row of `ConnectionSpec.evaluate_many(..., derivs=1)`; nothing is
-    evaluated here, and the caller checks torsion. The partials of J are exact:
-    - along x_l: J is affine in Gamma at fixed m, so d_l J is the structure
-      built from d_l Gamma less the one built from Gamma = 0; one
-      acs_field_matrix call builds J, those and the zero structure together
-      at m = 0;
-    - along m_a: Im J(i eps e_a) / eps with eps = COMPLEX_STEP; one more
-      acs_field_matrix call builds the stack of the n^2/2 complex steps.
-    So a sample makes two structure builds. A tensor that is not finite
-    raises DomainError naming the point.
+    evaluated here, and the caller checks torsion. J and its partials come
+    from one acs_field_matrix build, exact to rounding. A tensor that is not
+    finite raises DomainError naming the point.
     """
-    cv.require(1)
-    n = tp.x.size
-    chart = TwistorChart(tp)
-    stack = np.concatenate([cv.gamma[None], cv.dgamma, np.zeros((1, n, n, n))])
-    built = acs_field_matrix(ConnectionValue(n, tp.x, stack), chart,
-                             np.zeros(chart.fibre_dim))
-    j = built[0]
-    stepped = acs_field_matrix(ConnectionValue(n, tp.x, cv.gamma), chart,
-                               1j * COMPLEX_STEP * np.eye(chart.fibre_dim))
-    dj = np.concatenate([built[1:n + 1] - built[n + 1],  # dj[l] = d_l J
-                         stepped.imag / COMPLEX_STEP])
-    half = np.einsum("li,lkj->kij", j, dj) - np.einsum("kl,ilj->kij", j, dj)
+    j, dj = acs_field_matrix(cv, tp)
+    half = np.swapaxes(np.tensordot(j, dj, (0, 0)) - j @ dj, 0, 1)  # [k, i, j]
     tensor = half - np.swapaxes(half, 1, 2)
     refuse_where(DomainError, not np.isfinite(tensor).all(), "Nijenhuis tensor is not finite",
                  None, tp.x)

@@ -468,6 +468,35 @@ MALFORMED = {
         {"a.chart": OVERFLOW_RICCI},
         "torsion, Ricci trace, trace 2-form or an identity residual is not finite "
         "at x = (-0.22, 0.126, -0.068)"),
+    # numbers and indices are ASCII: no other script's digits, signs on indices or
+    # digit-grouping underscores, though Python's int() and float() take them
+    "index-arabic-digit": (["analyze", "{tmp}/a.chart", "--point", "0,0,0"],
+                           {"a.chart": "dim = 3\n[christoffel]\nG \u0663 1 1 = x1\n".encode()},
+                           "line 3: bad index in"),
+    "index-sign": (["analyze", "{tmp}/a.chart", "--point", "0,0,0"],
+                   {"a.chart": b"dim = 3\n[christoffel]\nG 3 1 +1 = x1\n"},
+                   "line 3: bad index in"),
+    "index-underscore": (["analyze", "{tmp}/a.chart", "--point", "0,0"],
+                         {"a.chart": b"dim = 2\n[metric]\ng 0_1 1_0 = 1\n"},
+                         "line 3: bad index in"),
+    "dim-arabic-digit": (["analyze", "{tmp}/a.chart", "--point", "0,0,0"],
+                         {"a.chart": "dim = \u0663\n[christoffel]\n".encode()},
+                         "line 1: dim must be an integer"),
+    "dim-sign": (["analyze", "{tmp}/a.chart", "--point", "0,0,0"],
+                 {"a.chart": b"dim = +3\n[christoffel]\n"}, "line 1: dim must be an integer"),
+    "point-arabic-digit": (["analyze", str(chart_path("sphere2.chart")),
+                            "--point=\u0660.1,0.2"], {},
+                           "argument --point: expected comma-separated numbers"),
+    "samples-arabic-digit": (["twistor", str(chart_path("sphere4.chart")),
+                              "--samples", "\u0663"], {},
+                             "argument --samples: expected comma-separated integers"),
+    "targets-underscore": (["develop", str(chart_path("flat3.chart")), "--base", "0,0,0",
+                            "--targets", "{tmp}/t.txt"], {"t.txt": b"0.1,0.2,0.3\n1_0,0,0\n"},
+                           "line 2: expected comma-separated numbers"),
+    "expression-arabic-digit": (["analyze", "{tmp}/a.chart", "--point", "0,0"],
+                                {"a.chart": "dim = 2\n[christoffel]\nG 1 1 1 = \u0663*x1\n"
+                                            .encode()},
+                                "line 3: unexpected character '\u0663' (at offset 1)"),
 }
 
 

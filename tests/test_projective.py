@@ -12,7 +12,7 @@ from projgeo.projective import (OddDimension, check_weyl_invariance, load_alpha,
                                 remove_torsion, same_twistor_structure,
                                 sample_points)
 from projgeo.tensor import norm
-from projgeo.twistor import TwistorChart, acs_field_matrix, sample_twistor_points
+from projgeo.twistor import acs_field_matrix, sample_twistor_points
 
 FLAT2 = "dim = 2\n[christoffel]\n"
 
@@ -218,9 +218,8 @@ def test_twistor_comparison_matches_the_structure_matrices(n):
                  else random_torsionfree_spec(n, rng))
         worst = 0.0
         for tp in sample_twistor_points(n, 2, rng):
-            chart, zeros = TwistorChart(tp), np.zeros(n * n // 2)
-            gap = (acs_field_matrix(spec.evaluate(tp.x, derivs=0), chart, zeros)
-                   - acs_field_matrix(other.evaluate(tp.x, derivs=0), chart, zeros))
+            gap = (acs_field_matrix(spec.evaluate(tp.x, derivs=1), tp)[0]
+                   - acs_field_matrix(other.evaluate(tp.x, derivs=1), tp)[0])
             assert not np.any(gap[:n]) and not np.any(gap[n:, n:])
             worst = max(worst, float(np.max(np.abs(gap))))
         same = same_twistor_structure(spec, other, seed=k).same

@@ -56,6 +56,41 @@ def test_readers_parse_or_refuse_with_chart_errors(lines, n):
         assert points.shape[1] == n and np.isfinite(points).all()
 
 
+@pytest.mark.parametrize("text,count,kind", [
+    ("\u0660.1,0.2", 2, float), ("1_0", 1, float), ("0.5,2_000.0", 2, float),
+    ("\uff11", 1, float), ("\u0663", 1, int), ("1_0", 1, int)])
+def test_number_reader_takes_ascii_digits_only(text, count, kind):
+    """Python's int() and float() read other scripts' digits and underscores
+    between digits; the number reader does not."""
+    with pytest.raises(ChartError, match="expected comma-separated"):
+        read_numbers(text, count, kind)
+
+
+# Lines that Python's int() would read as indices or dims, each in a chart
+# whose line 3 (or, for dim, line 1) holds it, and the message.
+NON_ASCII_LINES = {
+    "index-arabic-digit": ("dim = 3\n[christoffel]\nG \u0663 1 1 = x1\n", "line 3: bad index in"),
+    "index-sign": ("dim = 3\n[christoffel]\nG 3 1 +1 = x1\n", "line 3: bad index in"),
+    "index-underscore": ("dim = 2\n[metric]\ng 0_1 1_0 = 1\n", "line 3: bad index in"),
+    "alpha-index": ("dim = 2\n\na \u0661 = x1\n", "line 3: bad index in"),
+    "dim-arabic-digit": ("dim = \u0663\n[christoffel]\n", "line 1: dim must be an integer"),
+    "dim-sign": ("dim = +3\n[christoffel]\n", "line 1: dim must be an integer"),
+    "dim-underscore": ("dim = 0_3\n[christoffel]\n", "line 1: dim must be an integer"),
+    "expression-digit": ("dim = 2\n[christoffel]\nG 1 1 1 = \u0663*x1\n",
+                         "line 3: unexpected character '\u0663' (at offset 1)"),
+    "expression-space": ("dim = 2\n[christoffel]\nG 1 1 1 = x1\u00a0+ x2\n",
+                         "line 3: unexpected character '\\xa0' (at offset 3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ASCII_LINES))
+def test_indices_dims_and_expressions_take_ascii_only(name):
+    text, message = NON_ASCII_LINES[name]
+    with pytest.raises(ChartError) as err:
+        parse_alpha(text, 2) if name.startswith("alpha") else parse_chart(text)
+    assert str(err.value).startswith(message), str(err.value)
+
+
 def test_number_reader_counts_and_refuses_non_finite_values():
     assert read_numbers(" 0.5, -1 ,2e-3", count=None) == [0.5, -1.0, 0.002]
     assert read_numbers("7", 1, int) == [7]
