@@ -55,10 +55,6 @@ def sample_points(n: int, count: int, seed: int, half_width: float = 0.4) -> np.
     return rng.uniform(-half_width, half_width, size=(count, n))
 
 
-def _add(a: ex.Expr | None, b: ex.Expr) -> ex.Expr:
-    return b if a is None else ex.BinOp("+", a, b)
-
-
 def projective_change(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]") -> ConnectionSpec:
     """The connection with Gamma^k_{ij} + alpha_i delta^k_j + alpha_j delta^k_i.
 
@@ -160,69 +156,43 @@ def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) ->
 
 @dataclass
 class TorsionRemoval:
-    """Outcome of the canonical torsion removal nabla' = nabla - T2/2."""
+    """Outcome of the canonical torsion removal nabla' = nabla - T2/2: the
+    corrected chart, or None when the trace-free part T1 is in the way."""
 
     ok: bool
     t1_residual: float
-    alpha: tuple[ex.Expr, ...] | None
     spec: ConnectionSpec | None
 
 
 def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
-    """Remove trace-type torsion in closed form, if that is all there is.
+    """Remove trace-type torsion, if that is all there is.
 
-    Builds alpha_j = (Gamma^k_{jk} - Gamma^k_{kj}) / (n-1) as expressions and
-    returns the corrected chart; fails (ok=False) when the trace-free torsion
-    part T1 exceeds 1e-9 at 5 seeded sample points, since only the T2
-    component can be removed canonically.
+    Fails (ok=False) when the trace-free torsion part T1 exceeds 1e-9 at 5
+    seeded sample points, since only the T2 component can be removed
+    canonically. Otherwise T = T2, so nabla - T2/2 is the symmetric part of
+    nabla, Gamma^k_{ij} -> (Gamma^k_{ij} + Gamma^k_{ji}) / 2: an entry whose
+    mirror is the same tree is kept, any other pair shares one half-sum (an
+    absent mirror reads as zero). The chart keeps its alpha.
     """
     n = spec.n
     if spec.kind == "metric":
         # Levi-Civita (plus a projective term) is already symmetric
-        return TorsionRemoval(True, 0.0, (ex.Num(0.0),) * n, spec)
-
-    half = ex.Num(0.5)
-    scale = ex.Num(1.0 / (n - 1))
-    alpha_exprs: list[ex.Expr] = []
-    for j in range(n):
-        acc: ex.Expr | None = None
-        for k in range(n):
-            plus = spec.entries.get((k, j, k))
-            minus = spec.entries.get((k, k, j))
-            if plus is not None:
-                acc = _add(acc, plus)
-            if minus is not None:
-                acc = ex.BinOp("-", acc if acc is not None else ex.Num(0.0), minus)
-        alpha_exprs.append(ex.Num(0.0) if acc is None else ex.BinOp("*", scale, acc))
-
-    # Gamma'^k_{ij} = Gamma^k_{ij} - alpha_i delta^k_j / 2 + alpha_j delta^k_i / 2;
-    # on the diagonal k = i = j the two halves cancel.
-    entries = dict(spec.entries)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if k == j and not _is_zero(alpha_exprs[i]):
-                    entries[(k, i, j)] = ex.BinOp(
-                        "-", entries.get((k, i, j), ex.Num(0.0)),
-                        ex.BinOp("*", half, alpha_exprs[i]))
-                elif k == i and not _is_zero(alpha_exprs[j]):
-                    entries[(k, i, j)] = _add(
-                        entries.get((k, i, j)), ex.BinOp("*", half, alpha_exprs[j]))
-    fixed = ConnectionSpec(n, "christoffel", entries, spec.alpha)
-
+        return TorsionRemoval(True, 0.0, spec)
     worst_t1 = 0.0
     for block in point_blocks(sample_points(n, 5, seed=3), n ** 3):
         t1, _ = torsion_split(torsion(spec.evaluate_many(block, derivs=0)))
         worst_t1 = max(worst_t1, norm(t1))
     if worst_t1 > 1e-9:
-        return TorsionRemoval(False, worst_t1, None, None)
-    return TorsionRemoval(True, worst_t1, tuple(alpha_exprs), fixed)
-
-
-def _is_zero(e: ex.Expr) -> bool:
-    return isinstance(e, ex.Num) and e.value == 0.0
+        return TorsionRemoval(False, worst_t1, None)
+    entries: dict[tuple[int, ...], ex.Expr] = {}
+    for (k, i, j), entry in spec.entries.items():
+        mirror = spec.entries.get((k, j, i))
+        if mirror is entry:
+            entries[(k, i, j)] = entry
+        elif (k, i, j) not in entries:  # else set with its mirror
+            entries[(k, i, j)] = entries[(k, j, i)] = ex.BinOp(
+                "*", ex.Num(0.5), entry if mirror is None else ex.BinOp("+", entry, mirror))
+    return TorsionRemoval(True, worst_t1, ConnectionSpec(n, "christoffel", entries, spec.alpha))
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """The input format shared by chart, alpha and targets files and by CLI numbers.
 
-Every input file is UTF-8 text read line by line. `#` starts a comment that
-runs to the end of the line, and blank lines are skipped. Chart and alpha
+Every input file is UTF-8 text read line by line: a line ends at `\n`, with
+a `\r` before it dropped. `#` starts a comment that runs to the end of the
+line, and blank lines are skipped. Only ASCII whitespace is stripped or
+separates the words of a key; any other space is refused. Chart and alpha
 files go through one line loop, read_entries: `key = expression` lines, a
 `dim = n` header and, in a chart, one [metric] or [christoffel] section, all
 under the same rules. A targets file holds one point per line, as
@@ -14,6 +16,7 @@ ChartError("line N: ...").
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from typing import Iterator
 
@@ -44,10 +47,16 @@ def read_text(path: "str | Path") -> str:
         raise ChartError(f"cannot read {path}: {err.strerror or err}") from None
 
 
+# The ASCII whitespace within a line, which the expression tokenizer's \s takes
+# too; str.strip and str.split would take any Unicode space.
+_SPACE = " \t\r\v\f"
+_WORDS = re.compile(f"[^{_SPACE}]+")
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, content) of each line that holds more than a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if line:
             yield lineno, line
 
@@ -99,7 +108,7 @@ def read_entries(text: str, n: "int | None") -> "tuple[int, str, dict[tuple[int,
     with ex.shared_groups():
         for lineno, line in content_lines(text):
             if line.startswith("[") and line.endswith("]"):
-                header = line[1:-1].strip()
+                header = line[1:-1].strip(_SPACE)
                 if header not in ("metric", "christoffel") or section == "alpha":
                     raise ChartError(f"line {lineno}: unknown section [{header}]")
                 if section is not None:
@@ -110,14 +119,14 @@ def read_entries(text: str, n: "int | None") -> "tuple[int, str, dict[tuple[int,
                 section = header
                 continue
             key, equals, rhs = line.partition("=")
-            words = key.split()
+            words = _WORDS.findall(key)
             if not equals or not words:
                 raise ChartError(f"line {lineno}: expected 'key = expression'")
             if words == ["dim"]:
                 if has_dim:
                     raise ChartError(f"line {lineno}: duplicate dim")
                 try:
-                    dim = _whole(rhs.strip())
+                    dim = _whole(rhs.strip(_SPACE))
                 except ValueError:
                     raise ChartError(f"line {lineno}: dim must be an integer") from None
                 # the projective decomposition and the holonomy loops need a 2-plane
@@ -143,7 +152,7 @@ def read_entries(text: str, n: "int | None") -> "tuple[int, str, dict[tuple[int,
             if index in entries:
                 raise ChartError(f"line {lineno}: duplicate entry {' '.join(words)}")
             try:
-                entries[index] = ex.parse(rhs.strip(), n)
+                entries[index] = ex.parse(rhs.strip(_SPACE), n)
             except ex.ParseError as err:
                 raise ChartError(f"line {lineno}: {err}") from err
     if n is None:

@@ -497,7 +497,40 @@ MALFORMED = {
                                 {"a.chart": "dim = 2\n[christoffel]\nG 1 1 1 = \u0663*x1\n"
                                             .encode()},
                                 "line 3: unexpected character '\u0663' (at offset 1)"),
+    "comment-line-separator": (["analyze", "{tmp}/a.chart", "--point", "0,0"],
+                               {"a.chart": "dim = 2\n# a\u2028b\n[metric]\nbad\n".encode()},
+                               "line 4: expected 'key = expression'"),
+    "comment-form-feed": (["invariance", str(chart_path("sphere2.chart")),
+                           "--alpha", "{tmp}/a.alpha"], {"a.alpha": "# a\fb\x85c\n\nbad\n".encode()},
+                          "line 3: expected 'key = expression'"),
+    "key-no-break-space": (["analyze", "{tmp}/a.chart", "--point", "0,0"],
+                           {"a.chart": "dim = 2\n[metric]\ng 1\u00a01 = 1\n".encode()},
+                           "line 3: metric entries look like"),
+    "section-no-break-space": (["analyze", "{tmp}/a.chart", "--point", "0,0"],
+                               {"a.chart": "dim = 2\n[\u00a0metric\u00a0]\n".encode()},
+                               "line 2: unknown section"),
+    "dim-ideographic-space": (["analyze", "{tmp}/a.chart", "--point", "0,0"],
+                              {"a.chart": "\u3000dim = 2\n[metric]\n".encode()},
+                              "line 1: entry before any section"),
 }
+
+
+# Torsion-free charts whose first Bianchi residual, a few ulps of rounding, is
+# above a --tol of 1e-16: the identity check keeps its own floor, so they
+# reach a verdict.
+TIGHT_TOL = {
+    "analyze-witness3": ["analyze", str(chart_path("witness3.chart")),
+                         "--point", "0.1,0.2,0.3", "--tol", "1e-16"],
+    "invariance-sphere3": ["invariance", str(chart_path("sphere3.chart")),
+                           "--alpha", str(chart_path("alpha3.alpha")), "--tol", "1e-16"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIGHT_TOL))
+def test_a_tight_tolerance_still_reaches_a_verdict(capsys, name):
+    code, out, err = run(capsys, *TIGHT_TOL[name])
+    assert code in (0, 1) and err == ""
+    assert out.splitlines()[-1].startswith("verdict: ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a refusal prints only its error line

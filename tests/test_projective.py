@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import chart_path, chart_spec, model_metric, random_alpha, random_torsionfree_spec
+from conftest import (chart_path, chart_spec, model_metric, poly_entry, random_alpha,
+                      random_torsionfree_spec)
+from projgeo.algebra import torsion_split
 from projgeo.expr import Num, Var, compile_tape
 from projgeo.connection import ChartError, curvature, load_chart, parse_chart, torsion
 from projgeo.develop import model_connection
@@ -11,7 +13,7 @@ from projgeo.projective import (OddDimension, check_weyl_invariance, load_alpha,
                                 projective_change, projectively_equivalent,
                                 remove_torsion, same_twistor_structure,
                                 sample_points)
-from projgeo.tensor import norm
+from projgeo.tensor import TensorValue, norm
 from projgeo.twistor import acs_field_matrix, sample_twistor_points
 
 FLAT2 = "dim = 2\n[christoffel]\n"
@@ -148,11 +150,57 @@ def test_model_metric_is_not_the_affine_model():
 
 
 def test_remove_torsion_of_symmetric_input_is_identity():
-    spec = load_chart(chart_path("sphere3.chart"))
-    out = remove_torsion(spec)
-    assert out.ok
-    assert out.t1_residual < 1e-13
-    assert np.max(np.abs(alpha_at(out.alpha, np.array([0.1, 0.2, 0.3])))) < 1e-13
+    """A symmetric chart comes back with the same entry objects: a metric chart
+    as itself, a Christoffel chart with each entry and its mirror kept."""
+    metric = load_chart(chart_path("sphere3.chart"))
+    out = remove_torsion(metric)
+    assert out.ok and out.t1_residual == 0.0 and out.spec is metric
+    for spec in (random_torsionfree_spec(3, np.random.default_rng(5)),
+                 load_chart(chart_path("witness3.chart"))):
+        out = remove_torsion(spec)
+        assert out.ok and out.t1_residual < 1e-13
+        assert out.spec.entries.keys() == spec.entries.keys()
+        assert all(out.spec.entries[key] is e for key, e in spec.entries.items())
+        assert out.spec.alpha is spec.alpha
+
+
+def _trace_torsion_spec(n, rng):
+    """Polynomial Christoffel data plus a trace torsion beta_i delta^k_j, beta varying."""
+    texts = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                texts[(k, i, j)] = texts[(k, j, i)] = poly_entry(rng, n, 0.3)
+    for i in range(n):
+        u = rng.integers(1, n + 1)
+        beta = f"{rng.uniform(-0.5, 0.5):.4f} + {rng.uniform(-0.5, 0.5):.4f}*x{u}"
+        for k in range(n):
+            texts[(k, i, k)] = f"({texts[(k, i, k)]}) + {beta}"
+    return chart_spec(n, texts)
+
+
+def test_remove_torsion_subtracts_half_the_trace_torsion():
+    """Oracle: the corrected Gamma and dGamma are Gamma - T2/2 and its derivative,
+    with T2 from torsion_split of the input's torsion, and leave no torsion at all."""
+    rng = np.random.default_rng(35)
+    for case in range(24):
+        n = (2, 3, 4)[case % 3]
+        spec = _trace_torsion_spec(n, rng)
+        if case % 2:
+            spec = projective_change(spec, random_alpha(n, rng))
+        out = remove_torsion(spec)
+        assert out.ok and out.t1_residual < 1e-12
+        assert out.spec.alpha is spec.alpha
+        points = sample_points(n, 4, seed=case)
+        before, after = (s.evaluate_many(points, derivs=1) for s in (spec, out.spec))
+        t2 = torsion_split(torsion(before))[1].data
+        dt = before.dgamma - np.swapaxes(before.dgamma, -1, -2)
+        dt2 = torsion_split(TensorValue(n, ("up", "down", "down"), dt))[1].data
+        assert np.max(np.abs(t2)) > 0.01
+        assert np.max(np.abs(after.gamma - (before.gamma - t2 / 2))) <= 1e-14
+        assert np.max(np.abs(after.dgamma - (before.dgamma - dt2 / 2))) <= 1e-14
+        assert not np.any(torsion(after).data)
+        assert not np.any(after.dgamma - np.swapaxes(after.dgamma, -1, -2))
 
 
 def test_remove_trace_torsion():

@@ -80,6 +80,12 @@ NON_ASCII_LINES = {
                          "line 3: unexpected character '\u0663' (at offset 1)"),
     "expression-space": ("dim = 2\n[christoffel]\nG 1 1 1 = x1\u00a0+ x2\n",
                          "line 3: unexpected character '\\xa0' (at offset 3)"),
+    # str.split and str.strip would take these spaces, as the expression reader does not
+    "key-space": ("dim = 2\n[metric]\ng 1\u00a01 = 1\n", "line 3: metric entries look like"),
+    "section-space": ("dim = 2\n[\u00a0metric\u00a0]\n", "line 2: unknown section"),
+    "dim-space": ("\u3000dim = 2\n[metric]\n", "line 1: entry before any section"),
+    "dim-value-space": ("dim = 2\u2003\n[metric]\n", "line 1: dim must be an integer"),
+    "alpha-space": ("dim = 2\n\n\u00a0a 1 = x1\n", "line 3: alpha entries look like"),
 }
 
 
@@ -89,6 +95,19 @@ def test_indices_dims_and_expressions_take_ascii_only(name):
     with pytest.raises(ChartError) as err:
         parse_alpha(text, 2) if name.startswith("alpha") else parse_chart(text)
     assert str(err.value).startswith(message), str(err.value)
+
+
+def test_lines_end_at_newline_alone():
+    """splitlines would also break at form feeds, separators and U+2028; a
+    line ends at "\\n" alone, with a "\\r" before it dropped."""
+    text = "a\fb # c\x1cd\r\n\n# \x85\u2028\u2029\v more\r\n e \t\n"
+    assert list(content_lines(text)) == [(1, "a\fb"), (4, "e")]
+    crlf = "dim = 2\r\n[metric]\r\ng 1 1 = 1 # one\r\ng 2 2 = x1\r\n"
+    assert parse_chart(crlf) == parse_chart(crlf.replace("\r", ""))
+    for breaker in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        text = f"dim = 2\n[metric]\n# note{breaker}\ng 1 1 = 1\nbad\n"
+        with pytest.raises(ChartError, match="^line 5: expected 'key = expression'"):
+            parse_chart(text)
 
 
 def test_number_reader_counts_and_refuses_non_finite_values():
