@@ -88,9 +88,15 @@ def wedge_id(q: TensorValue) -> TensorValue:
     if q.variance != ("down", "down"):
         raise ValueError("wedge_id expects a (down, down) tensor")
     n, qd = q.n, q.data
-    eye = np.eye(n)
-    data = (np.einsum("...ji,lk->...lkij", qd, eye) - np.einsum("...ij,lk->...lkij", qd, eye)
-            - np.einsum("...ik,lj->...lkij", qd, eye) + np.einsum("...jk,li->...lkij", qd, eye))
+    qt = np.swapaxes(qd, -1, -2)[..., None, :, :]
+    # Q_ji d^l_k - Q_ij d^l_k - Q_ik d^l_j + Q_jk d^l_i, in that order, each
+    # term written into the diagonal it lives on
+    data = np.zeros(qd.shape[:-2] + (n,) * 4)
+    np.einsum("...llij->...lij", data)[...] = qt - qd[..., None, :, :]
+    diag = np.einsum("...lkil->...lki", data)
+    diag -= qt
+    diag = np.einsum("...lklj->...lkj", data)
+    diag += qt
     return TensorValue(n, ("up", "down", "down", "down"), data)
 
 

@@ -58,18 +58,24 @@ class HasTorsion(ValueError):
     """Operation requires a torsion-free connection."""
 
 
-# Entries of the widest per-point array one block may hold, shared by every
-# caller of point_blocks: 256 KB of float64. A block's temporaries run to about
-# ten times that. check_weyl_invariance on the round metric peaks at 1.9 MB for
-# 128 rows at n = 4 and 2.5 MB for 25 rows at n = 6, where a point's dgamma is
-# 10 KB and its transients ~100 KB. Charts of n <= 3 run 160 points in one block.
-BLOCK_ENTRIES = 2 ** 15
+# Float64 entries one block holds at its peak, its arrays and temporaries
+# together: 2 MB. Each caller of point_blocks passes the entries it holds per
+# row as a formula in n, at or above the per-row slope that tracemalloc
+# measures for it on the round metric and on random Christoffel charts, n = 2..6
+# (the slope as a share of the formula; the peak of one full block at n = 2, 3,
+# 4 and 6, which adds about 0.2 MB of einsum buffers that do not grow with it):
+#   check_weyl_invariance  8 n^(3 + derivs)  0.79-0.99  1.71-1.94 MB
+#   develop._hat_nodes     2 n^4 + 12 n^3    0.68-0.78  1.05-1.65 MB
+#   twistor.nijenhuis      2 n^4 + 12 n^3    0.66-0.68  0.87-1.45 MB (n even)
+#   _gamma_difference      8 n^3             0.45-0.70  0.93-1.41 MB
+# remove_torsion walks its 5 points in blocks of the width 8 n^3.
+BLOCK_ENTRIES = 2 ** 18
 
 
 def point_blocks(points, width: int) -> "list[np.ndarray]":
     """Consecutive blocks of the rows of a 2-D array (a (P, n) point array, or
     any stack of flattened rows), each of max(1, BLOCK_ENTRIES // width) rows
-    for callers whose widest per-point array holds `width` entries."""
+    for callers that hold `width` float64 entries per row at their peak."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows = max(1, BLOCK_ENTRIES // width)
     return [points[start:start + rows] for start in range(0, points.shape[0], rows)]
@@ -273,9 +279,19 @@ def _add_projective_term(levels, alpha) -> None:
     """Add alpha_i delta^k_j + alpha_j delta^k_i to every level in place; levels[d]
     and alpha[d] carry d derivative slots ahead of their index slots. An entry
     that overflows is left infinite for the curvature check to refuse."""
-    eye = np.eye(levels[0].shape[-1])
     for level, a in zip(levels, alpha):
-        level += np.einsum("...i,kj->...kij", a, eye) + np.einsum("...j,ki->...kij", a, eye)
+        level += _projective_term(a)
+
+
+def _projective_term(a) -> np.ndarray:
+    """alpha_i delta^k_j + alpha_j delta^k_i as (..., n, n, n) for alpha (..., n),
+    each term written into the diagonal it lives on."""
+    n = a.shape[-1]
+    term = np.zeros(a.shape[:-1] + (n, n, n))
+    np.einsum("...kik->...ki", term)[...] = a[..., None, :]
+    diag = np.einsum("...kkj->...kj", term)
+    diag += a[..., None, :]
+    return term
 
 
 @np.errstate(invalid="ignore")

@@ -20,8 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import _normalized
-from .connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, point_blocks,
-                         require_torsion_free)
+from .connection import ConnectionSpec, ConnectionValue, point_blocks, require_torsion_free
 from .expr import DomainError, refuse_where
 
 __all__ = [
@@ -58,7 +57,7 @@ MAX_STEPS = 1024  # RK4 steps per segment; the bench and fixture charts need <= 
 # Entries of the node array of one block of segments at MAX_STEPS (16 MB of
 # float64): 40 segments at n = 4, so a flatness certificate (32 segments) is
 # one block for n <= 4.
-SEGMENT_ENTRIES = 64 * BLOCK_ENTRIES
+SEGMENT_ENTRIES = 2 ** 21
 
 
 def _hat_matrix(cv: ConnectionValue, u: np.ndarray) -> np.ndarray:
@@ -116,14 +115,15 @@ def _rk4_frame(a: np.ndarray) -> np.ndarray:
 def _hat_nodes(spec: ConnectionSpec, starts, dirs, levels) -> np.ndarray:
     """A at starts[s] + t dirs[s] as out[s, j], t the j-th smallest node of the
     levels (1-D arrays), evaluated level by level, each segment by segment, in
-    point_blocks of width n^4, the entries of a node's dgamma."""
+    point_blocks of width 2 n^4 + 12 n^3, the entries a node holds while its
+    jets and hat matrix are formed (see connection.BLOCK_ENTRIES)."""
     n = spec.n
     seg = np.concatenate([np.repeat(np.arange(len(starts)), lv.size) for lv in levels])
     t = np.concatenate([np.tile(lv, len(starts)) for lv in levels])
     col = np.searchsorted(np.sort(np.concatenate(levels)), t)
     out = np.empty((len(starts), col.max() + 1, n + 1, n + 1))
     i = 0
-    for block in point_blocks(starts[seg] + t[:, None] * dirs[seg], n ** 4):
+    for block in point_blocks(starts[seg] + t[:, None] * dirs[seg], 2 * n ** 4 + 12 * n ** 3):
         j = i + len(block)
         out[seg[i:j], col[i:j]] = _hat_matrix(spec.evaluate_many(block, derivs=1), dirs[seg[i:j]])
         i = j

@@ -15,7 +15,8 @@ Unary minus binds looser than '^', so "-x1^2" is -(x1^2).
 
 Evaluation produces jets: value and partial derivatives up to order 3, exact to
 rounding (no finite differences). `compile_tape` lowers a list of expressions
-to one straight-line tape with common subexpressions merged, and `Tape.run`
+to one straight-line tape with common subexpressions merged and constants
+folded into the instructions that read them, and `Tape.run`
 evaluates it over a block of points at once; `eval_jet` is its one-point case.
 """
 
@@ -284,10 +285,12 @@ class Tape:
     """Straight-line program for a list of expressions over x1..xn (see compile_tape).
 
     Instruction i is (op, a, b, lit) and writes slot i: `a` and `b` are the
-    slots of its arguments (-1 when unused), `lit` its literal (the value of
-    "num", the 1-based index of "var", the exponent of "pow"). `run` executes
-    it in Taylor mode over a leading point axis (Griewank & Walther,
-    Evaluating Derivatives, 2nd ed., ch. 13).
+    slots of its arguments (-1 when unused), `lit` its literal. The operations
+    are "num" (the constant lit), "var" (the coordinate x_lit), "neg", "add",
+    "sub", "mul", "addc" (a + lit), "mulc" (a * lit), "inv" (1 / a), "pow"
+    (a to the power lit) and the functions sin, cos, exp, ln and sqrt of a.
+    `run` executes it in Taylor mode over a leading point axis (Griewank &
+    Walther, Evaluating Derivatives, 2nd ed., ch. 13).
     """
 
     def __init__(self, n: int, code, outputs):
@@ -342,6 +345,10 @@ class Tape:
                     jet[1][0, lit - 1] = 1.0
             elif op == "neg":
                 jet = [None if d is None else -d for d in slots[a]]
+            elif op == "mulc":
+                jet = [None if d is None else d * lit for d in slots[a]]
+            elif op == "addc":
+                jet = [slots[a][0] + lit, *slots[a][1:]]
             elif op == "add":
                 jet = [_sum(x, y) for x, y in zip(slots[a], slots[b])]
             elif op == "sub":
@@ -496,28 +503,73 @@ def _outer_derivs(op: str, v, lit, order: int, points) -> list:
 
 
 _BINARY = {"+": "add", "-": "sub", "*": "mul"}
+_FOLDED = {"add": float.__add__, "sub": float.__sub__, "mul": float.__mul__}
+
+
+def _signed(key, lit):
+    """`key` for a dict, apart from its twin if its literal is -0.0, which == 0.0."""
+    return key if lit != 0.0 or math.copysign(1.0, lit) > 0.0 else (key, "-0.0")
 
 
 def compile_tape(exprs, n: int) -> Tape:
-    """Lower expressions over x1..xn to one tape, merging common subexpressions.
+    """Lower expressions over x1..xn to one tape, merging common subexpressions
+    and folding constants into the instructions that read them.
 
-    Each node is keyed on (operation, argument slots, literal), so equal
-    subtrees share one slot whether or not they are the same object, and no
-    deep node is ever hashed. A division becomes a product with a reciprocal
-    and an integer power square-and-multiply products, the jet rules the tape
-    runs. Output slots follow the order of `exprs`. Nodes are lowered in
-    post-order from an explicit stack, so a tree of any depth lowers.
+    Each node is keyed on (operation, argument slots, literal), a float
+    literal by value and sign, so equal subtrees share one slot whether or not
+    they are the same object, -0.0 and 0.0 never do, and no deep node is ever
+    hashed. A division becomes a product with a reciprocal and an integer
+    power square-and-multiply products, the jet rules the tape runs. A
+    constant is a value, not an instruction, until an instruction that cannot
+    take it as a literal reads it, or it is an output: a sum or product with a
+    constant operand becomes "addc" or "mulc", x - c becomes x + (-c), and an
+    operation on constants alone is a constant, each the IEEE operation the
+    tape would run on the same operands, so results are unchanged and no
+    "num" instruction goes unread. x^0 is the constant 1, and x is still run,
+    so it refuses where x does. Output slots follow the order of `exprs`.
+    Nodes are lowered in post-order from an explicit stack, so a tree of any
+    depth lowers.
     """
     code: list = []
-    index: dict = {}           # instruction -> slot
-    seen: dict[int, int] = {}  # id(node) -> slot; `exprs` keeps the nodes alive
+    index: dict = {}           # instruction key -> slot
+    seen: dict[int, int] = {}  # id(node) -> slot or constant; `exprs` keeps the nodes alive
+    literals: list = []        # constant -2 - k stands for literals[k]
+    constants: dict = {}       # literal key -> constant
+
+    def constant(value: float) -> int:
+        key = _signed(value, value)
+        c = constants.get(key)
+        if c is None:
+            c = constants[key] = -2 - len(literals)
+            literals.append(value)
+        return c
+
+    def slot_of(s: int) -> int:
+        """The slot of s, a constant's "num" instruction emitted on first use."""
+        return emit("num", -1, -1, literals[-2 - s]) if s <= -2 else s
 
     def emit(op: str, a: int, b: int, lit) -> int:
-        key = (op, a, b, lit)
+        """The slot of an instruction, or the constant it folds to."""
+        if a <= -2 or b <= -2:
+            ca = literals[-2 - a] if a <= -2 else None
+            cb = literals[-2 - b] if b <= -2 else None
+            if op == "neg":
+                return constant(-ca)
+            if op in _FOLDED and ca is not None and cb is not None:
+                return constant(_FOLDED[op](ca, cb))
+            if op == "sub" and cb is not None:
+                op, b, lit = "addc", -1, -cb
+            elif op == "add" or op == "mul":  # the constant operand becomes the literal
+                a, lit = (a, cb) if cb is not None else (b, ca)
+                op, b = op + "c", -1
+            else:  # an operation the tape runs on the constant itself
+                a, b = slot_of(a), slot_of(b)
+        ins = (op, a, b, lit)
+        key = _signed(ins, lit)
         slot = index.get(key)
         if slot is None:
             slot = index[key] = len(code)
-            code.append(key)
+            code.append(ins)
         return slot
 
     outputs = []
@@ -540,7 +592,7 @@ def compile_tape(exprs, n: int) -> Tape:
                     e = e.base
                 else:
                     if cls is Num:
-                        slot = emit("num", -1, -1, float(e.value))
+                        slot = constant(float(e.value))
                     elif cls is Var:
                         if not 1 <= e.index <= n:
                             raise ValueError(f"variable x{e.index} outside chart of dimension {n}")
@@ -574,7 +626,7 @@ def compile_tape(exprs, n: int) -> Tape:
                     if not float(k).is_integer():
                         slot = emit("pow", slot, -1, float(k))
                     elif k == 0:
-                        slot = emit("num", -1, -1, 1.0)
+                        slot = constant(1.0)
                     else:  # square-and-multiply: exact at zeros of the base, O(log |k|) products
                         base = slot
                         for bit in bin(int(abs(k)))[3:]:
@@ -586,7 +638,7 @@ def compile_tape(exprs, n: int) -> Tape:
                 seen[id(e)] = slot
             else:  # the stack ran empty: `slot` is the whole expression's
                 break
-        outputs.append(slot)
+        outputs.append(slot_of(slot))
     return Tape(n, code, outputs)
 
 

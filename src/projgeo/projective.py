@@ -18,8 +18,9 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import cotton, torsion_split, weyl
-from .connection import (ConnectionSpec, ConnectionValue, _add_projective_term, curvature,
-                         point_blocks, require_torsion_free, torsion)
+from .connection import (ConnectionSpec, ConnectionValue, _add_projective_term,
+                         _projective_term, curvature, point_blocks, require_torsion_free,
+                         torsion)
 from .readers import read_entries, read_text
 from .tensor import OddDimension, norm
 from .twistor import mild_complex_structure, vertical_motion
@@ -94,7 +95,7 @@ def check_weyl_invariance(spec: ConnectionSpec, alpha: "tuple[ex.Expr, ...]",
     derivs = 2 if n == 2 else 1
     worst_w = 0.0
     worst_c: float | None = 0.0 if n == 2 else None
-    for block in point_blocks(points, n ** (3 + derivs)):
+    for block in point_blocks(points, 8 * n ** (3 + derivs)):
         cv_a = spec.evaluate_many(block, derivs=derivs)
         require_torsion_free(cv_a, tol, "projective invariance test expects a torsion-free "
                              "connection")
@@ -128,12 +129,9 @@ def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     if spec_a.n != spec_b.n:
         raise ValueError("charts have different dimensions")
     n = spec_a.n
-    eye = np.eye(n)
     d = _gamma_difference(spec_a, spec_b, points)
     alpha = np.einsum("...kik->...i", d) / (n + 1)
-    recon = (np.einsum("...i,kj->...kij", alpha, eye)
-             + np.einsum("...j,ki->...kij", alpha, eye))
-    worst = float(np.max(np.abs(d - recon), initial=0.0))
+    worst = float(np.max(np.abs(d - _projective_term(alpha)), initial=0.0))
     return Equivalence(worst <= tol, worst, alpha)
 
 
@@ -145,7 +143,7 @@ def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) ->
     raises DomainError naming the first such point.
     """
     n = spec_a.n
-    blocks = point_blocks(points, n ** 3)
+    blocks = point_blocks(points, 8 * n ** 3)
     d = np.concatenate([np.zeros((0, n, n, n))] + [
         spec_b.evaluate_many(block, derivs=0).gamma - spec_a.evaluate_many(block, derivs=0).gamma
         for block in blocks])
@@ -179,7 +177,7 @@ def remove_torsion(spec: ConnectionSpec) -> TorsionRemoval:
         # Levi-Civita (plus a projective term) is already symmetric
         return TorsionRemoval(True, 0.0, spec)
     worst_t1 = 0.0
-    for block in point_blocks(sample_points(n, 5, seed=3), n ** 3):
+    for block in point_blocks(sample_points(n, 5, seed=3), 8 * n ** 3):
         t1, _ = torsion_split(torsion(spec.evaluate_many(block, derivs=0)))
         worst_t1 = max(worst_t1, norm(t1))
     if worst_t1 > 1e-9:

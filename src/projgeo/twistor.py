@@ -239,8 +239,9 @@ def nijenhuis(spec: ConnectionSpec, tps: "list[TwistorPoint]",
     """Max over the tangent pairs (u, v) of |N(u, v)| at the chart point of each
     twistor sample in tps (see nijenhuis_tensor), as an array (len(tps),).
 
-    The samples' base points are walked in point_blocks of width n^4, the
-    entries of a point's dgamma; each block takes Gamma and its first
+    The samples' base points are walked in point_blocks of width
+    2 n^4 + 12 n^3, the entries a point holds while its jets are formed (see
+    connection.BLOCK_ENTRIES); each block takes Gamma and its first
     partials from one evaluate_many call, and one torsion check, naming the
     first sample of the block that has torsion. So for a block, a refusal of
     the evaluation (a DomainError or SingularMetric) or of torsion comes
@@ -250,7 +251,8 @@ def nijenhuis(spec: ConnectionSpec, tps: "list[TwistorPoint]",
     """
     n = spec.n
     residuals = []
-    for block in point_blocks(np.reshape([tp.x for tp in tps], (-1, n)), n ** 4):
+    bases = np.reshape([tp.x for tp in tps], (-1, n))
+    for block in point_blocks(bases, 2 * n ** 4 + 12 * n ** 3):
         cv = spec.evaluate_many(block, derivs=1)
         require_torsion_free(cv, 1e-10, "integrability test expects a torsion-free connection")
         for gamma, dgamma in zip(cv.gamma, cv.dgamma):

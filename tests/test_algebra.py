@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from census_reference import _curvature_pieces, _lie_action, bianchi_project
-from conftest import chart_path, random_spec_with_torsion, random_torsionfree_spec
+from conftest import chart_path, random_alpha, random_spec_with_torsion, random_torsionfree_spec
 from projgeo.algebra import (AlgebraElement, NotAntisymmetric,
                              NotBianchi, bracket,
                              cartan_curvature, cotton, curvature_report,
                              first_bianchi_residual, three_form_split,
                              torsion_split, wedge_id, wedge_id3, weyl)
-from projgeo.connection import HasTorsion, curvature, load_chart, ricci
+from projgeo.connection import HasTorsion, _add_projective_term, curvature, load_chart, ricci
+from projgeo.projective import projective_change, projectively_equivalent, sample_points
 from projgeo.reps import j0_census
 from projgeo.tensor import TensorValue, alt2, norm, sym2
 
@@ -91,6 +92,36 @@ def test_ricci_trace_of_wedge_constants(n):
     tr = ricci(wedge_id(q))
     expect = -(n - 1) * sym2(q).data - (n + 1) * alt2(q).data
     assert np.max(np.abs(tr.data - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_delta_products_equal_their_einsum_formulas(n):
+    """[Q ^ Id], the projective term alpha_i delta^k_j + alpha_j delta^k_i added
+    to each jet level, and the reconstruction projectively_equivalent measures
+    are written into diagonals; each equals its formula from outer products
+    with the identity, with or without leading and derivative axes."""
+    rng = np.random.default_rng(n)
+    eye = np.eye(n)
+    for lead in ((), (7,), (7, n), (7, n, n)):
+        qd = rng.standard_normal(lead + (n, n))
+        expect = (np.einsum("...ji,lk->...lkij", qd, eye) - np.einsum("...ij,lk->...lkij", qd, eye)
+                  - np.einsum("...ik,lj->...lkij", qd, eye)
+                  + np.einsum("...jk,li->...lkij", qd, eye))
+        assert np.array_equal(wedge_id(TensorValue(n, ("down", "down"), qd)).data, expect)
+        a, level = rng.standard_normal(lead + (n,)), rng.standard_normal(lead + (n,) * 3)
+        term = np.einsum("...i,kj->...kij", a, eye) + np.einsum("...j,ki->...kij", a, eye)
+        changed = level.copy()
+        _add_projective_term([changed], [a])
+        assert np.array_equal(changed, level + term)
+    spec = random_torsionfree_spec(n, rng)
+    points = sample_points(n, 9, seed=n)
+    changed = projective_change(spec, random_alpha(n, rng))
+    eq = projectively_equivalent(spec, changed, points, tol=1e-8)
+    d = changed.evaluate_many(points, 0).gamma - spec.evaluate_many(points, 0).gamma
+    alphas = np.einsum("...kik->...i", d) / (n + 1)
+    recon = np.einsum("...i,kj->...kij", alphas, eye) + np.einsum("...j,ki->...kij", alphas, eye)
+    assert eq.residual == np.max(np.abs(d - recon))
+    assert np.array_equal(eq.alphas, alphas)
 
 
 def test_wedge_rejects_wrong_variance():

@@ -1,15 +1,18 @@
 """The curvature algebra on stacked points against the same calls one point at a time."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import CHARTS, chart_path, random_alpha, random_torsionfree_spec
+from conftest import CHARTS, chart_path, model_metric, random_alpha, random_torsionfree_spec
+from projgeo import develop, projective, twistor
 from projgeo.algebra import NotAntisymmetric, NotBianchi, cotton, torsion_split, weyl
 from projgeo.connection import (BLOCK_ENTRIES, curvature, curvature_derivative, load_chart,
                                 point_blocks, ricci, second_bianchi_residual, torsion,
                                 trace2form)
 from projgeo.projective import (check_weyl_invariance, projective_change,
-                                projectively_equivalent, sample_points)
+                                projectively_equivalent, remove_torsion, sample_points)
 from projgeo.tensor import TensorValue, norm
 
 
@@ -84,8 +87,15 @@ def test_slot_operations_address_trailing_axes():
         TensorValue(3, ("up", "down"), np.zeros((5, 3, 2)))
 
 
-@pytest.mark.parametrize("width", (1, 3, 81, 1296, BLOCK_ENTRIES - 1, BLOCK_ENTRIES,
-                                   BLOCK_ENTRIES + 1, 10 ** 6))
+# the widths the callers of point_blocks pass at n = 2..6 (see BLOCK_ENTRIES),
+# widths around the budget and around 2^15, and a few others
+WIDTHS = sorted({w for n in range(2, 7) for w in (
+    8 * n ** 4, 8 * n ** 5, 2 * n ** 4 + 12 * n ** 3, 8 * n ** 3)} | {
+    1, 3, 81, 1296, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+    BLOCK_ENTRIES - 1, BLOCK_ENTRIES, BLOCK_ENTRIES + 1, 10 ** 6})
+
+
+@pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("count", (1, 7, 161, 300, 40_000))
 def test_blocks_hold_the_entry_budget_and_cover_the_rows(width, count):
     rows = np.arange(3.0 * count).reshape(count, 3)
@@ -138,3 +148,96 @@ def test_blocked_residuals_are_the_per_point_ones_bit_for_bit(spec, alpha):
             assert inv.cotton_residual == np.max(cottons[:count])
         assert eq.residual == np.max(equivalence[:count])
         assert np.array_equal(eq.alphas, alphas[:count])
+
+
+# (one block's memory) each caller of point_blocks, on one full block of the
+# rows its width gives, peaks within BLOCK_ENTRIES float64 entries
+
+
+def _chart(kind, n):
+    if kind == "metric":
+        return model_metric(n)
+    return random_torsionfree_spec(n, np.random.default_rng(n))
+
+
+def _one_block_peak(monkeypatch, module, prepare):
+    """The tracemalloc peak of the call prepare(rows) returns, rows the block
+    size of the width that `module` passes to point_blocks; a first call
+    prepare(1)() learns that width and compiles the tapes."""
+    widths = []
+
+    def spy(points, width):
+        widths.append(width)
+        return point_blocks(points, width)
+
+    monkeypatch.setattr(module, "point_blocks", spy)
+    prepare(1)()
+    run = prepare(max(1, BLOCK_ENTRIES // widths[0]))
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+DIMS = pytest.mark.parametrize("n", (2, 3, 4, 6))
+KINDS = pytest.mark.parametrize("kind", ("metric", "christoffel"))
+
+
+@DIMS
+@KINDS
+def test_invariance_block_peaks_within_the_budget(monkeypatch, kind, n):
+    spec, alpha = _chart(kind, n), random_alpha(n, np.random.default_rng(1))
+
+    def prepare(rows):
+        points = sample_points(n, rows, seed=2)
+        return lambda: check_weyl_invariance(spec, alpha, points, tol=1e-8)
+
+    assert _one_block_peak(monkeypatch, projective, prepare) <= 8 * BLOCK_ENTRIES
+
+
+@DIMS
+@KINDS
+def test_gamma_difference_block_peaks_within_the_budget(monkeypatch, kind, n):
+    spec = _chart(kind, n)
+    changed = projective_change(spec, random_alpha(n, np.random.default_rng(1)))
+
+    def prepare(rows):
+        points = sample_points(n, rows, seed=2)
+        return lambda: projective._gamma_difference(spec, changed, points)
+
+    assert _one_block_peak(monkeypatch, projective, prepare) <= 8 * BLOCK_ENTRIES
+
+
+@DIMS
+def test_torsion_removal_block_peaks_within_the_budget(monkeypatch, n):
+    """remove_torsion walks its 5 seeded points; it returns a metric chart as it is."""
+    spec = _chart("christoffel", n)
+    assert _one_block_peak(monkeypatch, projective,
+                           lambda rows: lambda: remove_torsion(spec)) <= 8 * BLOCK_ENTRIES
+
+
+@DIMS
+@KINDS
+def test_transport_node_block_peaks_within_the_budget(monkeypatch, kind, n):
+    spec = _chart(kind, n)
+
+    def prepare(rows):
+        starts, dirs = np.full((1, n), -0.1), np.full((1, n), 0.2)
+        return lambda: develop._hat_nodes(spec, starts, dirs, [np.linspace(0.0, 1.0, rows)])
+
+    assert _one_block_peak(monkeypatch, develop, prepare) <= 8 * BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))  # twistor samples need an even dimension
+@KINDS
+def test_nijenhuis_block_peaks_within_the_budget(monkeypatch, kind, n):
+    spec = _chart(kind, n)
+    pairs = twistor.coordinate_pairs(n + n * n // 2, 2, np.random.default_rng(3))
+
+    def prepare(rows):
+        tps = twistor.sample_twistor_points(n, rows, np.random.default_rng(4))
+        return lambda: twistor.nijenhuis(spec, tps, pairs)
+
+    assert _one_block_peak(monkeypatch, twistor, prepare) <= 8 * BLOCK_ENTRIES

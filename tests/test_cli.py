@@ -602,9 +602,9 @@ print(json.dumps(seen))
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
-    """scipy costs every start that loads it; twistor builds its structures at
-    m = 0 and at the complex steps, where the exp fibre chart takes the series
-    cut after its linear term, so scipy stays unloaded there too."""
+    """scipy costs every start that loads it; twistor makes one real structure
+    build per sample, at m = 0, where no matrix exponential is taken, so scipy
+    stays unloaded there too."""
     seen = run_fresh_python(COLD_START, CHARTS, tmp_path)
     assert seen == {"import": {"codes": [], "scipy": False},
                     "jet commands": {"codes": [0, 0, 0, 0, 0], "scipy": False},

@@ -399,7 +399,8 @@ def _evaluation_record(monkeypatch, run):
 
 def test_failing_tolerance_evaluates_in_small_batches(monkeypatch):
     """A segment that never converges is refined up to the step cap in calls of
-    at most BLOCK_ENTRIES // n^4 nodes, in bounded memory."""
+    at most BLOCK_ENTRIES // (2 n^4 + 12 n^3) nodes, the width of _hat_nodes,
+    in bounded memory."""
     sph = load_chart(chart_path("sphere2.chart"))
     monkeypatch.setattr(develop, "TRANSPORT_TOL", 1e-19)
 
@@ -408,14 +409,15 @@ def test_failing_tolerance_evaluates_in_small_batches(monkeypatch):
             cartan_transport(sph, [np.zeros(2), np.array([0.3, 0.1])])
 
     sizes, peak = _evaluation_record(monkeypatch, run)
-    assert max(sizes) <= BLOCK_ENTRIES // 2 ** 4
+    assert max(sizes) <= BLOCK_ENTRIES // (2 * 2 ** 4 + 12 * 2 ** 3)
     assert peak <= 1e6
 
 
 def test_flatness_certificate_evaluates_in_few_calls(monkeypatch):
     """On the round metric each certificate takes one first pass of the 17 nodes
-    of K = 8 per distinct segment, then the odd nodes of the few unsettled ones."""
-    for n, calls, nodes in ((2, 3, 686), (3, 6, 1339), (4, 12, 1339)):
+    of K = 8 per distinct segment, then the odd nodes of the few unsettled ones,
+    in blocks of BLOCK_ENTRIES // (2 n^4 + 12 n^3) nodes: 2048, 539 and 204."""
+    for n, calls, nodes in ((2, 3, 686), (3, 3, 1339), (4, 9, 1339)):
         sizes, peak = _evaluation_record(
             monkeypatch, lambda: flatness_defect(model_metric(n), np.zeros(n), seed=0))
         assert len(sizes) <= calls and sum(sizes) <= nodes

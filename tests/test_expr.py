@@ -1,6 +1,7 @@
 """Parser, jet arithmetic and the compiled tape for closed-form chart expressions."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CHARTS, chart_spec, to_text
 from projgeo.connection import load_chart
-from projgeo.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Pow,
+from projgeo.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Pow, Tape,
                           UnknownFunction, UnknownVariable, Var, compile_tape,
                           eval_jet, parse)
 from projgeo.projective import parse_alpha, projective_change, sample_points
@@ -73,6 +74,15 @@ def test_domain_errors():
     # non-integer exponent needs a positive base
     with pytest.raises(DomainError):
         eval_jet(parse("x1^0.5", 1), np.array([-2.0]), order=3)
+
+
+def test_a_zero_power_is_one_and_still_refuses_where_its_base_does():
+    """x^0 reads nothing of x, but x is still run, so it refuses where x does."""
+    tape = compile_tape([parse("ln(x1)^0", 1), parse("(x1 - 2)^0", 1)], 1)
+    assert [op for op, *_ in tape.code] == ["var", "ln", "num", "addc"]
+    assert np.array_equal(tape.run(np.array([[0.5]]), 1)[0], [[1.0, 1.0]])
+    with pytest.raises(DomainError, match="ln of non-positive value"):
+        tape.run(np.array([[-1.0]]), 1)
 
 
 def _fd_gradient(text, n, p, h=1e-6):
@@ -249,9 +259,10 @@ def test_batched_rows_equal_single_point_runs(exprs, rows, order):
 
 
 # Each instruction kind of the tape at least once: num, var, neg, add, sub, mul,
-# inv, a non-integer pow, sin, cos, exp, ln and sqrt.
+# addc, mulc, inv, a non-integer pow, sin, cos, exp, ln and sqrt.
 ROW_EXPRS = ["-x1 + 2.5", "x1 - x2*x3", "1 / (x2 + 3)", "(x1 + 2)^1.5", "sin(x1*x2)",
-             "cos(x3) - x1", "exp(x2 - x1)", "ln(x3 + 2)", "sqrt(x1*x1 + 1)"]
+             "cos(x3) - x1", "exp(x2 - x1)", "ln(x3 + 2)", "sqrt(x1*x1 + 1)",
+             "0.5 - x3 + x2", "-0*x1"]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -261,8 +272,9 @@ def test_tape_rows_equal_runs_on_each_row_alone(count, order):
     row alone: the property on which every walk over point blocks rests for
     results that do not depend on how the points are blocked."""
     tape = compile_tape([parse(text, 3) for text in ROW_EXPRS], 3)
-    assert {op for op, *_ in tape.code} == {"num", "var", "neg", "add", "sub", "mul", "inv",
-                                            "pow", "sin", "cos", "exp", "ln", "sqrt"}
+    assert {op for op, *_ in tape.code} == {"num", "var", "neg", "add", "sub", "mul", "addc",
+                                            "mulc", "inv", "pow", "sin", "cos", "exp", "ln",
+                                            "sqrt"}
     points = np.random.default_rng(count).uniform(-0.9, 0.9, size=(count, 3))
     batched = tape.run(points, order)
     for r in range(count):
@@ -350,60 +362,124 @@ def test_tape_merges_shared_subexpressions():
 
 # (e) lowering from an explicit stack, and integer powers by square-and-multiply
 
-def _recursive_code(exprs, n):
+_FOLDS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _recursive_code(exprs, n, fold=True):
     """Code and outputs of a plain recursive lowering with integer powers as
     repeated products: the reference the stack lowering must reproduce, exactly
-    for exponents |k| <= 3."""
+    for exponents |k| <= 3. With `fold`, a constant is a value, not a slot,
+    until an instruction that cannot take it as a literal reads it: a constant
+    operand of + or * becomes the literal of addc or mulc, x - c is x + (-c),
+    and an operation on constants alone is a constant. Without it, the tape of
+    the instructions the tree spells out: the oracle for the folding."""
     code, index, seen = [], {}, {}
 
+    def key(lit):
+        return lit, math.copysign(1.0, lit) if isinstance(lit, float) else None
+
     def emit(op, a=-1, b=-1, lit=None):
-        key = (op, a, b, lit)
-        if key not in index:
-            index[key] = len(code)
-            code.append(key)
-        return index[key]
+        if (op, a, b, key(lit)) not in index:
+            index[op, a, b, key(lit)] = len(code)
+            code.append((op, a, b, lit))
+        return index[op, a, b, key(lit)]
+
+    def slot(v):  # a constant's "num" instruction, emitted where it is read
+        return emit("num", lit=v) if isinstance(v, float) else v
+
+    def apply(op, a, b=-1):
+        const = [v for v in (a, b) if isinstance(v, float)]
+        if op == "neg" and const:
+            return -a
+        if op in _FOLDS and len(const) == 2:
+            return _FOLDS[op](a, b)
+        if op == "sub" and isinstance(b, float):
+            return emit("addc", a, lit=-b)
+        if op in ("add", "mul") and const:
+            return emit(op + "c", b if isinstance(a, float) else a, lit=const[-1])
+        return emit(op, slot(a), slot(b))
 
     def visit(e):
         if id(e) in seen:
             return seen[id(e)]
         if isinstance(e, Num):
-            slot = emit("num", lit=float(e.value))
+            v = float(e.value)
+            v = v if fold else emit("num", lit=v)
         elif isinstance(e, Var):
-            slot = emit("var", lit=e.index)
+            v = emit("var", lit=e.index)
         elif isinstance(e, Neg):
-            slot = emit("neg", visit(e.arg))
+            v = apply("neg", visit(e.arg))
         elif isinstance(e, BinOp):
             left, right = visit(e.left), visit(e.right)
-            slot = (emit("mul", left, emit("inv", right)) if e.op == "/"
-                    else emit({"+": "add", "-": "sub", "*": "mul"}[e.op], left, right))
+            v = (apply("mul", left, apply("inv", right)) if e.op == "/"
+                 else apply({"+": "add", "-": "sub", "*": "mul"}[e.op], left, right))
         elif isinstance(e, Pow):
-            slot = base = visit(e.base)
+            v = base = visit(e.base)
             if not float(e.exponent).is_integer():
-                slot = emit("pow", base, lit=float(e.exponent))
+                v = emit("pow", slot(base), lit=float(e.exponent))
             elif e.exponent == 0:
-                slot = emit("num", lit=1.0)
+                v = 1.0 if fold else emit("num", lit=1.0)
             else:
                 for _ in range(int(abs(e.exponent)) - 1):
-                    slot = emit("mul", slot, base)
+                    v = apply("mul", v, base)
                 if e.exponent < 0:
-                    slot = emit("inv", slot)
+                    v = apply("inv", v)
         else:
-            slot = emit(e.func, visit(e.arg))
-        seen[id(e)] = slot
-        return slot
+            v = apply(e.func, visit(e.arg))
+        seen[id(e)] = v
+        return v
 
-    outputs = [visit(e) for e in exprs]
+    outputs = [slot(visit(e)) for e in exprs]
     return tuple(code), tuple(outputs)
+
+
+def _changed_fixture(path):
+    spec = load_chart(path)
+    alpha = parse_alpha("a 1 = x1 / (2 - x2)^-3\na 2 = -(x1 - x2)^2 * sin(x1 / 3)\n", spec.n)
+    spec = projective_change(spec, alpha)
+    return spec, [*spec.entries.values(), Num(0.0), *spec.alpha]
 
 
 @pytest.mark.parametrize("path", sorted(CHARTS.glob("*.chart")), ids=lambda p: p.name)
 def test_tape_code_is_the_recursive_lowering(path):
-    spec = load_chart(path)
-    alpha = parse_alpha("a 1 = x1 / (2 - x2)^-3\na 2 = -(x1 - x2)^2 * sin(x1 / 3)\n", spec.n)
-    spec = projective_change(spec, alpha)
-    exprs = [*spec.entries.values(), Num(0.0), *spec.alpha]
+    spec, exprs = _changed_fixture(path)
     tape = spec._plan().tape
     assert (tape.code, tape.outputs) == _recursive_code(exprs, spec.n)
+
+
+# Signed zeros that a literal keyed by value alone would merge: "-0*x1" is
+# mulc(x1, -0.0), "x1 + -0" addc(x1, -0.0), "x1 - 0" addc(x1, -0.0).
+SIGNED_ZERO_EXPRS = ["0*x1", "-0*x1", "x1*-0", "x1 + 0", "x1 + -0", "x1 - 0", "x1 - -0",
+                     "-0 + x1", "0", "-0", "-0 - 0", "-(0*2)", "2 - 2*1", "-x1 + 0*x2"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["fixtures", "rows", "signed-zeros"])
+def test_folded_tapes_run_bit_for_bit_as_the_unfolded_ones(case, order):
+    """Every level of every output, signed zeros included, is byte-equal to
+    the run of the tape that spells each constant out as its own instruction."""
+    if case == "fixtures":
+        charts = [_changed_fixture(path) for path in sorted(CHARTS.glob("*.chart"))]
+        cases = [(spec.n, exprs) for spec, exprs in charts]
+    else:
+        texts = ROW_EXPRS if case == "rows" else SIGNED_ZERO_EXPRS
+        cases = [(3, [parse(text, 3) for text in texts])]
+    lengths = []
+    for n, exprs in cases:
+        points = np.random.default_rng(n).uniform(-0.9, 0.9, size=(9, n))
+        points[:4, 0] = (0.0, -0.0, 1.5, -1.5)
+        folded = compile_tape(exprs, n)
+        plain = Tape(n, *_recursive_code(exprs, n, fold=False))
+        lengths.append((len(folded.code), len(plain.code)))
+        for got, want in zip(folded.run(points, order), plain.run(points, order), strict=True):
+            assert got.tobytes() == want.tobytes()
+    assert all(short <= long for short, long in lengths)
+    assert sum(short for short, _ in lengths) < sum(long for _, long in lengths)
+    if case == "signed-zeros":
+        values = compile_tape(exprs, 3).run(points[2:3], 1)
+        assert [math.copysign(1.0, v) for v in values[0][0]] == [
+            1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0]
+        assert math.copysign(1.0, values[1][0, 0, 1]) == -1.0  # d/dx1 of -0*x1 is -0.0
 
 
 @pytest.mark.parametrize("op", ["+", "*"])

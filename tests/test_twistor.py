@@ -6,8 +6,9 @@ from scipy.linalg import expm, expm_frechet
 
 from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
 from projgeo.algebra import first_bianchi_residual, weyl
-from projgeo.connection import (BLOCK_ENTRIES, ConnectionSpec, ConnectionValue, HasTorsion,
-                                curvature, load_chart, parse_chart)
+from projgeo import connection
+from projgeo.connection import (ConnectionSpec, ConnectionValue, HasTorsion, curvature,
+                                load_chart, parse_chart)
 from projgeo.expr import DomainError
 from projgeo.projective import projective_change
 import projgeo.twistor as twistor
@@ -336,7 +337,8 @@ def test_domain_refusal_names_the_sample():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_samples_evaluate_the_chart_once_per_block(monkeypatch, n):
-    """S samples take ceil(S / (BLOCK_ENTRIES // n^4)) evaluate_many calls,
+    """S samples take ceil(S / rows) evaluate_many calls, rows the block size
+    BLOCK_ENTRIES // (2 n^4 + 12 n^3) of nijenhuis's width, here made 10,
     each of Gamma and its first partials over one block of base points, and
     no one-point evaluate."""
     calls = []
@@ -354,8 +356,9 @@ def test_samples_evaluate_the_chart_once_per_block(monkeypatch, n):
     rng = np.random.default_rng(72)
     spec = random_torsionfree_spec(n, rng)
     pairs = coordinate_pairs(n + n * n // 2, 2, rng)
-    rows = BLOCK_ENTRIES // n ** 4
-    for samples in (1, 3, 27):
+    rows = 10
+    monkeypatch.setattr(connection, "BLOCK_ENTRIES", rows * (2 * n ** 4 + 12 * n ** 3) + 7)
+    for samples in (1, 3, 10, 27):
         calls.clear()
         nijenhuis(spec, sample_twistor_points(n, samples, rng), pairs)
         assert len(calls) == -(-samples // rows)
@@ -364,12 +367,12 @@ def test_samples_evaluate_the_chart_once_per_block(monkeypatch, n):
 
 @pytest.mark.parametrize("name,samples", [("flat4", 3), ("sphere4", 3), ("witness4", 4),
                                           ("random2", 5), ("random4", 3), ("random6", 3),
-                                          ("random6", 27)])
+                                          ("random6", 27), ("random6", 53)])
 def test_batched_residuals_equal_one_call_per_sample(name, samples):
     """nijenhuis over a job's samples equals, bit for bit, one call per sample
     with a one-sample list: each block's rows are evaluated as each would be
-    alone. At n = 6 a block holds BLOCK_ENTRIES // 6^4 = 25 rows, so 27
-    samples take two blocks."""
+    alone. At n = 6 a block holds BLOCK_ENTRIES // (2 * 6^4 + 12 * 6^3) = 50
+    rows, so 53 samples take two blocks."""
     rng = np.random.default_rng(73)
     spec = named_spec(name, rng)
     n = spec.n
