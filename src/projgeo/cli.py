@@ -64,8 +64,9 @@ _POINT = _numbers()
 _POSITIVE = _numbers(1, above=0)
 _COUNT = _numbers(1, int, above=0)
 _SEED = _numbers(1, int, above=-1)
-# The largest --samples taken. `equivalent` holds P·n³ Gamma differences at
-# once, 41 MB at this count and n = 8; a count far above it cannot be allocated.
+# The largest --samples taken. The commands walk their samples in point
+# blocks, so what grows with the count is the points, what is reported per
+# sample (a twistor sample's j has n² entries) and the run time.
 MAX_SAMPLES = 10_000
 
 

@@ -66,9 +66,14 @@ class HasTorsion(ValueError):
 # 4 and 6, which adds about 0.2 MB of einsum buffers that do not grow with it):
 #   check_weyl_invariance  8 n^(3 + derivs)  0.79-0.99  1.71-1.94 MB
 #   develop._hat_nodes     2 n^4 + 12 n^3    0.68-0.78  1.05-1.65 MB
-#   twistor.nijenhuis      2 n^4 + 12 n^3    0.66-0.68  0.87-1.45 MB (n even)
+#   twistor.nijenhuis      2 n^4 + 12 n^3    0.66-0.68  1.79-1.95 MB (n even)
+#     its structure builds 6 (n + n^2/2)^3   0.58-0.72  1.19-1.44 MB
 #   _gamma_difference      8 n^3             0.45-0.70  0.93-1.41 MB
-# remove_torsion walks its 5 points in blocks of the width 8 n^3.
+# nijenhuis builds each evaluation block's samples in sub-blocks of the
+# second width while the block's Gamma and partials are held (its peak is
+# for both together; the sub-block's alone is on the indented row).
+# projectively_equivalent and remove_torsion walk their points in blocks of
+# the width 8 n^3.
 BLOCK_ENTRIES = 2 ** 18
 
 

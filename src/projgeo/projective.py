@@ -124,18 +124,39 @@ def projectively_equivalent(spec_a: ConnectionSpec, spec_b: ConnectionSpec,
     """Whether Gamma_B - Gamma_A is alpha_i delta^k_j + alpha_j delta^k_i pointwise.
 
     alpha is recovered from the trace (n+1) alpha_i = D^k_{ik} and the
-    reconstruction residual is measured in max-abs norm.
+    reconstruction residual is measured in max-abs norm, both block by block
+    of the points (see _gamma_differences), so only the alphas outlive a
+    block. Once every block is evaluated, a difference that is not finite
+    raises DomainError naming the first such point.
     """
     if spec_a.n != spec_b.n:
         raise ValueError("charts have different dimensions")
     n = spec_a.n
-    d = _gamma_difference(spec_a, spec_b, points)
-    alpha = np.einsum("...kik->...i", d) / (n + 1)
-    worst = float(np.max(np.abs(d - _projective_term(alpha)), initial=0.0))
-    return Equivalence(worst <= tol, worst, alpha)
+    alphas, finite, gaps = [np.zeros((0, n))], [np.ones(0, dtype=bool)], [0.0]
+    for d in _gamma_differences(spec_a, spec_b, points):
+        finite.append(np.isfinite(d).all(axis=(1, 2, 3)))
+        if finite[-1].all():  # else refused below
+            alpha = np.einsum("...kik->...i", d) / (n + 1)
+            alphas.append(alpha)
+            gaps.append(np.max(np.abs(d - _projective_term(alpha)), initial=0.0))
+    ex.refuse_where(ex.DomainError, ~np.concatenate(finite), "Gamma difference is not finite",
+                    None, points)
+    worst = float(np.max(gaps))  # NaN if any gap is, as one max over all points gives
+    return Equivalence(worst <= tol, worst, np.concatenate(alphas))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _gamma_differences(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points):
+    """Gamma_B - Gamma_A over each point_block of the rows of points (P, n),
+    one (rows, n, n, n) array per block, in order. An entry of either chart
+    that overflows is left non-finite for the caller to refuse."""
+    n = spec_a.n
+    for block in point_blocks(points, 8 * n ** 3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (spec_b.evaluate_many(block, derivs=0).gamma
+                 - spec_a.evaluate_many(block, derivs=0).gamma)
+        yield d
+
+
 def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) -> np.ndarray:
     """Gamma_B - Gamma_A at each row of points (P, n), as (P, n, n, n).
 
@@ -143,10 +164,7 @@ def _gamma_difference(spec_a: ConnectionSpec, spec_b: ConnectionSpec, points) ->
     raises DomainError naming the first such point.
     """
     n = spec_a.n
-    blocks = point_blocks(points, 8 * n ** 3)
-    d = np.concatenate([np.zeros((0, n, n, n))] + [
-        spec_b.evaluate_many(block, derivs=0).gamma - spec_a.evaluate_many(block, derivs=0).gamma
-        for block in blocks])
+    d = np.concatenate([np.zeros((0, n, n, n))] + list(_gamma_differences(spec_a, spec_b, points)))
     ex.refuse_where(ex.DomainError, ~np.isfinite(d).all(axis=(1, 2, 3)),
                     "Gamma difference is not finite", None, points)
     return d

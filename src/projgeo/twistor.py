@@ -21,8 +21,12 @@ factor of the build, which reach exp's series only up to its quadratic term
 (see expm_frechet), so they too are exact. So the package needs numpy alone.
 
 `nijenhuis` takes a job's samples together: Gamma and its partials come from
-one evaluation per block of their base points, and `nijenhuis_tensor` builds
-each sample's tensor from its row with one structure build.
+one evaluation per block of their base points, and within a block the
+samples are built in order in sub-blocks, each one structure build
+(acs_field_matrix over the sub-block's stack) and one tensor contraction
+(nijenhuis_tensor). Every stacked step acts on the samples' leading axis
+with the calls a single sample makes, so each residual is the one its sample
+gives alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ def _polish(j: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite j gives NaN or inf
 def norm_sq_defect(j: np.ndarray) -> float:
-    return float(np.max(np.abs(j @ j + np.eye(j.shape[0]))))
+    return float(np.max(np.abs(j @ j + np.eye(j.shape[-1]))))
 
 
 def mild_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,19 +93,24 @@ def mild_complex_structure(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def anticommutant_basis(j: np.ndarray) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of {m : m j = -j m}, shape (d, n, n).
+    """Orthonormal (Frobenius) basis of {m : m j = -j m}, shape (..., d, n, n)
+    for a structure or a stack of them, j (..., n, n).
 
-    d = n^2/2: the projection M -> (M + j M j)/2 maps onto the anticommutant
-    when j^2 = -I, and an orthonormal basis of its image is extracted by SVD.
+    d = n^2/2: when j^2 = -I, the projection M -> (M + j M j)/2 is idempotent
+    with trace (n^2 + tr(j)^2)/2 = n^2/2 and maps onto the anticommutant, so
+    the d leading left singular vectors of its matrix are an orthonormal basis
+    of its image (its nonzero singular values are at least 1). One batched SVD
+    serves the whole stack.
     """
-    n = j.shape[0]
+    n = j.shape[-1]
     if not norm_sq_defect(j) <= 1e-10:  # NaN fails too
         raise NotAlmostComplex("basis anchor must satisfy j^2 = -I")
+    lead, d = j.shape[:-2], n * n // 2
     units = np.eye(n * n).reshape(n * n, n, n)  # the matrix units e_ab, row-major
-    cols = (0.5 * (units + j @ units @ j)).reshape(n * n, n * n).T
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10))
-    return u[:, :rank].T.reshape(rank, n, n)
+    jb = j[..., None, :, :]
+    cols = np.swapaxes((0.5 * (units + jb @ units @ jb)).reshape(lead + (n * n, n * n)), -1, -2)
+    u = np.linalg.svd(cols, full_matrices=False)[0]
+    return np.swapaxes(u[..., :d], -1, -2).reshape(lead + (d, n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +136,8 @@ class TwistorPoint:
 
 def expm_frechet(da: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The tangent at m = 0 of the Frechet derivative of the matrix
-    exponential, D exp(m)[e], along each direction of da (..., n, n).
+    exponential, D exp(m)[e], along each direction of da (..., n, n); e
+    (..., n, n) broadcasts against da.
 
     D exp(m)[e] = e + (m e + e m)/2 + O(|m|^2), the derivative of
     exp's series I + m + m^2/2 + ..., so the tangent is (da e + e da)/2,
@@ -157,18 +167,22 @@ def vertical_motion(gamma: np.ndarray, j: np.ndarray) -> np.ndarray:
     return _motion(gamma, j, j)
 
 
-def acs_field_matrix(cv: ConnectionValue, tp: TwistorPoint) -> "tuple[np.ndarray, np.ndarray]":
-    """The almost complex structure J at the anchor of the chart around tp,
-    and its first partials there along every chart coordinate, as
-    (J (N, N), dJ (N, N, N)) with N = n + n^2/2 and dJ[l] = d_l J.
+def acs_field_matrix(cv: ConnectionValue, js: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The almost complex structure J at the anchor of the chart around each
+    sample, and its first partials there along every chart coordinate, as
+    (J (S, N, N), dJ (S, N, N, N)) with N = n + n^2/2 and dJ[s, l] = d_l J.
 
+    A sample is a row of cv, Gamma (S, n, n, n) and its first partials
+    (S, n, n, n, n) at the base point, as from
+    `ConnectionSpec.evaluate_many(..., derivs=1)`, and its structure in js
+    (S, n, n); one sample is the stack S = 1. Each step acts on the
+    samples' leading axis with the calls one sample alone makes, so each
+    slice of the result is bit for bit that sample's own build.
     Tangent vectors are (xdot, mdot), and J acts by
     [[jp, 0], [pull motion^T, pull turn^T]]: jp = exp(2m) j0 the fibre point,
     push the matrix P^T whose rows are the motions D exp(2m)[2 B_a] j0 of jp
     along the basis, pull = (P^T P)^-1 P^T its left inverse through the Gram
     matrix, motion = vertical_motion(Gamma, jp) and turn the rows jp push_a.
-    cv holds Gamma (n, n, n) and its first partials (n, n, n, n) at tp.x, as
-    one row of `ConnectionSpec.evaluate_many(..., derivs=1)`.
     - Along x_l: only motion holds Gamma, linearly, so d_l J is the lower
       left block pull motion(d_l Gamma)^T; one vertical_motion call takes
       Gamma and its partials together.
@@ -177,61 +191,96 @@ def acs_field_matrix(cv: ConnectionValue, tp: TwistorPoint) -> "tuple[np.ndarray
       element a; d pull = G^-1 (dP - dG pull) with G the Gram matrix; the
       motion's tangent is the sum of its two bilinear terms (see _motion); and
       d turn_a = d jp push_a + jp d push_a. push and G are formed once and
-      shared by the value and its tangents.
+      shared by the value and its tangents, and each n^6/4-entry tangent is
+      released after its last use.
     """
     cv.require(1)
-    n, j = tp.x.size, tp.j
-    two_b = 2.0 * anticommutant_basis(j)
-    d = two_b.shape[0]
+    s, n = js.shape[:2]
+    j = js[:, None]                                                     # (S, 1, n, n)
+    two_b = 2.0 * anticommutant_basis(js)
+    d = two_b.shape[1]
     # at m = 0: jp = j, and push_a = 2 B_a j, which is also jp's tangent along B_a
-    djp = two_b @ j                                                     # [c]
-    push = djp.reshape(d, n * n)
-    dpush = np.stack([expm_frechet(two_b, e) for e in two_b], axis=1) @ j  # [c, a]
-    dpush = dpush.reshape(d, d, n * n)
+    djp = two_b @ j                                                     # [s, c]
+    push = djp.reshape(s, d, n * n)
+    push_t = np.swapaxes(push, -1, -2)
+    dpush = np.empty((s, d, d, n, n))                                   # [s, c, a]
+    for a in range(d):
+        dpush[:, :, a] = expm_frechet(two_b, two_b[:, a, None])
+    dpush = dpush @ j[:, None]
     # the Gram matrix G = P^T P is as well conditioned as j squared (see
     # mild_complex_structure), so one inverse serves pull and its d tangents
-    inverse = np.linalg.inv(push @ push.T)
+    inverse = np.linalg.inv(push @ push_t)
     pull = inverse @ push
-    dgram = dpush @ push.T
-    dgram = dgram + np.swapaxes(dgram, 1, 2)
-    dpull = inverse @ (dpush - dgram @ pull)
+    dturn = djp[:, :, None] @ djp[:, None]
+    dturn += j[:, None] @ dpush
+    dturn = np.swapaxes(dturn.reshape(s, d, d, n * n), -1, -2)
+    dpush = dpush.reshape(s, d, d, n * n)
+    dgram = dpush @ push_t[:, None]
+    dgram = dgram + np.swapaxes(dgram, -1, -2)
+    dpull = dgram @ pull[:, None]
+    np.subtract(dpush, dpull, out=dpull)
+    del dgram, dpush
+    dpull = inverse[:, None] @ dpull
 
-    gammas = np.concatenate([cv.gamma[None], cv.dgamma])
-    motion = np.swapaxes(vertical_motion(gammas, j).reshape(n + 1, n, n * n), -1, -2)
-    dmotion = _motion(cv.gamma, djp, j) + _motion(cv.gamma, j, djp)
-    dmotion = np.swapaxes(dmotion.reshape(d, n, n * n), -1, -2)
-    turn = (j @ djp).reshape(d, n * n).T
-    dturn = (djp[:, None] @ djp + j @ dpush.reshape(d, d, n, n)).reshape(d, d, n * n)
-    dturn = np.swapaxes(dturn, -1, -2)
-
-    out = np.zeros((1 + n + d, n + d, n + d))
-    out[0, :n, :n] = j
-    out[0, n:, :n] = pull @ motion[0]
-    out[0, n:, n:] = pull @ turn
-    out[1:n + 1, n:, :n] = pull @ motion[1:]
-    out[n + 1:, :n, :n] = djp
-    out[n + 1:, n:, :n] = dpull @ motion[0] + pull @ dmotion
-    out[n + 1:, n:, n:] = dpull @ turn + pull @ dturn
-    return out[0], out[1:]
+    turn = np.swapaxes((j @ djp).reshape(s, d, n * n), -1, -2)
+    # J and dJ are written in place, each n^6/4-entry tangent released after
+    # its last use; a sum x + y is written as out = x, out += y
+    out = np.zeros((s, 1 + n + d, n + d, n + d))
+    vv = out[:, n + 1:, n:, n:]
+    np.matmul(dpull, turn[:, None], out=vv)
+    vv += pull[:, None] @ dturn
+    del dturn
+    gammas = np.concatenate([cv.gamma[:, None], cv.dgamma], axis=1)
+    motion = np.swapaxes(vertical_motion(gammas, j).reshape(s, n + 1, n, n * n), -1, -2)
+    gamma = cv.gamma[:, None]
+    dmotion = _motion(gamma, djp, j) + _motion(gamma, j, djp)
+    dmotion = np.swapaxes(dmotion.reshape(s, d, n, n * n), -1, -2)
+    vh = out[:, n + 1:, n:, :n]
+    np.matmul(dpull, motion[:, :1], out=vh)
+    vh += pull[:, None] @ dmotion
+    del dpull
+    out[:, 0, :n, :n] = js
+    out[:, 0, n:, :n] = pull @ motion[:, 0]
+    out[:, 0, n:, n:] = pull @ turn
+    out[:, 1:n + 1, n:, :n] = pull[:, None] @ motion[:, 1:]
+    out[:, n + 1:, :n, :n] = djp
+    return out[:, 0], out[:, 1:]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def nijenhuis_tensor(cv: ConnectionValue, tp: TwistorPoint) -> np.ndarray:
+def nijenhuis_tensor(cv: ConnectionValue, js: np.ndarray) -> np.ndarray:
     """N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i),
-    as an array [k, i, j] over the (x, m) chart anchored at tp, at its anchor.
+    as an array [s, k, i, j] over the (x, m) chart anchored at each sample,
+    at its anchor.
 
-    cv holds Gamma (n, n, n) and its first partials (n, n, n, n) at tp.x, as
-    one row of `ConnectionSpec.evaluate_many(..., derivs=1)`; nothing is
-    evaluated here, and the caller checks torsion. J and its partials come
-    from one acs_field_matrix build, exact to rounding. A tensor that is not
-    finite raises DomainError naming the point.
+    The samples are the rows of cv and js as acs_field_matrix takes them;
+    nothing is evaluated here, and the caller checks torsion. J and its
+    partials come from one acs_field_matrix build, exact to rounding. A
+    tensor that is not finite raises DomainError naming the first such
+    sample's point.
     """
-    j, dj = acs_field_matrix(cv, tp)
-    half = np.swapaxes(np.tensordot(j, dj, (0, 0)) - j @ dj, 0, 1)  # [k, i, j]
-    tensor = half - np.swapaxes(half, 1, 2)
-    refuse_where(DomainError, not np.isfinite(tensor).all(), "Nijenhuis tensor is not finite",
-                 None, tp.x)
+    j, dj = acs_field_matrix(cv, js)
+    s, dim = j.shape[:2]
+    half = np.swapaxes(j, -1, -2) @ dj.reshape(s, dim, dim * dim)   # l contracted: [s, i, k j]
+    half = half.reshape(s, dim, dim, dim)
+    half -= j[:, None] @ dj                                         # [s, i, k, j]
+    del j, dj
+    half = np.swapaxes(half, 1, 2)                                  # [s, k, i, j]
+    tensor = half - np.swapaxes(half, -1, -2)
+    refuse_where(DomainError, ~np.isfinite(tensor).all(axis=(1, 2, 3)),
+                 "Nijenhuis tensor is not finite", None, cv.point)
     return tensor
+
+
+def _pair_max(tensor: np.ndarray, pairs) -> np.ndarray:
+    """Max over the pairs (u, v) of max |N(u, v)| for each tensor of the stack
+    (S, N, N, N), as Python's max takes it from the pairs in turn, so a NaN
+    is kept or passed over as there; 0 with no pairs."""
+    worst = np.zeros(tensor.shape[0])
+    for k, (u, v) in enumerate(pairs):
+        r = np.max(np.abs(tensor @ v @ u), axis=-1)
+        worst = r if k == 0 else np.where(r > worst, r, worst)
+    return worst
 
 
 def nijenhuis(spec: ConnectionSpec, tps: "list[TwistorPoint]",
@@ -246,20 +295,27 @@ def nijenhuis(spec: ConnectionSpec, tps: "list[TwistorPoint]",
     first sample of the block that has torsion. So for a block, a refusal of
     the evaluation (a DomainError or SingularMetric) or of torsion comes
     before any of its structure builds, whichever sample of the block it
-    names. Then each sample's tensor is built and reduced over the pairs in
-    turn, so the tensors of a block are never held together.
+    names. Then the block's samples are built in order, in point_blocks of
+    width 6 N^3 (N = n + n^2/2), the entries one sample holds while its J,
+    dJ and tensor are formed: each sub-block takes one structure build, one
+    tensor contraction and one reduction over the pairs, and a sub-block
+    whose tensor is not finite refuses at its first such sample before any
+    later sub-block is built, so the refusal names the sample a
+    sample-by-sample walk would.
     """
     n = spec.n
     residuals = []
     bases = np.reshape([tp.x for tp in tps], (-1, n))
+    js = np.reshape([tp.j for tp in tps], (-1, n, n))
     for block in point_blocks(bases, 2 * n ** 4 + 12 * n ** 3):
         cv = spec.evaluate_many(block, derivs=1)
         require_torsion_free(cv, 1e-10, "integrability test expects a torsion-free connection")
-        for gamma, dgamma in zip(cv.gamma, cv.dgamma):
-            tp = tps[len(residuals)]
-            tensor = nijenhuis_tensor(ConnectionValue(n, tp.x, gamma, dgamma), tp)
-            residuals.append(max((float(np.max(np.abs(tensor @ v @ u))) for u, v in pairs),
-                                 default=0.0))
+        start, block_js = 0, js[len(residuals):len(residuals) + len(block)]
+        for sub in point_blocks(block, 6 * (n + n * n // 2) ** 3):
+            rows = slice(start, start + len(sub))
+            start = rows.stop
+            cv_sub = ConnectionValue(n, sub, cv.gamma[rows], cv.dgamma[rows])
+            residuals.extend(_pair_max(nijenhuis_tensor(cv_sub, block_js[rows]), pairs))
     return np.array(residuals, dtype=float)
 
 

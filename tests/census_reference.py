@@ -23,6 +23,18 @@ def bianchi_project(r):
     return TensorValue(r.n, r.variance, first_bianchi_residual(r).data / 3.0)
 
 
+# The float64 entries one row of a block holds (see connection.BLOCK_ENTRIES),
+# at or above the per-row tracemalloc slope at n = 4 and 6: the Lie action
+# on its rows 3.0-4.4 n^rank, then the pieces, formed together, 4.4 n^3 for
+# torsion and 8.7-9.5 n^4 for curvature.
+def action_width(n, rank):
+    return 5 * n ** rank
+
+
+def piece_width(n, rank):
+    return (10 if rank == 4 else 5) * n ** rank
+
+
 def _antisymmetric_basis(n, rank):
     """Orthonormal basis of the rank-`rank` tensors antisymmetric in their last
     two slots, as flattened rows; the leading slots vary slowest."""
@@ -86,13 +98,13 @@ def projector_census(space, n):
     # row i holds the image of basis row i in basis coordinates: the rows form A^T
     images = np.concatenate([
         _lie_action(j0, TensorValue(n, variance, b.reshape(shape))).data.reshape(len(b), -1)
-        @ basis.T for b in point_blocks(basis, n ** rank)])
+        @ basis.T for b in point_blocks(basis, action_width(n, rank))])
     squares, vectors = np.linalg.eigh(images @ images.T)
     ks = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
     _require_near(squares, ks ** 2, "eigenvalue of A^T A")
 
     traces = []  # <v, P v> for each piece P and eigenvector v
-    for block in point_blocks(vectors.T, n ** rank):
+    for block in point_blocks(vectors.T, piece_width(n, rank)):
         rows = block @ basis
         traces.append([np.sum(rows * p.data.reshape(len(rows), -1), axis=1)
                        for p in pieces(TensorValue(n, variance, rows.reshape(shape)))])

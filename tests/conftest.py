@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from projgeo.connection import parse_chart
+from projgeo.connection import ConnectionValue, parse_chart
 from projgeo.expr import BinOp, Call, Neg, Num, Pow, Var
 from projgeo.projective import parse_alpha
 
@@ -73,6 +73,13 @@ def random_spec_with_torsion(n, rng, scale=0.3):
             for j in range(n):
                 entries[(k, i, j)] = poly_entry(rng, n, scale)
     return chart_spec(n, entries)
+
+
+def one_sample_stack(cv, tp):
+    """The stack S = 1 that acs_field_matrix and nijenhuis_tensor take, from
+    one point's connection data cv (as from ConnectionSpec.evaluate) and the
+    twistor sample tp."""
+    return ConnectionValue(cv.n, cv.point[None], cv.gamma[None], cv.dgamma[None]), tp.j[None]
 
 
 def model_metric(n):

@@ -210,6 +210,24 @@ def test_gamma_difference_block_peaks_within_the_budget(monkeypatch, kind, n):
     assert _one_block_peak(monkeypatch, projective, prepare) <= 8 * BLOCK_ENTRIES
 
 
+@KINDS
+def test_equivalence_peaks_within_the_budget_at_many_points(kind):
+    """projectively_equivalent reduces alpha and its residual block by block,
+    so at 8,192 points, n = 4 (16 blocks of 512 rows), only
+    the alphas outlive a block."""
+    spec = _chart(kind, 4)
+    changed = projective_change(spec, random_alpha(4, np.random.default_rng(1)))
+    points = sample_points(4, 8192, seed=2)
+    projectively_equivalent(spec, changed, points[:1], tol=1e-8)  # compiles the tapes
+    tracemalloc.start()
+    try:
+        projectively_equivalent(spec, changed, points, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * BLOCK_ENTRIES
+
+
 @DIMS
 def test_torsion_removal_block_peaks_within_the_budget(monkeypatch, n):
     """remove_torsion walks its 5 seeded points; it returns a metric chart as it is."""

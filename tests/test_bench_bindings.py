@@ -48,17 +48,17 @@ def test_tracer_installs_with_full_coverage():
 
 # In a process where neither projgeo nor scipy is loaded yet, as in the bench
 # worker: load the spans as _load_spans does, install (which imports
-# projgeo.cli), then run one twistor job.
+# projgeo.cli), then run one twistor job of the given sample count.
 TRACED_TWISTOR = """
 import json, sys, types
-spans_path, chart, out = sys.argv[1:]
+spans_path, chart, samples, out = sys.argv[1:]
 spans = types.ModuleType("bench_spans")
 with open(spans_path) as f:
     exec(compile(f.read(), spans_path, "exec"), spans.__dict__)
 tracer = spans.Tracer()
 tracer.install()
 import projgeo.cli as cli
-code = cli.main(["twistor", chart, "--samples", "1", "--out", out])
+code = cli.main(["twistor", chart, "--samples", samples, "--out", out])
 print(json.dumps({"code": code, "problems": tracer.coverage_problems(),
                   "calls": dict(tracer.calls)}))
 """
@@ -66,9 +66,21 @@ print(json.dumps({"code": code, "problems": tracer.coverage_problems(),
 
 def test_traced_twistor_job_counts_every_frechet_derivative(tmp_path):
     """One structure matrix per chart point calls expm_frechet n^2/2 = 8 times."""
-    seen = run_fresh_python(TRACED_TWISTOR, SPANS, chart_path("sphere4.chart"),
+    seen = run_fresh_python(TRACED_TWISTOR, SPANS, chart_path("sphere4.chart"), "1",
                             tmp_path / "report.json")
     assert seen["code"] == 0
     assert seen["problems"] == []
     calls = seen["calls"]
     assert calls["twistor.expm_frechet"] == 8 * calls["twistor.acs_field_matrix"] > 0
+
+
+def test_traced_three_sample_twistor_job_makes_one_structure_build(tmp_path):
+    """The three samples of a twistor job at n = 4 (the CLI default count)
+    share one sub-block, so one structure build with n^2/2 = 8 expm_frechet
+    calls."""
+    seen = run_fresh_python(TRACED_TWISTOR, SPANS, chart_path("sphere4.chart"), "3",
+                            tmp_path / "report.json")
+    assert seen["code"] == 0
+    assert seen["problems"] == []
+    calls = seen["calls"]
+    assert (calls["twistor.acs_field_matrix"], calls["twistor.expm_frechet"]) == (1, 8)

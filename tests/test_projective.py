@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import (chart_path, chart_spec, model_metric, poly_entry, random_alpha,
-                      random_torsionfree_spec)
+from conftest import (chart_path, chart_spec, model_metric, one_sample_stack, poly_entry,
+                      random_alpha, random_torsionfree_spec)
 from projgeo.algebra import torsion_split
-from projgeo.expr import Num, Var, compile_tape
+from projgeo import connection
+from projgeo.expr import DomainError, Num, Var, compile_tape
 from projgeo.connection import ChartError, curvature, load_chart, parse_chart, torsion
 from projgeo.develop import model_connection
 from projgeo.projective import (OddDimension, check_weyl_invariance, load_alpha, parse_alpha,
@@ -130,6 +131,21 @@ def test_same_connection_gives_zero_one_form():
     eq = projectively_equivalent(spec, spec, sample_points(2, 10, seed=11), tol=1e-8)
     assert eq.equivalent and eq.residual < 1e-14
     assert all(np.max(np.abs(a)) < 1e-13 for a in eq.alphas)
+
+
+def test_equivalence_refuses_as_when_the_difference_was_formed_whole(monkeypatch):
+    """The difference is reduced block by block (here one point a block), but
+    a refusal comes only once every block is evaluated: an evaluation refusal
+    in a later block first, else the first point whose difference is not
+    finite."""
+    monkeypatch.setattr(connection, "BLOCK_ENTRIES", 8 * 2 ** 3)
+    a = parse_chart("dim = 2\n[christoffel]\nG 1 1 1 = 1e308 * x1 + ln(x2)\n")
+    b = parse_chart("dim = 2\n[christoffel]\nG 1 1 1 = -1e308 * x1\n")
+    points = np.array([[0.2, 1.0], [0.9, 1.0], [0.95, 1.0], [0.1, -1.0]])
+    with pytest.raises(DomainError, match=r"^ln of non-positive value -1\.0 at x = \(0\.1, -1\)$"):
+        projectively_equivalent(a, b, points, tol=1e-8)
+    with pytest.raises(DomainError, match=r"^Gamma difference is not finite at x = \(0\.9, 1\)$"):
+        projectively_equivalent(a, b, points[:3], tol=1e-8)
 
 
 def test_unstraightenable_difference_is_rejected():
@@ -266,8 +282,8 @@ def test_twistor_comparison_matches_the_structure_matrices(n):
                  else random_torsionfree_spec(n, rng))
         worst = 0.0
         for tp in sample_twistor_points(n, 2, rng):
-            gap = (acs_field_matrix(spec.evaluate(tp.x, derivs=1), tp)[0]
-                   - acs_field_matrix(other.evaluate(tp.x, derivs=1), tp)[0])
+            gap = (acs_field_matrix(*one_sample_stack(spec.evaluate(tp.x, derivs=1), tp))[0][0]
+                   - acs_field_matrix(*one_sample_stack(other.evaluate(tp.x, derivs=1), tp))[0][0])
             assert not np.any(gap[:n]) and not np.any(gap[n:, n:])
             worst = max(worst, float(np.max(np.abs(gap))))
         same = same_twistor_structure(spec, other, seed=k).same

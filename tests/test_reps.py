@@ -149,11 +149,13 @@ def test_extreme_speed_eigenvalue_sits_on_one_torsion_piece_only():
         assert with_three == [str(fundamental(1, n) + fundamental(n - 2, n))]
 
 
-def _reference_matrix_of(linear, basis, n, rank):
+def _reference_matrix_of(linear, basis, n, rank, width):
+    """The matrix of `linear` on the basis rows, applied in blocks of rows
+    that each hold `width` entries."""
     variance = ("up",) + ("down",) * (rank - 1)
     out = np.empty((len(basis), len(basis)))
     start = 0
-    for block in point_blocks(basis, n ** rank):
+    for block in point_blocks(basis, width):
         image = linear(TensorValue(n, variance, block.reshape((-1,) + (n,) * rank))).data
         out[:, start:start + len(block)] = basis @ image.reshape(len(block), -1).T
         start += len(block)
@@ -169,10 +171,12 @@ def _reference_census(space, n):
         rank, pieces, labels = 4, _curvature_pieces, curvature_component_weights(n)
     basis = _antisymmetric_basis(n, rank)
     j0 = standard_complex_structure(n)
-    action = _reference_matrix_of(lambda a: _lie_action(j0, a), basis, n, rank)
+    action = _reference_matrix_of(lambda a: _lie_action(j0, a), basis, n, rank,
+                                  census_reference.action_width(n, rank))
     out = []
     for index, label in enumerate(labels):
-        cols = _reference_matrix_of(lambda a: pieces(a)[index], basis, n, rank)
+        cols = _reference_matrix_of(lambda a: pieces(a)[index], basis, n, rank,
+                                    census_reference.piece_width(n, rank))
         u, sv, _ = np.linalg.svd(cols)
         d = int(np.sum(sv > 1e-8))
         comp = u[:, :d]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from conftest import chart_path, chart_spec, random_alpha, random_torsionfree_spec
+from conftest import (chart_path, chart_spec, one_sample_stack, random_alpha,
+                      random_torsionfree_spec)
 from projgeo.algebra import first_bianchi_residual, weyl
 from projgeo import connection
 from projgeo.connection import (ConnectionSpec, ConnectionValue, HasTorsion, curvature,
@@ -22,6 +23,17 @@ from projgeo.twistor import (NotAlmostComplex, TwistorPoint,
 
 FLAT2 = "dim = 2\n[christoffel]\n"
 FLAT4 = "dim = 4\n[christoffel]\n"
+
+
+def structure(cv, tp):
+    """J and dJ of the one sample tp, cv its point's connection data."""
+    j, dj = acs_field_matrix(*one_sample_stack(cv, tp))
+    return j[0], dj[0]
+
+
+def tensor_at(cv, tp):
+    """The Nijenhuis tensor of the one sample tp, cv its point's connection data."""
+    return nijenhuis_tensor(*one_sample_stack(cv, tp))[0]
 
 
 def test_standard_structure_squares_to_minus_one():
@@ -70,7 +82,7 @@ def test_flat_structure_matrix_is_block_diagonal():
     flat = parse_chart(FLAT2)
     j0 = standard_complex_structure(2)
     tp = TwistorPoint(np.zeros(2), j0)
-    big, _ = acs_field_matrix(flat.evaluate(np.zeros(2), derivs=1), tp)
+    big, _ = structure(flat.evaluate(np.zeros(2), derivs=1), tp)
     assert big.shape == (4, 4)
     assert np.allclose(big[:2, :2], j0, atol=1e-13)
     assert np.max(np.abs(big[:2, 2:])) < 1e-13
@@ -86,7 +98,7 @@ def test_structure_matrix_squares_to_minus_identity(n):
     rng = np.random.default_rng(50 + n)
     spec = random_torsionfree_spec(n, rng)
     for tp in sample_twistor_points(n, 3, rng):
-        big, _ = acs_field_matrix(spec.evaluate(tp.x, derivs=1), tp)
+        big, _ = structure(spec.evaluate(tp.x, derivs=1), tp)
         m = n + n * n // 2
         assert np.max(np.abs(big @ big + np.eye(m))) < 1e-10
 
@@ -98,9 +110,9 @@ def test_structure_matrix_ignores_derivative_jets():
     spec = random_torsionfree_spec(4, rng)
     tp = sample_twistor_points(4, 1, rng)[0]
     cv = spec.evaluate(tp.x, derivs=1)
-    big, partials = acs_field_matrix(cv, tp)
+    big, partials = structure(cv, tp)
     flat = ConnectionValue(4, tp.x, cv.gamma, np.zeros_like(cv.dgamma))
-    big_flat, partials_flat = acs_field_matrix(flat, tp)
+    big_flat, partials_flat = structure(flat, tp)
     assert np.array_equal(big, big_flat)
     assert not np.any(partials_flat[:4]) and np.any(partials[:4])
     assert np.array_equal(partials[4:], partials_flat[4:])
@@ -113,8 +125,8 @@ def test_structure_matrix_is_projectively_invariant():
     spec = random_torsionfree_spec(4, rng)
     twin = projective_change(spec, random_alpha(4, rng))
     for tp in sample_twistor_points(4, 2, rng):
-        a = acs_field_matrix(spec.evaluate(tp.x, derivs=1), tp)
-        b = acs_field_matrix(twin.evaluate(tp.x, derivs=1), tp)
+        a = structure(spec.evaluate(tp.x, derivs=1), tp)
+        b = structure(twin.evaluate(tp.x, derivs=1), tp)
         assert np.max(np.abs(a[0] - b[0])) < 1e-12
         assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
@@ -173,7 +185,7 @@ def test_stacked_builders_match_their_loops(n):
             projections.append((0.5 * (unit + tp.j @ unit @ tp.j)).ravel())
     u = np.linalg.svd(np.array(projections).T, full_matrices=False)[0]
     assert np.array_equal(anticommutant_basis(tp.j), u[:, :n * n // 2].T.reshape(-1, n, n))
-    stacked, _ = acs_field_matrix(spec.evaluate(tp.x, derivs=1), tp)
+    stacked, _ = structure(spec.evaluate(tp.x, derivs=1), tp)
     loop = column_loop_structure(spec, tp, tp.x, np.zeros(n * n // 2))
     assert np.max(np.abs(stacked - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
 
@@ -267,7 +279,7 @@ def test_partials_match_the_complex_step_oracle(name):
     n = spec.n
     for tp in sample_twistor_points(n, 3, rng):
         cv = spec.evaluate(tp.x, derivs=1)
-        big, partials = acs_field_matrix(cv, tp)
+        big, partials = structure(cv, tp)
         oracle = complex_step_partials(cv, tp)
         assert partials.shape == oracle.shape == (n + n * n // 2,) + big.shape
         scale = max(1.0, float(np.max(np.abs(oracle))))
@@ -278,9 +290,13 @@ def test_partials_match_the_complex_step_oracle(name):
 
 def scipy_frechet_tangent(da, e):
     """expm_frechet's tangent from scipy: the complex step of its Frechet
-    derivative at i eps da, one direction at a time."""
-    return np.array([expm_frechet(1j * COMPLEX_STEP * a, e, compute_expm=False).imag
-                     for a in da]) / COMPLEX_STEP
+    derivative at i eps da, one direction at a time, looping over the leading
+    axes of da and e (..., n, n), which broadcast as in twistor.expm_frechet."""
+    da, e = np.broadcast_arrays(da, e)
+    n = da.shape[-1]
+    return np.reshape([expm_frechet(1j * COMPLEX_STEP * a, b, compute_expm=False).imag
+                       for a, b in zip(da.reshape(-1, n, n), e.reshape(-1, n, n))],
+                      da.shape) / COMPLEX_STEP
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -367,12 +383,15 @@ def test_samples_evaluate_the_chart_once_per_block(monkeypatch, n):
 
 @pytest.mark.parametrize("name,samples", [("flat4", 3), ("sphere4", 3), ("witness4", 4),
                                           ("random2", 5), ("random4", 3), ("random6", 3),
+                                          ("random6", 4), ("random6", 7), ("random4", 26),
                                           ("random6", 27), ("random6", 53)])
 def test_batched_residuals_equal_one_call_per_sample(name, samples):
     """nijenhuis over a job's samples equals, bit for bit, one call per sample
-    with a one-sample list: each block's rows are evaluated as each would be
-    alone. At n = 6 a block holds BLOCK_ENTRIES // (2 * 6^4 + 12 * 6^3) = 50
-    rows, so 53 samples take two blocks."""
+    with a one-sample list: each block's rows are evaluated, and each
+    sub-block's samples built, as each would be alone. At n = 6 a block holds
+    BLOCK_ENTRIES // (2 * 6^4 + 12 * 6^3) = 50 rows, so 53 samples take two
+    blocks, and a build sub-block BLOCK_ENTRIES // (6 * 24^3) = 3 rows, so 4
+    and 7 samples take two and three; at n = 4 a sub-block holds 25 rows."""
     rng = np.random.default_rng(73)
     spec = named_spec(name, rng)
     n = spec.n
@@ -528,7 +547,7 @@ def test_central_differences_converge_to_the_exact_tensor(name):
     rng = np.random.default_rng(78)
     spec = named_spec(name, rng)
     for tp in sample_twistor_points(spec.n, 2, rng):
-        exact = nijenhuis_tensor(spec.evaluate(tp.x, derivs=1), tp)
+        exact = tensor_at(spec.evaluate(tp.x, derivs=1), tp)
 
         def gap(h):
             return np.abs(central_difference_tensor(spec, tp, h) - exact)
@@ -539,11 +558,9 @@ def test_central_differences_converge_to_the_exact_tensor(name):
         assert np.all(coarse[above] >= 30.0 * fine[above])
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_one_sample_builds_one_structure_stack(monkeypatch, n):
-    """One structure build per nijenhuis sample, which takes J, its partials
-    along the base and, by forward mode, along the fibre, with one
-    expm_frechet per fibre basis element."""
+def count_builds(monkeypatch):
+    """Counts, from here on, of the acs_field_matrix and expm_frechet calls
+    nijenhuis makes."""
     counts = {"acs": 0, "frechet": 0}
 
     def counted(name, f):
@@ -555,11 +572,74 @@ def test_one_sample_builds_one_structure_stack(monkeypatch, n):
     monkeypatch.setattr(twistor, "acs_field_matrix",
                         counted("acs", twistor.acs_field_matrix))
     monkeypatch.setattr(twistor, "expm_frechet", counted("frechet", twistor.expm_frechet))
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_one_sample_builds_one_structure_stack(monkeypatch, n):
+    """A one-sample nijenhuis call makes one structure build, which takes J,
+    its partials along the base and, by forward mode, along the fibre, with
+    one expm_frechet per fibre basis element."""
+    counts = count_builds(monkeypatch)
     rng = np.random.default_rng(70)
     spec = random_torsionfree_spec(n, rng)
     tp = sample_twistor_points(n, 1, rng)[0]
     nijenhuis(spec, [tp], coordinate_pairs(n + n * n // 2, 6, rng))
     assert counts == {"acs": 1, "frechet": n * n // 2}
+
+
+@pytest.mark.parametrize("n,samples,builds", [(2, 5, 1), (4, 3, 1), (4, 26, 2), (6, 1, 1),
+                                              (6, 3, 1), (6, 4, 2), (6, 7, 3), (6, 53, 18)])
+def test_each_sub_block_is_one_structure_build(monkeypatch, n, samples, builds):
+    """A block's samples are built in sub-blocks of BLOCK_ENTRIES // (6 N^3)
+    rows, N = n + n^2/2 (25 at n = 4, 3 at n = 6), each one acs_field_matrix
+    call with n^2/2 expm_frechet calls; 53 samples at n = 6 are blocks of 50
+    and 3 rows, so 17 and 1 sub-blocks."""
+    counts = count_builds(monkeypatch)
+    rng = np.random.default_rng(74)
+    spec = random_torsionfree_spec(n, rng)
+    nijenhuis(spec, sample_twistor_points(n, samples, rng),
+              coordinate_pairs(n + n * n // 2, 2, rng))
+    assert counts == {"acs": builds, "frechet": builds * n * n // 2}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stacked_builds_equal_one_build_per_sample(n):
+    """anticommutant_basis, acs_field_matrix and nijenhuis_tensor on a stack
+    of samples equal, bit for bit, the same calls on each sample alone."""
+    rng = np.random.default_rng(85 + n)
+    spec = random_torsionfree_spec(n, rng)
+    tps = sample_twistor_points(n, 5, rng)
+    js = np.array([tp.j for tp in tps])
+    cv = spec.evaluate_many(np.array([tp.x for tp in tps]), derivs=1)
+    basis = anticommutant_basis(js)
+    big, partials = acs_field_matrix(cv, js)
+    tensor = nijenhuis_tensor(cv, js)
+    assert basis.shape == (5, n * n // 2, n, n)
+    for r, tp in enumerate(tps):
+        row = ConnectionValue(n, cv.point[r:r + 1], cv.gamma[r:r + 1], cv.dgamma[r:r + 1])
+        assert np.array_equal(basis[r], anticommutant_basis(tp.j))
+        alone, alone_partials = acs_field_matrix(row, js[r:r + 1])
+        assert np.array_equal(big[r], alone[0])
+        assert np.array_equal(partials[r], alone_partials[0])
+        assert np.array_equal(tensor[r], nijenhuis_tensor(row, js[r:r + 1])[0])
+
+
+def test_overflow_is_refused_at_the_first_sample_that_overflows():
+    """Within one sub-block a finite tensor does not hide a later sample's
+    overflow, and the refusal names the first overflowing sample, as a walk
+    sample by sample does: at x1 = 0 Gamma vanishes and the tensor is
+    finite; at x1 = 0.3 and 0.4 the products of Gamma with its partials pass
+    the float range."""
+    spec = parse_chart("dim = 4\n[christoffel]\nG 1 1 1 = 1e155 * x1\n")
+    j = standard_complex_structure(4)
+    pairs = coordinate_pairs(12, 2, np.random.default_rng(0))
+    tps = [TwistorPoint(np.array([x1, 0.0, 0.0, 0.0]), j) for x1 in (0.0, 0.3, 0.4)]
+    assert np.isfinite(nijenhuis(spec, tps[:1], pairs)).all()
+    for samples in (tps, tps[:2], tps[1:]):
+        first = samples[0] if samples[0].x[0] else samples[1]
+        with pytest.raises(DomainError, match=rf"not finite at x = \({first.x[0]:g}, 0, 0, 0\)$"):
+            nijenhuis(spec, samples, pairs)
 
 
 @pytest.mark.parametrize("name", ["flat4", "sphere4", "witness4", "random2"])
@@ -598,15 +678,15 @@ def test_nijenhuis_tensor_is_projectively_invariant():
         spec = random_torsionfree_spec(4, rng)
         twin = projective_change(spec, random_alpha(4, rng))
         for tp in sample_twistor_points(4, 3, rng):
-            gap = (nijenhuis_tensor(spec.evaluate(tp.x, derivs=1), tp)
-                   - nijenhuis_tensor(twin.evaluate(tp.x, derivs=1), tp))
+            gap = (tensor_at(spec.evaluate(tp.x, derivs=1), tp)
+                   - tensor_at(twin.evaluate(tp.x, derivs=1), tp))
             worst = max(worst, float(np.max(np.abs(gap))))
     assert worst <= 1e-14
 
 
 def _weyl_and_nijenhuis(spec, tp):
     cv = spec.evaluate(tp.x, derivs=1)
-    return norm(weyl(curvature(cv)).W), float(np.max(np.abs(nijenhuis_tensor(cv, tp))))
+    return norm(weyl(curvature(cv)).W), float(np.max(np.abs(tensor_at(cv, tp))))
 
 
 def test_nijenhuis_vanishes_exactly_where_weyl_does():
@@ -656,7 +736,7 @@ def test_fibre_block_is_the_closed_form_in_the_curvature_and_in_weyl(name):
     n = spec.n
     for tp in sample_twistor_points(n, 2, rng):
         cv = spec.evaluate(tp.x, derivs=1)
-        tensor = nijenhuis_tensor(cv, tp)
+        tensor = tensor_at(cv, tp)
         block = tensor[n:, :n, :n]
         rest = tensor.copy()
         rest[n:, :n, :n] = 0.0
